@@ -58,7 +58,6 @@ from .sweep import (
     RemnantReport,
     SweepSchedule,
     SweepTrajectory,
-    TrajectorySample,
     continue_branch,
     loop_area,
     refine_fold,

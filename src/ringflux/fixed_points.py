@@ -248,9 +248,10 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
         Dead band on g' for the Marginal classification.
     cpr, cpr_prime, cpr_slope_bound :
         Optional reduced current-phase relation (|i| <= 1), its derivative,
-        and a bound on max|i'|, replacing the sinusoid.  With a custom
-        relation the roots are bracketed by a uniform scan at the contract
-        step instead of the analytic monotone partition.
+        and a bound on max|i'|, replacing the sinusoid.  `cpr` and
+        `cpr_prime` go together, since stability is classified with the
+        slope.  With a custom relation the roots are bracketed by a uniform
+        scan at the contract step instead of the analytic monotone partition.
 
     Returns
     -------
@@ -260,6 +261,8 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
     """
     if tol <= 0.0:
         raise ValueError(f"tol must be > 0, got {tol}")
+    if (cpr is None) != (cpr_prime is None):
+        raise ValueError("cpr and cpr_prime must be given together")
     c = phi_ext + p.phi_fe
 
     def f(x: float) -> float:

@@ -4,14 +4,15 @@ A sweep follows the stable root of the flux balance as the applied flux
 moves through a schedule of waypoints.  While the occupied stable branch
 exists the state tracks it continuously; when the drive crosses a fold the
 branch vanishes and the state jumps to the nearest surviving stable root
-("the flux quantum is admitted").  Folds are located by bisecting the
-applied flux between the last surviving and first lost step, then snapped
-onto the analytic tangency, so remnant values do not depend on the step
-size.
+("the flux quantum is admitted").  A branch of the sinusoidal relation
+ends at an analytic tangency, so a fold is placed there directly, not
+searched for; remnant values therefore do not depend on the step size.
 
 Hysteresis loops run the cycle 0 -> +amplitude -> -amplitude -> 0 and
 report the two zero-drive crossings (descending and ascending remnants)
-plus the signed loop area of the (phi_ext, i) cycle as traversed.
+plus the signed loop area of the (phi_ext, i) cycle as traversed.  Along a
+branch i d(phi_ext) is an exact differential and a jump adds no area, so
+the area is evaluated in closed form.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
-
-import numpy as np
 
 from .fixed_points import (
     DEFAULT_MARGINAL_TOL,
@@ -35,9 +34,6 @@ from .fixed_points import (
     stable_branch_interval,
 )
 from .ring_model import TWO_PI, ReducedParams, RingParams
-
-#: Applied-flux resolution of the fold bisection.
-FOLD_BISECT_TOL = 1e-12
 
 _MAX_JUMPS_PER_STEP = 64
 
@@ -63,7 +59,7 @@ class SweepSchedule:
 
 @dataclass(frozen=True)
 class BranchState:
-    """Occupied stable fixed point during a sweep."""
+    """Occupied stable fixed point during a sweep; also one trajectory sample."""
 
     phi_ext: float
     phi: float
@@ -90,14 +86,6 @@ class FoldSignal:
 
 
 @dataclass(frozen=True)
-class TrajectorySample:
-    phi_ext: float
-    phi: float
-    i: float
-    branch_id: int
-
-
-@dataclass(frozen=True)
 class JumpEvent:
     """One branch loss: drive value, departing and landing flux."""
 
@@ -115,7 +103,7 @@ class SweepTrajectory:
     waypoint_indices[k] is the sample index at schedule waypoint k.
     """
 
-    samples: tuple[TrajectorySample, ...]
+    samples: tuple[BranchState, ...]
     events: tuple[JumpEvent, ...]
     waypoint_indices: tuple[int, ...]
 
@@ -124,15 +112,12 @@ class SweepTrajectory:
 class HysteresisLoop:
     """Full drive cycle 0 -> +amp -> -amp -> 0 and its summary numbers.
 
-    `up` holds the ascending passes (initial 0 -> +amp and final -amp -> 0),
-    `down` the descending pass +amp -> -amp, `cycle` everything in time
-    order.  Remnants are the flux at the two zero-drive crossings after the
-    start; loop_area is the trapezoidal integral of i d(phi_ext) over the
-    cycle as traversed, with jump verticals contributing nothing.
+    `cycle` holds every sample in time order; its waypoint_indices mark the
+    five waypoints, so e.g. the descending pass is the slice between the
+    second and fourth.  Remnants are the flux at the two zero-drive
+    crossings after the start; loop_area is given by loop_area().
     """
 
-    up: SweepTrajectory
-    down: SweepTrajectory
     remnant_up: float
     remnant_down: float
     loop_area: float
@@ -159,13 +144,6 @@ def _branch_bounds(p: ReducedParams, k: int, c: float) -> tuple[float, float]:
     return c - p.lam - WINDOW_MARGIN, c + p.lam + WINDOW_MARGIN
 
 
-def _branch_alive(p: ReducedParams, k: int, c: float) -> bool:
-    if p.beta <= 1.0:
-        return True
-    c_lo, c_hi = branch_flux_range(k, p.beta)
-    return c_lo <= c <= c_hi
-
-
 def _solve_on_branch(p: ReducedParams, k: int, c: float, x0: float,
                      tol: float) -> float:
     """Root of phi + lam*sin(2*pi*phi) = c on the (monotone) branch segment.
@@ -184,9 +162,11 @@ def _solve_on_branch(p: ReducedParams, k: int, c: float, x0: float,
         return x - c + lam * math.sin(TWO_PI * x)
 
     fa, fb = f(a), f(b)
-    if fa == 0.0:
+    # at a fold level the root is the segment end itself (the tangency),
+    # where rounding may leave the residual of the wrong sign by up to tol
+    if 0.0 <= fa <= tol:
         return a
-    if fb == 0.0:
+    if -tol <= fb <= 0.0:
         return b
     if fa > 0.0 or fb < 0.0:
         raise NumericsError(
@@ -226,54 +206,46 @@ def continue_branch(state: BranchState, phi_ext_next: float, p: ReducedParams,
     if phi_ext_next == state.phi_ext:
         return state
     c_next = phi_ext_next + p.phi_fe
-    if not _branch_alive(p, state.branch_id, c_next):
-        return FoldSignal(
-            phi_ext_last_good=state.phi_ext,
-            phi_ext_first_bad=phi_ext_next,
-            phi_last_good=state.phi,
-            branch_id=state.branch_id,
-            ascending=phi_ext_next > state.phi_ext,
-        )
+    if p.beta > 1.0:
+        c_lo, c_hi = branch_flux_range(state.branch_id, p.beta)
+        if not c_lo <= c_next <= c_hi:
+            return FoldSignal(
+                phi_ext_last_good=state.phi_ext,
+                phi_ext_first_bad=phi_ext_next,
+                phi_last_good=state.phi,
+                branch_id=state.branch_id,
+                ascending=phi_ext_next > state.phi_ext,
+            )
     phi = _solve_on_branch(p, state.branch_id, c_next, state.phi, tol)
     return BranchState(phi_ext_next, phi, math.sin(TWO_PI * phi), state.branch_id)
 
 
-def refine_fold(fold: FoldSignal, p: ReducedParams,
-                tol: float = DEFAULT_ROOT_TOL) -> FoldSignal:
-    """Locate the fold drive value inside the signal's bracket.
+def refine_fold(fold: FoldSignal, p: ReducedParams) -> FoldSignal:
+    """Place the fold at the analytic tangency that ends the branch.
 
-    Bisects the applied flux between the last surviving and first lost step
-    down to FOLD_BISECT_TOL, then snaps onto the analytic tangency of the
-    branch (where the fold sits exactly); the snap is what makes remnants
-    independent of the sweep step.
+    Branch k dies at the total-flux level k + c_hi (ascending) or k + c_lo
+    (descending) of branch_flux_range, with the flux at the segment end of
+    stable_branch_interval; the jump leaves from exactly there, which makes
+    remnants independent of the sweep step.  The tangency is checked to lie
+    inside the signal's bracket; if it does not, the jump is taken from the
+    last surviving state and the result is marked fold_refined=False.
     """
     if fold.fold_refined:
         return fold
-    good, bad = fold.phi_ext_last_good, fold.phi_ext_first_bad
-    while abs(bad - good) > FOLD_BISECT_TOL:
-        mid = 0.5 * (good + bad)
-        if mid == good or mid == bad:
-            break
-        if _branch_alive(p, fold.branch_id, mid + p.phi_fe):
-            good = mid
-        else:
-            bad = mid
-
     c_lo, c_hi = branch_flux_range(fold.branch_id, p.beta)
     seg_lo, seg_hi = stable_branch_interval(fold.branch_id, p.beta)
     if fold.ascending:
-        phi_ext_fold, phi_fold = c_hi - p.phi_fe, seg_hi
+        c_fold, phi_fold = c_hi, seg_hi
     else:
-        phi_ext_fold, phi_fold = c_lo - p.phi_fe, seg_lo
-
-    snap_tol = 16.0 * FOLD_BISECT_TOL * max(1.0, abs(phi_ext_fold))
-    if abs(phi_ext_fold - good) <= snap_tol:
-        return replace(fold, phi_ext_at_jump=phi_ext_fold, phi_before=phi_fold,
+        c_fold, phi_fold = c_lo, seg_lo
+    # compare in total flux, rounded as continue_branch rounds it
+    c_good = fold.phi_ext_last_good + p.phi_fe
+    c_bad = fold.phi_ext_first_bad + p.phi_fe
+    if min(c_good, c_bad) <= c_fold <= max(c_good, c_bad):
+        return replace(fold, phi_ext_at_jump=c_fold - p.phi_fe, phi_before=phi_fold,
                        fold_refined=True)
-    # analytic tangency unexpectedly far from the bisected bracket: keep the
-    # bisected value and the last surviving flux
-    return replace(fold, phi_ext_at_jump=good, phi_before=fold.phi_last_good,
-                   fold_refined=False)
+    return replace(fold, phi_ext_at_jump=fold.phi_ext_last_good,
+                   phi_before=fold.phi_last_good, fold_refined=False)
 
 
 def resolve_jump(fold: FoldSignal, p: ReducedParams,
@@ -286,7 +258,7 @@ def resolve_jump(fold: FoldSignal, p: ReducedParams,
     fold, so this never comes up empty.
     """
     if fold.phi_ext_at_jump is None:
-        fold = refine_fold(fold, p, tol)
+        fold = refine_fold(fold, p)
     roots = find_fixed_points(fold.phi_ext_at_jump, p, tol)
     candidates = [
         r for r in roots
@@ -329,7 +301,7 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
     """
     w = schedule.waypoints
     state = _initial_state(p, w[0], tol, marginal_tol, init_phi_hint)
-    samples = [TrajectorySample(state.phi_ext, state.phi, state.i, state.branch_id)]
+    samples = [state]
     events: list[JumpEvent] = []
     waypoint_indices = [0]
 
@@ -344,18 +316,16 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
                     break  # a jump landed exactly on this sub-step's drive
                 if isinstance(nxt, BranchState):
                     state = nxt
-                    samples.append(TrajectorySample(pe, state.phi, state.i,
-                                                    state.branch_id))
+                    samples.append(state)
                     break
-                fold = refine_fold(nxt, p, tol)
+                fold = refine_fold(nxt, p)
                 landing = resolve_jump(fold, p, tol)
-                lb = branch_index(landing.phi, p.beta)
-                samples.append(TrajectorySample(fold.phi_ext_at_jump, landing.phi,
-                                                landing.i, lb))
+                state = BranchState(fold.phi_ext_at_jump, landing.phi, landing.i,
+                                    branch_index(landing.phi, p.beta))
+                samples.append(state)
                 events.append(JumpEvent(fold.phi_ext_at_jump, fold.phi_before,
                                         landing.phi, fold.fold_refined,
                                         landing_index=len(samples) - 1))
-                state = BranchState(fold.phi_ext_at_jump, landing.phi, landing.i, lb)
             else:
                 raise NumericsError(
                     f"more than {_MAX_JUMPS_PER_STEP} folds inside one sub-step; "
@@ -365,42 +335,22 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
     return SweepTrajectory(tuple(samples), tuple(events), tuple(waypoint_indices))
 
 
-def loop_area(traj: SweepTrajectory) -> float:
-    """Trapezoidal integral of i d(phi_ext) along the trajectory.
+def loop_area(traj: SweepTrajectory, p: ReducedParams) -> float:
+    """Exact integral of i d(phi_ext) along the trajectory.
 
-    Jump verticals (current discontinuities at fixed drive) are inserted
-    explicitly so they contribute zero area instead of a spurious smear.
+    On a branch phi_ext = phi + lam*sin(2*pi*phi) - phi_fe, so
+    i d(phi_ext) = dF with F(phi) = -cos(2*pi*phi)/(2*pi) + (lam/2)*sin(2*pi*phi)**2.
+    A jump is vertical (fixed drive) and adds nothing, so the area is
+    F(last) - F(first) plus F(phi_before) - F(phi_after) for every jump.
     """
-    by_landing = {e.landing_index: e for e in traj.events}
-    xs: list[float] = []
-    ys: list[float] = []
-    for idx, s in enumerate(traj.samples):
-        e = by_landing.get(idx)
-        if e is not None:
-            xs.append(e.phi_ext_at_jump)
-            ys.append(math.sin(TWO_PI * e.phi_before))
-        xs.append(s.phi_ext)
-        ys.append(s.i)
-    x = np.asarray(xs)
-    y = np.asarray(ys)
-    return float(np.sum(0.5 * (y[1:] + y[:-1]) * np.diff(x)))
+    def F(phi: float) -> float:
+        s = math.sin(TWO_PI * phi)
+        return -math.cos(TWO_PI * phi) / TWO_PI + 0.5 * p.lam * s * s
 
-
-def _slice_trajectory(traj: SweepTrajectory, lo: int, hi: int) -> SweepTrajectory:
-    samples = traj.samples[lo:hi + 1]
-    events = tuple(
-        replace(e, landing_index=e.landing_index - lo)
-        for e in traj.events if lo < e.landing_index <= hi
-    )
-    return SweepTrajectory(samples, events, (0, len(samples) - 1))
-
-
-def _concat_trajectories(a: SweepTrajectory, b: SweepTrajectory) -> SweepTrajectory:
-    offset = len(a.samples)
-    events = a.events + tuple(
-        replace(e, landing_index=e.landing_index + offset) for e in b.events)
-    return SweepTrajectory(a.samples + b.samples, events,
-                           a.waypoint_indices + tuple(i + offset for i in b.waypoint_indices))
+    terms = [F(traj.samples[-1].phi), -F(traj.samples[0].phi)]
+    for e in traj.events:
+        terms += (F(e.phi_before), -F(e.phi_after))
+    return math.fsum(terms)
 
 
 def run_hysteresis(p: ReducedParams, amplitude: float, step: float,
@@ -410,7 +360,7 @@ def run_hysteresis(p: ReducedParams, amplitude: float, step: float,
 
     Starts from the virgin state (stable root nearest phi = 0 at zero
     drive).  Returns the loop with both remnant crossings and the signed
-    cycle area; for beta < 1 the passes retrace each other and the area
+    cycle area; for beta <= 1 the passes retrace each other and the area
     vanishes to roundoff.
     """
     if not (amplitude > 0.0 and math.isfinite(amplitude)):
@@ -420,17 +370,11 @@ def run_hysteresis(p: ReducedParams, amplitude: float, step: float,
 
     schedule = SweepSchedule((0.0, amplitude, 0.0, -amplitude, 0.0), step)
     traj = run_schedule(p, schedule, tol, marginal_tol, init_phi_hint=0.0)
-    i0, i1, i2, i3, i4 = traj.waypoint_indices
-
-    up = _concat_trajectories(_slice_trajectory(traj, i0, i1),
-                              _slice_trajectory(traj, i3, i4))
-    down = _slice_trajectory(traj, i1, i3)
+    i2, i4 = traj.waypoint_indices[2], traj.waypoint_indices[4]
     return HysteresisLoop(
-        up=up,
-        down=down,
         remnant_up=traj.samples[i4].phi,
         remnant_down=traj.samples[i2].phi,
-        loop_area=loop_area(traj),
+        loop_area=loop_area(traj, p),
         cycle=traj,
     )
 
@@ -442,8 +386,7 @@ def remnant_report(loop: HysteresisLoop, params: RingParams) -> RemnantReport:
     the quantized one, n*Phi0/area_A.  The raw (unrounded) remnant fluxes
     ride along so the two are never conflated.
     """
-    n_up = int(np.rint(loop.remnant_up))
-    n_down = int(np.rint(loop.remnant_down))
+    n_up, n_down = round(loop.remnant_up), round(loop.remnant_down)
     scale = params.Phi0 / params.area_A
     return RemnantReport(
         n_up=n_up,

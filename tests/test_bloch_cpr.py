@@ -179,6 +179,17 @@ class TestFixedPointIntegration:
             for a, b in zip(via_model, shifted):
                 assert a.phi == pytest.approx(b.phi - 0.5, abs=1e-10)
 
+    def test_relation_without_its_slope_is_rejected(self):
+        # stability is classified with the slope, so a relation given without
+        # its derivative would silently be classified with the sinusoid's;
+        # for c_1 < 0 at beta 5 and zero drive that flips every root's class
+        i_fun, di_fun, _ = reduced_cpr(FreeEnergyModel((-2.4e-21,), PHI0))
+        p = ReducedParams(beta=5.0)
+        with pytest.raises(ValueError):
+            find_fixed_points(0.0, p, cpr=i_fun)
+        with pytest.raises(ValueError):
+            find_fixed_points(0.0, p, cpr_prime=di_fun)
+
     def test_two_harmonic_model_roots_satisfy_residual(self):
         model = FreeEnergyModel((2e-21, 4e-22), PHI0)
         i_fun, di_fun, i_j = reduced_cpr(model)

@@ -8,7 +8,7 @@ import pytest
 from ringflux import cli
 from ringflux.fixed_points import NumericsError
 from ringflux.ring_model import FLUX_QUANTUM
-from ringflux.sweep import SweepTrajectory, TrajectorySample
+from ringflux.sweep import BranchState, SweepTrajectory
 
 
 def run_cli(*argv):
@@ -92,7 +92,7 @@ class TestCsvEmission:
     def test_single_sample_two_lines(self, tmp_path):
         out = tmp_path / "one.csv"
         from ringflux.ring_model import ReducedParams
-        traj = SweepTrajectory((TrajectorySample(0.0, 0.0, 0.0, 0),), (), (0,))
+        traj = SweepTrajectory((BranchState(0.0, 0.0, 0.0, 0),), (), (0,))
         cli.emit_csv(traj, str(out), p=ReducedParams(beta=0.5))
         assert out.read_text() == (
             "phi_ext,phi,i,branch_id,stable,event\n0,0,0,0,true,\n")

@@ -93,6 +93,18 @@ class TestContinueBranch:
         assert nxt.ascending
         assert nxt.branch_id == 0
 
+    def test_drive_on_fold_level_stays_on_branch(self):
+        # at a fold level the root is the segment end, where the residual
+        # may round to the wrong sign; the solve must return that tangency
+        for j in range(400):
+            p = ReducedParams(beta=1.5 + 0.05 * j)
+            state = _state_at(p, 0.0, 0.0)
+            for c in branch_flux_range(0, p.beta):
+                nxt = continue_branch(state, c, p)
+                assert isinstance(nxt, BranchState)
+                assert nxt.branch_id == 0
+                assert abs(residual(nxt.phi, c, p)) <= 1e-12
+
     def test_refined_fold_matches_analytic_tangency(self):
         # branch 0 dies at c_hi = 1/2 - phi_a + lambda*sin(2*pi*phi_a) ~ 1.062
         p = ReducedParams(beta=5.0)
@@ -104,6 +116,15 @@ class TestContinueBranch:
         assert fold.phi_before == pytest.approx(upper.phi_fold, abs=1e-12)
         # the departing state is a tangency: g and g' both vanish there
         assert abs(residual(fold.phi_before, fold.phi_ext_at_jump, p)) < 1e-9
+
+    def test_tangency_outside_bracket_is_not_refined(self):
+        # branch 0 dies at c ~ 1.062, outside this bracket: the jump is
+        # taken from the last surviving state and marked unrefined
+        p = ReducedParams(beta=5.0)
+        fold = FoldSignal(0.0, 0.5, 0.0, branch_id=0, ascending=True)
+        out = refine_fold(fold, p)
+        assert not out.fold_refined
+        assert (out.phi_ext_at_jump, out.phi_before) == (0.0, 0.0)
 
 
 class TestResolveJump:
@@ -150,8 +171,11 @@ class TestRunHysteresis:
         assert loop.cycle.events == ()
         # ascending and descending passes agree pointwise: match each
         # descending sample to the nearest ascending drive value
-        up = np.array(sorted((s.phi_ext, s.phi) for s in loop.up.samples))
-        for s in loop.down.samples:
+        samples = loop.cycle.samples
+        i0, i1, _, i3, i4 = loop.cycle.waypoint_indices
+        up = np.array(sorted((s.phi_ext, s.phi)
+                             for s in samples[i0:i1 + 1] + samples[i3:i4 + 1]))
+        for s in samples[i1:i3 + 1]:
             j = int(np.argmin(np.abs(up[:, 0] - s.phi_ext)))
             assert abs(up[j, 0] - s.phi_ext) < 1e-9
             assert up[j, 1] == pytest.approx(s.phi, abs=1e-10)
@@ -252,7 +276,8 @@ class TestRunHysteresis:
         p = ReducedParams(beta=5.0)
         loop = run_hysteresis(p, 3.0, 0.01)
         rng = np.random.default_rng(9)
-        samples = loop.down.samples
+        i1, i3 = loop.cycle.waypoint_indices[1], loop.cycle.waypoint_indices[3]
+        samples = loop.cycle.samples[i1:i3 + 1]
         for idx in rng.choice(len(samples), size=25, replace=False):
             s = samples[idx]
             brute = brute_force_roots(s.phi_ext, p.beta, step=1e-4)
@@ -266,8 +291,8 @@ class TestLoopArea:
         assert abs(loop.loop_area) < 1e-12
 
     def test_matches_coarse_quadrature(self):
-        # the polyline area with jump verticals must agree with a plain
-        # trapezoid over a fine-step cycle, where the smear is negligible
+        # the exact area must agree with a plain trapezoid over a fine-step
+        # cycle, where the quadrature error is small
         p = ReducedParams(beta=5.0)
         fine = run_hysteresis(p, 3.0, 1e-3)
         xs = np.array([s.phi_ext for s in fine.cycle.samples])
@@ -281,8 +306,8 @@ class TestLoopArea:
 class TestRemnantReport:
     def _loop_with_remnants(self, up, down):
         empty = SweepTrajectory((), (), ())
-        return HysteresisLoop(up=empty, down=empty, remnant_up=up,
-                              remnant_down=down, loop_area=0.0, cycle=empty)
+        return HysteresisLoop(remnant_up=up, remnant_down=down, loop_area=0.0,
+                              cycle=empty)
 
     def test_zero_remnant(self):
         report = remnant_report(self._loop_with_remnants(0.0, 0.0),

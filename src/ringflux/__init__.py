@@ -10,7 +10,6 @@ unreduce.
 
 from .bloch_cpr import (
     FreeEnergyModel,
-    SymmetryReport,
     current,
     finite_difference_current_error,
     free_energy,
@@ -28,12 +27,10 @@ from .fit import (
 )
 from .fixed_points import (
     FixedPoint,
-    FoldPoint,
     NumericsError,
     Stability,
     classify_stability,
     find_fixed_points,
-    fold_locations,
     residual,
     residual_derivative,
 )
@@ -45,7 +42,6 @@ from .ring_model import (
     ReducedParams,
     RingParams,
     fluxoid,
-    josephson_current,
     quantization_index,
     reduce,
     unreduce,
@@ -66,13 +62,6 @@ from .sweep import (
     run_hysteresis,
     run_schedule,
 )
-from .wide_ring import (
-    WideRingState,
-    currents_at,
-    phase_sine,
-    quantized_phase,
-    remnant_field,
-)
+from .wide_ring import currents_at, remnant_field
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -28,8 +28,6 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import bloch_cpr, fit as fit_mod, fixed_points, ring_model, sweep, wide_ring
 from .fixed_points import NumericsError, Stability
 
@@ -48,10 +46,10 @@ class UsageError(Exception):
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value) + 0.0:.17g}"  # normalizes -0.0
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return f"{value + 0.0:.17g}"  # normalizes -0.0
     return str(value)
 
 
@@ -68,7 +66,8 @@ def _parse_coeffs(text: str) -> tuple[float, ...]:
 
 @dataclass
 class RunConfig:
-    """Every tunable the commands understand; None means 'not given'."""
+    """Every tunable the commands understand; None means 'not given', and
+    the library default then applies."""
 
     L: float | None = None
     I_J: float | None = None
@@ -80,26 +79,20 @@ class RunConfig:
     phi_ext: float | None = None
     amplitude: float | None = None
     step: float | None = None
-    tol: float = 1e-12
-    marginal_tol: float = 1e-9
     n: int | None = None
     h_points: int = 11
-    grid_size: int = 64
+    grid_size: int | None = None
     coeffs: tuple[float, ...] | None = None
     data: str | None = None
     kind: str = "remnant"
-    beta_min: float = 0.1
-    beta_max: float = 20.0
-    phi_fe_min: float = -0.5
-    phi_fe_max: float = 0.5
-    restarts: int = 2
+    beta_min: float | None = None
+    beta_max: float | None = None
+    phi_fe_min: float | None = None
+    phi_fe_max: float | None = None
+    restarts: int | None = None
     out: str | None = None
 
     def validate(self) -> None:
-        for key in ("tol", "marginal_tol"):
-            value = getattr(self, key)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise UsageError(f"{key} must be positive, got {value}")
         if self.kind not in ("remnant", "current"):
             raise UsageError(f"kind must be 'remnant' or 'current', got {self.kind!r}")
 
@@ -107,8 +100,7 @@ class RunConfig:
 _CONFIG_PARSERS = {
     "L": float, "I_J": float, "Phi0": float, "Phi_Fe": float, "area_A": float,
     "beta": float, "phi_fe": float, "phi_ext": float, "amplitude": float,
-    "step": float, "tol": float, "marginal_tol": float,
-    "n": int, "h_points": int, "grid_size": int, "restarts": int,
+    "step": float, "n": int, "h_points": int, "grid_size": int, "restarts": int,
     "coeffs": _parse_coeffs, "data": str, "kind": str, "out": str,
     "beta_min": float, "beta_max": float, "phi_fe_min": float, "phi_fe_max": float,
 }
@@ -153,6 +145,12 @@ def parse_config(args: argparse.Namespace) -> RunConfig:
     return config
 
 
+def _given(config: RunConfig, *keys: str) -> dict:
+    """The named values that were given, for passing on as keywords so that
+    the library's defaults apply to the rest."""
+    return {k: getattr(config, k) for k in keys if getattr(config, k) is not None}
+
+
 def _reduced(config: RunConfig) -> ring_model.ReducedParams:
     """Reduced parameters from either beta or the SI pair (L, I_J)."""
     phi0 = config.Phi0 if config.Phi0 is not None else ring_model.FLUX_QUANTUM
@@ -168,17 +166,18 @@ def _reduced(config: RunConfig) -> ring_model.ReducedParams:
         phi_fe = config.Phi_Fe / phi0
     else:
         phi_fe = 0.0
-    try:
-        return ring_model.ReducedParams(beta=beta, phi_fe=phi_fe)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return ring_model.ReducedParams(beta=beta, phi_fe=phi_fe)
+
+
+def _si_scales(config: RunConfig) -> dict:
+    """I_J, Phi0 and area_A as given.  I_J falls back to 1 A: it sets only
+    the current scale, on which no reported field or wide-ring current
+    depends."""
+    return {"I_J": 1.0, **_given(config, "I_J", "Phi0", "area_A")}
 
 
 def _ring(config: RunConfig, p: ring_model.ReducedParams) -> ring_model.RingParams:
-    phi0 = config.Phi0 if config.Phi0 is not None else ring_model.FLUX_QUANTUM
-    i_j = config.I_J if config.I_J is not None else 1.0
-    area = config.area_A if config.area_A is not None else 1.0
-    return ring_model.unreduce(p, i_j, phi0, area)
+    return ring_model.unreduce(p, **_si_scales(config))
 
 
 # ---------------------------------------------------------------------------
@@ -198,25 +197,23 @@ def _write_rows(header: Sequence[str], rows: list[tuple], path: str | None) -> N
             raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _sweep_rows(traj: sweep.SweepTrajectory,
-                p: ring_model.ReducedParams,
-                marginal_tol: float) -> list[tuple]:
+def _sweep_rows(traj: sweep.SweepTrajectory, p: ring_model.ReducedParams) -> list[tuple]:
     landing = {e.landing_index for e in traj.events}
     rows = []
     for idx, s in enumerate(traj.samples):
-        stable = fixed_points.classify_stability(s.phi, p, marginal_tol) is Stability.STABLE
+        stable = fixed_points.classify_stability(s.phi, p) is Stability.STABLE
         rows.append((s.phi_ext, s.phi, s.i, s.branch_id, stable,
                      "jump" if idx in landing else ""))
     return rows
 
 
 def emit_csv(result, path: str | None, *, p: ring_model.ReducedParams | None = None,
-             marginal_tol: float = 1e-9, phi_ext: float | None = None) -> None:
+             phi_ext: float | None = None) -> None:
     """Write any command result as CSV (to stdout when path is None)."""
     if isinstance(result, sweep.HysteresisLoop):
-        _write_rows(SWEEP_HEADER, _sweep_rows(result.cycle, p, marginal_tol), path)
+        _write_rows(SWEEP_HEADER, _sweep_rows(result.cycle, p), path)
     elif isinstance(result, sweep.SweepTrajectory):
-        _write_rows(SWEEP_HEADER, _sweep_rows(result, p, marginal_tol), path)
+        _write_rows(SWEEP_HEADER, _sweep_rows(result, p), path)
     elif isinstance(result, list) and all(isinstance(r, fixed_points.FixedPoint) for r in result):
         rows = [(phi_ext, r.phi, r.i, r.stability.value) for r in result]
         _write_rows(FIXED_POINT_HEADER, rows, path)
@@ -258,8 +255,7 @@ def _cmd_fixed_points(config: RunConfig) -> int:
     if config.phi_ext is None:
         raise UsageError("missing parameter: phi_ext")
     p = _reduced(config)
-    roots = fixed_points.find_fixed_points(config.phi_ext, p, config.tol,
-                                           config.marginal_tol)
+    roots = fixed_points.find_fixed_points(config.phi_ext, p)
     emit_csv(roots, config.out, phi_ext=config.phi_ext)
     return 0
 
@@ -268,12 +264,8 @@ def _cmd_sweep(config: RunConfig) -> int:
     if config.amplitude is None or config.step is None:
         raise UsageError("missing parameters: amplitude and step")
     p = _reduced(config)
-    try:
-        loop = sweep.run_hysteresis(p, config.amplitude, config.step,
-                                    config.tol, config.marginal_tol)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    emit_csv(loop, config.out, p=p, marginal_tol=config.marginal_tol)
+    loop = sweep.run_hysteresis(p, config.amplitude, config.step)
+    emit_csv(loop, config.out, p=p)
     report = sweep.remnant_report(loop, _ring(config, p))
     for key, value in (("remnant_phi_down", report.phi_down),
                        ("remnant_phi_up", report.phi_up),
@@ -294,12 +286,7 @@ def _cmd_wide_ring(config: RunConfig) -> int:
         raise UsageError("missing parameter: L")
     if config.h_points < 2:
         raise UsageError(f"h_points must be >= 2, got {config.h_points}")
-    params = ring_model.RingParams(
-        L=config.L,
-        I_J=config.I_J if config.I_J is not None else 1.0,
-        Phi0=config.Phi0 if config.Phi0 is not None else ring_model.FLUX_QUANTUM,
-        area_A=config.area_A if config.area_A is not None else 1.0,
-    )
+    params = ring_model.RingParams(L=config.L, **_si_scales(config))
     b_remnant = wide_ring.remnant_field(config.n, params)
     rows = []
     for j in range(config.h_points):
@@ -313,13 +300,9 @@ def _cmd_wide_ring(config: RunConfig) -> int:
 def _cmd_bloch_check(config: RunConfig) -> int:
     if config.coeffs is None:
         raise UsageError("missing parameter: coeffs (comma-separated joules)")
-    phi0 = config.Phi0 if config.Phi0 is not None else ring_model.FLUX_QUANTUM
-    try:
-        model = bloch_cpr.FreeEnergyModel(config.coeffs, phi0)
-        report = bloch_cpr.validate_symmetries(model, config.grid_size)
-        fd_error = bloch_cpr.finite_difference_current_error(model)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    model = bloch_cpr.FreeEnergyModel(config.coeffs, **_given(config, "Phi0"))
+    report = bloch_cpr.validate_symmetries(model, **_given(config, "grid_size"))
+    fd_error = bloch_cpr.finite_difference_current_error(model)
     print(f"current_periodicity = {_fmt(report.current_periodicity)}")
     print(f"current_oddness = {_fmt(report.current_oddness)}")
     print(f"energy_periodicity = {_fmt(report.energy_periodicity)}")
@@ -338,18 +321,13 @@ def _cmd_fit(config: RunConfig) -> int:
     kind = (fit_mod.ObservationKind.REMNANT_FLUX if config.kind == "remnant"
             else fit_mod.ObservationKind.CURRENT)
     observations = read_observations_csv(Path(config.data), kind)
-    bounds = fit_mod.FitBounds(config.beta_min, config.beta_max,
-                               config.phi_fe_min, config.phi_fe_max)
-    initial = ring_model.ReducedParams(
-        beta=config.beta, phi_fe=config.phi_fe if config.phi_fe is not None else 0.0)
-    try:
-        result = fit_mod.fit_parameters(
-            observations, initial, bounds,
-            n_restarts=config.restarts,
-            step=config.step if config.step is not None else 0.05,
-            solver_tol=config.tol)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    bounds = fit_mod.FitBounds(
+        **_given(config, "beta_min", "beta_max", "phi_fe_min", "phi_fe_max"))
+    initial = ring_model.ReducedParams(beta=config.beta, **_given(config, "phi_fe"))
+    options = _given(config, "step")
+    if config.restarts is not None:
+        options["n_restarts"] = config.restarts
+    result = fit_mod.fit_parameters(observations, initial, bounds, **options)
     print(f"beta = {_fmt(result.params.beta)}")
     print(f"phi_fe = {_fmt(result.params.phi_fe)}")
     print(f"objective = {_fmt(result.objective_value)}")
@@ -357,9 +335,7 @@ def _cmd_fit(config: RunConfig) -> int:
     print(f"converged = {_fmt(result.converged)}")
     print(f"flat_objective = {_fmt(result.flat_objective)}")
     if config.I_J is not None:
-        ring = result.to_ring(config.I_J,
-                              config.Phi0 if config.Phi0 is not None else ring_model.FLUX_QUANTUM,
-                              config.area_A if config.area_A is not None else 1.0)
+        ring = _ring(config, result.params)
         print(f"L = {_fmt(ring.L)}")
         print(f"Phi_Fe = {_fmt(ring.Phi_Fe)}")
     return 0
@@ -403,10 +379,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         config = parse_config(args)
         return _COMMANDS[args.command](config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericsError as exc:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .fixed_points import DEFAULT_ROOT_TOL, NumericsError
+from .fixed_points import NumericsError
 from .ring_model import ReducedParams, RingParams, unreduce
 from .sweep import SweepSchedule, run_hysteresis, run_schedule
 
@@ -96,8 +96,7 @@ class FitResult:
 
 
 def simulate_observables(p: ReducedParams, protocol: SweepSchedule,
-                         kind: ObservationKind = ObservationKind.REMNANT_FLUX,
-                         tol: float = DEFAULT_ROOT_TOL) -> list[float]:
+                         kind: ObservationKind = ObservationKind.REMNANT_FLUX) -> list[float]:
     """Forward predictions for each protocol waypoint, matching `kind`.
 
     REMNANT_FLUX: waypoints are signed excursion amplitudes; each prediction
@@ -116,7 +115,7 @@ def simulate_observables(p: ReducedParams, protocol: SweepSchedule,
                 raise ValueError("remnant observations need a nonzero amplitude")
             amp = abs(a)
             if amp not in loops:
-                loops[amp] = run_hysteresis(p, amp, protocol.step, tol)
+                loops[amp] = run_hysteresis(p, amp, protocol.step)
             loop = loops[amp]
             out.append(loop.remnant_down if a > 0.0 else loop.remnant_up)
         return out
@@ -127,11 +126,11 @@ def simulate_observables(p: ReducedParams, protocol: SweepSchedule,
         skip = 1
     else:
         skip = 0
-    traj = run_schedule(p, SweepSchedule(waypoints, protocol.step), tol)
+    traj = run_schedule(p, SweepSchedule(waypoints, protocol.step))
     return [traj.samples[i].i for i in traj.waypoint_indices[skip:]]
 
 
-def _objective(data: list[Observation], step: float, tol: float):
+def _objective(data: list[Observation], step: float):
     kind = data[0].kind
     keys = tuple(o.phi_ext for o in data)
     observed = np.array([o.observable for o in data])
@@ -145,7 +144,7 @@ def _objective(data: list[Observation], step: float, tol: float):
 
     def fun(x) -> float:
         p = ReducedParams(beta=float(x[0]), phi_fe=float(x[1]))
-        predicted = simulate_observables(p, SweepSchedule(unique, step), kind, tol)
+        predicted = simulate_observables(p, SweepSchedule(unique, step), kind)
         r = np.array([predicted[i] for i in index]) - observed
         value = float(r @ r)
         return value if math.isfinite(value) else math.inf
@@ -165,19 +164,18 @@ def _flat_directions(objective, best: np.ndarray, bounds: FitBounds) -> bool:
 
 
 def fit_parameters(data: list[Observation], initial: ReducedParams,
-                   bounds: FitBounds | None = None, tol: float = 1e-10,
-                   n_restarts: int = 2, step: float = 0.05,
-                   solver_tol: float = DEFAULT_ROOT_TOL,
-                   max_iter: int = 400) -> FitResult:
+                   bounds: FitBounds | None = None,
+                   n_restarts: int = 2, step: float = 0.05) -> FitResult:
     """Least-squares fit of (beta, phi_fe) to observed hysteresis data.
 
     Runs a bound-projected Nelder-Mead from the initial guess plus
     `n_restarts` deterministic random restarts inside the bounds, keeping
-    the best minimum.  `tol` is the objective tolerance passed to the
-    simplex; convergence additionally requires the returned objective to be
-    finite.  The flat_objective flag marks an information-free data set:
-    the objective stays constant along a whole parameter axis of the search
-    box (e.g. beta on all-zero remnants when beta_max < 1).
+    the best minimum.  Each simplex runs at most 400 iterations to an
+    objective and position tolerance of 1e-10; convergence additionally
+    requires the returned objective to be finite.  The flat_objective flag
+    marks an information-free data set: the objective stays constant along
+    a whole parameter axis of the search box (e.g. beta on all-zero
+    remnants when beta_max < 1).
     """
     if len(data) == 0:
         raise ValueError("no observations given")
@@ -192,7 +190,7 @@ def fit_parameters(data: list[Observation], initial: ReducedParams,
         raise ValueError(
             f"initial point ({initial.beta}, {initial.phi_fe}) lies outside the bounds")
 
-    objective = _objective(data, step, solver_tol)
+    objective = _objective(data, step)
     rng = np.random.default_rng(_RESTART_SEED)
     starts = [np.array([initial.beta, initial.phi_fe])]
     for _ in range(n_restarts):
@@ -207,7 +205,7 @@ def fit_parameters(data: list[Observation], initial: ReducedParams,
     converged = False
     for x0 in starts:
         res = minimize(objective, x0, method="Nelder-Mead", bounds=box,
-                       options={"fatol": tol, "xatol": 1e-10, "maxiter": max_iter})
+                       options={"fatol": 1e-10, "xatol": 1e-10, "maxiter": 400})
         iterations += int(res.nit)
         if best is None or res.fun < best.fun:
             best = res

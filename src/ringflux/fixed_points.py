@@ -23,7 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .ring_model import TWO_PI, ReducedParams
 
@@ -31,11 +31,11 @@ from .ring_model import TWO_PI, ReducedParams
 #: boundary roots against rounding.
 WINDOW_MARGIN = 1e-9
 
-#: Default |g| tolerance for accepted roots.
+#: Default |g| tolerance for accepted roots, relative to max(1, |phi|).
 DEFAULT_ROOT_TOL = 1e-12
 
-#: Default |g'| band classified as Marginal (fold tangency vs roundoff).
-DEFAULT_MARGINAL_TOL = 1e-9
+#: |g'| band classified as Marginal (fold tangency vs roundoff).
+MARGINAL_TOL = 1e-9
 
 _MAX_BISECT = 220
 
@@ -59,11 +59,6 @@ class FixedPoint:
     stability: Stability
 
 
-class FoldPoint(NamedTuple):
-    phi_fold: float
-    phi_ext_fold: float
-
-
 def residual(phi: float, phi_ext: float, p: ReducedParams,
              cpr: Callable[[float], float] | None = None) -> float:
     """g(phi) = phi - (phi_ext + phi_fe) + lambda*i(phi); roots are flux states.
@@ -85,13 +80,13 @@ def residual_derivative(phi: float, p: ReducedParams,
 
 
 def classify_stability(phi_star: float, p: ReducedParams,
-                       marginal_tol: float = DEFAULT_MARGINAL_TOL,
                        cpr_prime: Callable[[float], float] | None = None) -> Stability:
-    """Stability of a root from the sign of g', with a Marginal dead band."""
+    """Stability of a root from the sign of g', with the Marginal dead band
+    |g'| <= MARGINAL_TOL."""
     s = residual_derivative(phi_star, p, cpr_prime)
-    if s > marginal_tol:
+    if s > MARGINAL_TOL:
         return Stability.STABLE
-    if s < -marginal_tol:
+    if s < -MARGINAL_TOL:
         return Stability.UNSTABLE
     return Stability.MARGINAL
 
@@ -153,25 +148,6 @@ def branch_index(phi: float, beta: float) -> int:
     return int(math.floor(phi + 0.5 - tangency_offset(beta)))
 
 
-def fold_locations(p: ReducedParams) -> list[FoldPoint]:
-    """Fold (tangency) points within one flux period.
-
-    Solves g = g' = 0 simultaneously: cos(2*pi*phi_fold) = -1/beta, i.e.
-    phi_fold = 1/2 -/+ phi_a, with the applied flux at tangency
-    phi_ext_fold = phi_fold - phi_fe + lambda*sin(2*pi*phi_fold).  Both folds
-    of the period [0, 1) are returned, the ascending-sweep fold of branch 0
-    first; empty for beta <= 1 where g' never changes sign.
-    """
-    if p.beta <= 1.0:
-        return []
-    phi_a = tangency_offset(p.beta)
-    s_a = math.sqrt(1.0 - 1.0 / (p.beta * p.beta))
-    out = []
-    for phi_fold, sin_fold in ((0.5 - phi_a, s_a), (0.5 + phi_a, -s_a)):
-        out.append(FoldPoint(phi_fold, phi_fold - p.phi_fe + p.lam * sin_fold))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Root finding
 # ---------------------------------------------------------------------------
@@ -230,7 +206,6 @@ def _grid_boundaries(c: float, p: ReducedParams, slope_bound: float) -> list[flo
 
 def find_fixed_points(phi_ext: float, p: ReducedParams,
                       tol: float = DEFAULT_ROOT_TOL,
-                      marginal_tol: float = DEFAULT_MARGINAL_TOL,
                       cpr: Callable[[float], float] | None = None,
                       cpr_prime: Callable[[float], float] | None = None,
                       cpr_slope_bound: float = TWO_PI) -> list[FixedPoint]:
@@ -243,9 +218,8 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
     p : ReducedParams
         Ring parameters.
     tol : float
-        Acceptance tolerance on |g| at each root.
-    marginal_tol : float
-        Dead band on g' for the Marginal classification.
+        Acceptance tolerance on |g| at each root, relative to max(1, |phi|):
+        near |phi| ~ 1e4 one ulp of phi alone exceeds an absolute 1e-12.
     cpr, cpr_prime, cpr_slope_bound :
         Optional reduced current-phase relation (|i| <= 1), its derivative,
         and a bound on max|i'|, replacing the sinusoid.  `cpr` and
@@ -293,9 +267,9 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
     out = []
     for root in roots:
         r = f(root)
-        if abs(r) > tol:
+        if abs(r) > tol * max(1.0, abs(root)):
             raise NumericsError(
-                f"root at phi={root!r} has residual {r:.3e} > tol {tol:.3e}")
+                f"root at phi={root!r} has residual {r:.3e} > tol {tol:.3e} * max(1, |phi|)")
         i = math.sin(TWO_PI * root) if cpr is None else cpr(root)
-        out.append(FixedPoint(root, i, classify_stability(root, p, marginal_tol, cpr_prime)))
+        out.append(FixedPoint(root, i, classify_stability(root, p, cpr_prime)))
     return out

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
 import scipy.constants as sc
 
 TWO_PI = 2.0 * math.pi
@@ -130,15 +129,6 @@ def unreduce(
     )
 
 
-def josephson_current(phi):
-    """Reduced sinusoidal current-phase relation i = sin(2*pi*phi).
-
-    `phi` is the total enclosed flux in units of Phi0 (the junction phase is
-    2*pi*phi); the physical current is I_J * i.  Accepts scalars or arrays.
-    """
-    return np.sin(TWO_PI * phi)
-
-
 @dataclass(frozen=True)
 class FluxoidState:
     """Enclosed flux plus superfluid circulation around the ring contour.
@@ -177,16 +167,13 @@ class QuantizationIndex(NamedTuple):
     deviation: float
 
 
-def quantization_index(fluxoid_value: float, Phi0: float, tol: float = 0.5) -> QuantizationIndex:
+def quantization_index(fluxoid_value: float, Phi0: float) -> QuantizationIndex:
     """Nearest flux-quantum index and the dimensionless deviation from it.
 
-    Returns (n, |fluxoid/Phi0 - n|) with n the nearest integer.  `tol` is the
-    caller's acceptance threshold; it is validated (tol >= 0) but the
-    pass/fail decision is left to the caller.
+    Returns (n, |fluxoid/Phi0 - n|) with n the nearest integer (halves round
+    to even); whether the deviation is acceptable is the caller's decision.
     """
     _require_positive("Phi0", Phi0)
-    if tol < 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
     ratio = fluxoid_value / Phi0
-    n = float(np.rint(ratio))
-    return QuantizationIndex(int(n), abs(ratio - n))
+    n = round(ratio)
+    return QuantizationIndex(n, abs(ratio - n))

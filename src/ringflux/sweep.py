@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .fixed_points import (
-    DEFAULT_MARGINAL_TOL,
     DEFAULT_ROOT_TOL,
     WINDOW_MARGIN,
     FixedPoint,
@@ -37,10 +36,18 @@ from .ring_model import TWO_PI, ReducedParams, RingParams
 
 _MAX_JUMPS_PER_STEP = 64
 
+#: Largest total sub-step count a schedule may ask for.  Every sub-step is
+#: kept as a sample (about 184 bytes each), so this bounds a sweep's memory
+#: near 0.9 GB.
+MAX_SUBSTEPS = 5_000_000
+
 
 @dataclass(frozen=True)
 class SweepSchedule:
-    """Ordered applied-flux waypoints and the maximal sub-step between them."""
+    """Ordered applied-flux waypoints and the maximal sub-step between them.
+
+    A schedule of more than MAX_SUBSTEPS sub-steps in total is rejected.
+    """
 
     waypoints: tuple[float, ...]
     step: float
@@ -52,9 +59,15 @@ class SweepSchedule:
             raise ValueError(f"waypoints must be finite, got {self.waypoints}")
         if not (self.step > 0.0 and math.isfinite(self.step)):
             raise ValueError(f"step must be positive and finite, got {self.step}")
+        substeps = 0
         for a, b in zip(self.waypoints, self.waypoints[1:]):
             if a == b:
                 raise ValueError(f"consecutive waypoints must differ, got repeated {a}")
+            # capped before ceil, which overflows on an infinite ratio
+            substeps += math.ceil(min(abs(b - a) / self.step, MAX_SUBSTEPS + 1))
+        if substeps > MAX_SUBSTEPS:
+            raise ValueError(
+                f"schedule needs more than {MAX_SUBSTEPS} sub-steps at step {self.step}")
 
 
 @dataclass(frozen=True)
@@ -144,8 +157,7 @@ def _branch_bounds(p: ReducedParams, k: int, c: float) -> tuple[float, float]:
     return c - p.lam - WINDOW_MARGIN, c + p.lam + WINDOW_MARGIN
 
 
-def _solve_on_branch(p: ReducedParams, k: int, c: float, x0: float,
-                     tol: float) -> float:
+def _solve_on_branch(p: ReducedParams, k: int, c: float, x0: float) -> float:
     """Root of phi + lam*sin(2*pi*phi) = c on the (monotone) branch segment.
 
     This is the flux balance phi = c - lam*sin(2*pi*phi) with
@@ -153,7 +165,8 @@ def _solve_on_branch(p: ReducedParams, k: int, c: float, x0: float,
     inside stable branch k.  Safeguarded Newton: every iterate stays inside
     the shrinking sign bracket, falling back to bisection whenever Newton
     leaves it, so the solve converges for any branch position including
-    fold-adjacent ones.
+    fold-adjacent ones.  The root is accepted at |g| <= DEFAULT_ROOT_TOL *
+    max(1, |phi|), as find_fixed_points accepts it.
     """
     lam = p.lam
     a, b = _branch_bounds(p, k, c)
@@ -163,10 +176,12 @@ def _solve_on_branch(p: ReducedParams, k: int, c: float, x0: float,
 
     fa, fb = f(a), f(b)
     # at a fold level the root is the segment end itself (the tangency),
-    # where rounding may leave the residual of the wrong sign by up to tol
-    if 0.0 <= fa <= tol:
+    # where rounding may leave the residual of the wrong sign.  This band
+    # stays absolute: a drive inside it has its root about sqrt(band) from
+    # the end, so a band growing with |phi| would snap roots off their place
+    if 0.0 <= fa <= DEFAULT_ROOT_TOL:
         return a
-    if -tol <= fb <= 0.0:
+    if -DEFAULT_ROOT_TOL <= fb <= 0.0:
         return b
     if fa > 0.0 or fb < 0.0:
         raise NumericsError(
@@ -188,13 +203,14 @@ def _solve_on_branch(p: ReducedParams, k: int, c: float, x0: float,
         if xn == x or not (a < xn < b):
             break  # position converged to machine width
         x, fx = xn, f(xn)
+    tol = DEFAULT_ROOT_TOL * max(1.0, abs(x))
     if abs(fx) > tol:
         raise NumericsError(f"branch solve stalled at |g|={abs(fx):.3e} > {tol:.3e}")
     return x
 
 
-def continue_branch(state: BranchState, phi_ext_next: float, p: ReducedParams,
-                    tol: float = DEFAULT_ROOT_TOL) -> BranchState | FoldSignal:
+def continue_branch(state: BranchState, phi_ext_next: float,
+                    p: ReducedParams) -> BranchState | FoldSignal:
     """Advance the occupied stable root to the next applied flux.
 
     Returns the new BranchState while the occupied branch still exists at
@@ -216,7 +232,7 @@ def continue_branch(state: BranchState, phi_ext_next: float, p: ReducedParams,
                 branch_id=state.branch_id,
                 ascending=phi_ext_next > state.phi_ext,
             )
-    phi = _solve_on_branch(p, state.branch_id, c_next, state.phi, tol)
+    phi = _solve_on_branch(p, state.branch_id, c_next, state.phi)
     return BranchState(phi_ext_next, phi, math.sin(TWO_PI * phi), state.branch_id)
 
 
@@ -248,8 +264,7 @@ def refine_fold(fold: FoldSignal, p: ReducedParams) -> FoldSignal:
                    phi_before=fold.phi_last_good, fold_refined=False)
 
 
-def resolve_jump(fold: FoldSignal, p: ReducedParams,
-                 tol: float = DEFAULT_ROOT_TOL) -> FixedPoint:
+def resolve_jump(fold: FoldSignal, p: ReducedParams) -> FixedPoint:
     """Stable root the system falls onto when the occupied branch vanishes.
 
     Among all stable roots at the fold drive, excluding the vanishing
@@ -259,7 +274,7 @@ def resolve_jump(fold: FoldSignal, p: ReducedParams,
     """
     if fold.phi_ext_at_jump is None:
         fold = refine_fold(fold, p)
-    roots = find_fixed_points(fold.phi_ext_at_jump, p, tol)
+    roots = find_fixed_points(fold.phi_ext_at_jump, p)
     candidates = [
         r for r in roots
         if r.stability is Stability.STABLE
@@ -276,9 +291,8 @@ def resolve_jump(fold: FoldSignal, p: ReducedParams,
 # Schedules and loops
 # ---------------------------------------------------------------------------
 
-def _initial_state(p: ReducedParams, phi_ext: float, tol: float,
-                   marginal_tol: float, phi_hint: float) -> BranchState:
-    roots = find_fixed_points(phi_ext, p, tol, marginal_tol)
+def _initial_state(p: ReducedParams, phi_ext: float, phi_hint: float) -> BranchState:
+    roots = find_fixed_points(phi_ext, p)
     stable = [r for r in roots if r.stability is Stability.STABLE]
     if not stable:  # beta == 1 tangency corner: accept the marginal root
         stable = [r for r in roots if r.stability is Stability.MARGINAL]
@@ -289,8 +303,6 @@ def _initial_state(p: ReducedParams, phi_ext: float, tol: float,
 
 
 def run_schedule(p: ReducedParams, schedule: SweepSchedule,
-                 tol: float = DEFAULT_ROOT_TOL,
-                 marginal_tol: float = DEFAULT_MARGINAL_TOL,
                  init_phi_hint: float = 0.0) -> SweepTrajectory:
     """Sweep the applied flux through the schedule, recording every sub-step.
 
@@ -300,7 +312,7 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
     fixed point at its drive value.
     """
     w = schedule.waypoints
-    state = _initial_state(p, w[0], tol, marginal_tol, init_phi_hint)
+    state = _initial_state(p, w[0], init_phi_hint)
     samples = [state]
     events: list[JumpEvent] = []
     waypoint_indices = [0]
@@ -311,7 +323,7 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
         for j in range(1, nsub + 1):
             pe = w1 if j == nsub else w0 + j * delta
             for _ in range(_MAX_JUMPS_PER_STEP):
-                nxt = continue_branch(state, pe, p, tol)
+                nxt = continue_branch(state, pe, p)
                 if nxt is state:
                     break  # a jump landed exactly on this sub-step's drive
                 if isinstance(nxt, BranchState):
@@ -319,7 +331,7 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
                     samples.append(state)
                     break
                 fold = refine_fold(nxt, p)
-                landing = resolve_jump(fold, p, tol)
+                landing = resolve_jump(fold, p)
                 state = BranchState(fold.phi_ext_at_jump, landing.phi, landing.i,
                                     branch_index(landing.phi, p.beta))
                 samples.append(state)
@@ -353,9 +365,7 @@ def loop_area(traj: SweepTrajectory, p: ReducedParams) -> float:
     return math.fsum(terms)
 
 
-def run_hysteresis(p: ReducedParams, amplitude: float, step: float,
-                   tol: float = DEFAULT_ROOT_TOL,
-                   marginal_tol: float = DEFAULT_MARGINAL_TOL) -> HysteresisLoop:
+def run_hysteresis(p: ReducedParams, amplitude: float, step: float) -> HysteresisLoop:
     """Drive the cycle 0 -> +amplitude -> -amplitude -> 0 and summarize it.
 
     Starts from the virgin state (stable root nearest phi = 0 at zero
@@ -369,7 +379,7 @@ def run_hysteresis(p: ReducedParams, amplitude: float, step: float,
         raise ValueError(f"step must be positive and finite, got {step}")
 
     schedule = SweepSchedule((0.0, amplitude, 0.0, -amplitude, 0.0), step)
-    traj = run_schedule(p, schedule, tol, marginal_tol, init_phi_hint=0.0)
+    traj = run_schedule(p, schedule)
     i2, i4 = traj.waypoint_indices[2], traj.waypoint_indices[4]
     return HysteresisLoop(
         remnant_up=traj.samples[i4].phi,

@@ -19,25 +19,7 @@ inside the inner perimeter at zero applied field is n*Phi0/area.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
-from .ring_model import TWO_PI, RingParams
-
-
-@dataclass(frozen=True)
-class WideRingState:
-    """Sheet currents of a wide ring holding n flux quanta at H/H_c."""
-
-    n: int
-    H_over_Hc: float
-    I_inner: float
-    I_outer: float
-
-    @classmethod
-    def at(cls, n: int, H_over_Hc: float, params: RingParams) -> "WideRingState":
-        inner, outer = currents_at(n, H_over_Hc, params)
-        return cls(n=n, H_over_Hc=H_over_Hc, I_inner=inner, I_outer=outer)
+from .ring_model import RingParams
 
 
 def currents_at(n: int, H_over_Hc: float, params: RingParams) -> tuple[float, float]:
@@ -52,14 +34,3 @@ def remnant_field(n: int, params: RingParams) -> float:
     """Trapped field n*Phi0/area_A [T] left inside the inner perimeter at H = 0."""
     return n * params.Phi0 / params.area_A
 
-
-def quantized_phase(n: int) -> float:
-    """Junction phase 2*pi*n of the n-quantum trapped state [rad]."""
-    return TWO_PI * n
-
-
-def phase_sine(phase: float) -> float:
-    """sin(phase) evaluated after range reduction, so that the zero crossings
-    at quantized phases stay clean for large n."""
-    turns = phase / TWO_PI
-    return math.sin(TWO_PI * (turns - round(turns)))

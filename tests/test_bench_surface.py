@@ -1,0 +1,26 @@
+"""The library names the benchmark's traced run wraps all still exist.
+
+perfbench/tracing.py records a vanished name as absent instead of raising,
+so a removal or rename would silently zero its per-layer metrics.
+"""
+
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+def test_every_traced_name_resolves():
+    tracer = _tracer()
+    try:
+        tracer.install()
+        assert tracer.absent == []
+    finally:
+        tracer.uninstall()

@@ -76,9 +76,17 @@ class TestConfigParsing:
         args = cli._build_parser().parse_args(["fixed-points"])
         assert cli.parse_config(args).beta == 2.5
 
-    def test_nonpositive_tolerance_rejected(self, capsys):
-        assert run_cli("fixed-points", "--beta", "2", "--phi_ext", "0",
-                       "--tol", "-1") == 1
+    def test_tolerance_keys_are_unknown(self, tmp_path, capsys):
+        # the solver tolerances are library constants, not settings
+        for key in ("tol", "marginal_tol"):
+            assert run_cli("fixed-points", "--beta", "2", "--phi_ext", "0",
+                           f"--{key}", "1e-12") == 1
+            assert f"--{key}" in capsys.readouterr().err
+            cfg = tmp_path / f"{key}.cfg"
+            cfg.write_text(f"{key} = 1e-12\n")
+            assert run_cli("fixed-points", "--config", str(cfg), "--beta", "2",
+                           "--phi_ext", "0") == 1
+            assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 class TestCsvEmission:

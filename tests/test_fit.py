@@ -115,7 +115,7 @@ class TestFitParameters:
         data = _remnant_data(5.0, 0.3)
         from ringflux.fit import _objective
         initial = ReducedParams(beta=4.5, phi_fe=0.1)
-        start_value = _objective(data, 0.05, 1e-12)((4.5, 0.1))
+        start_value = _objective(data, 0.05)((4.5, 0.1))
         result = fit_parameters(data, initial, FitBounds(1.5, 15.0, -0.5, 0.5))
         assert result.objective_value <= start_value
 

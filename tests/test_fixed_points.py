@@ -10,11 +10,12 @@ from helpers import TWO_PI, brute_force_roots, brute_stability, residual_formula
 from ringflux.fixed_points import (
     FixedPoint,
     Stability,
+    branch_flux_range,
     classify_stability,
     find_fixed_points,
-    fold_locations,
     residual,
     residual_derivative,
+    stable_branch_interval,
     tangency_offset,
 )
 from ringflux.ring_model import ReducedParams
@@ -135,6 +136,23 @@ class TestFindFixedPoints:
                     Stability.STABLE: 1, Stability.UNSTABLE: -1, Stability.MARGINAL: 0,
                 }[r.stability]
 
+    @pytest.mark.parametrize("phi_ext, beta, phi_fe", [
+        (1.2345e4, 5.0, 0.2), (-3.7e4, 2.5, -0.1), (2.6e5, 12.0, 0.3),
+        (-8.1e5, 40.0, 0.0), (1e9, 5.0, 0.0)])
+    def test_far_drive_matches_unit_scale(self, phi_ext, beta, phi_fe):
+        # one ulp of phi near 1e4 already exceeds 1e-12, so |g| is accepted
+        # relative to max(1, |phi|); shifting the drive by an integer n
+        # shifts every root by n, so the far problem repeats the near one
+        p = ReducedParams(beta=beta, phi_fe=phi_fe)
+        n = round(phi_ext)
+        far = find_fixed_points(phi_ext, p)
+        near = find_fixed_points(phi_ext - n, p)
+        assert [r.stability for r in far] == [r.stability for r in near]
+        for r, q in zip(far, near):
+            assert abs(r.phi - (q.phi + n)) <= 2 * math.ulp(r.phi)
+            # measured up to 3.4e-15 * |phi|
+            assert abs(residual(r.phi, phi_ext, p)) <= 1e-14 * abs(r.phi)
+
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             find_fixed_points(0.0, ReducedParams(beta=2.0), tol=0.0)
@@ -156,28 +174,39 @@ class TestClassifyStability:
         assert classify_stability(0.5, ReducedParams(beta=1.0)) is Stability.MARGINAL
 
 
+def _folds(p):
+    """The two folds (phi, phi_ext) of the flux period [0, 1): the end of
+    branch 0 and the start of branch 1."""
+    phi_lo, phi_hi = stable_branch_interval(0, p.beta)
+    c_lo, c_hi = branch_flux_range(0, p.beta)
+    return [(phi_hi, c_hi - p.phi_fe), (1 + phi_lo, 1 + c_lo - p.phi_fe)]
+
+
 class TestFoldLocations:
     @pytest.mark.parametrize("beta", [0.3, 0.9999, 1.0])
     def test_no_folds_at_or_below_unity(self, beta):
-        assert fold_locations(ReducedParams(beta=beta)) == []
+        with pytest.raises(ValueError):
+            stable_branch_interval(0, beta)
+        with pytest.raises(ValueError):
+            branch_flux_range(0, beta)
 
     def test_beta2_sixths(self):
         # cos(2*pi*phi) = -1/2 at phi = 1/3 and 2/3
-        folds = fold_locations(ReducedParams(beta=2.0))
-        assert [f.phi_fold for f in folds] == pytest.approx([1 / 3, 2 / 3], abs=1e-15)
-        for f in folds:
-            assert residual_derivative(f.phi_fold, ReducedParams(beta=2.0)) == (
+        folds = _folds(ReducedParams(beta=2.0))
+        assert [phi for phi, _ in folds] == pytest.approx([1 / 3, 2 / 3], abs=1e-15)
+        for phi, _ in folds:
+            assert residual_derivative(phi, ReducedParams(beta=2.0)) == (
                 pytest.approx(0.0, abs=1e-12))
 
     def test_folds_are_tangencies(self):
         p = ReducedParams(beta=5.0, phi_fe=0.25)
-        for f in fold_locations(p):
-            assert abs(residual(f.phi_fold, f.phi_ext_fold, p)) < 1e-12
-            assert abs(residual_derivative(f.phi_fold, p)) < 1e-12
+        for phi, phi_ext in _folds(p):
+            assert abs(residual(phi, phi_ext, p)) < 1e-12
+            assert abs(residual_derivative(phi, p)) < 1e-12
 
     def test_fold_drives_symmetric_about_period_midpoint(self):
         p = ReducedParams(beta=5.0)
-        lo, hi = (f.phi_ext_fold for f in fold_locations(p))
+        lo, hi = (phi_ext for _, phi_ext in _folds(p))
         assert lo + hi == pytest.approx(1.0, abs=1e-12)
 
     def test_tangency_offset_range(self):

@@ -12,8 +12,8 @@ from ringflux.fixed_points import (
     branch_index,
     classify_stability,
     find_fixed_points,
-    fold_locations,
     residual,
+    stable_branch_interval,
     tangency_offset,
 )
 from ringflux.ring_model import ReducedParams, RingParams
@@ -27,6 +27,7 @@ from ringflux.sweep import (
     loop_area,
     refine_fold,
     remnant_report,
+    MAX_SUBSTEPS,
     resolve_jump,
     run_hysteresis,
     run_schedule,
@@ -56,6 +57,21 @@ class TestSweepSchedule:
             SweepSchedule((0.0, 0.0), 0.1)
         with pytest.raises(ValueError):
             SweepSchedule((0.0, math.inf), 0.1)
+
+    def test_substep_count_is_capped(self):
+        # every sub-step is kept as a sample, so the count bounds memory;
+        # the check runs before anything is allocated
+        span = MAX_SUBSTEPS * 0.5
+        assert SweepSchedule((0.0, span), 0.5).step == 0.5
+        assert SweepSchedule((0.0, span / 2, 0.0), 0.5).step == 0.5
+        with pytest.raises(ValueError, match="sub-steps"):
+            SweepSchedule((0.0, span + 0.5), 0.5)
+        with pytest.raises(ValueError, match="sub-steps"):
+            SweepSchedule((0.0, span / 2, -0.5), 0.5)
+        with pytest.raises(ValueError, match="sub-steps"):
+            SweepSchedule((0.0, 1e9), 1e-3)
+        with pytest.raises(ValueError, match="sub-steps"):
+            SweepSchedule((0.0, 1e300), 1e-300)  # the ratio overflows to inf
 
 
 class TestContinueBranch:
@@ -110,10 +126,11 @@ class TestContinueBranch:
         p = ReducedParams(beta=5.0)
         state = _state_at(p, 0.0, 0.0)
         fold = refine_fold(continue_branch(state, 1.6, p), p)
-        upper = max(fold_locations(p), key=lambda f: f.phi_ext_fold)
+        _, c_hi = branch_flux_range(0, p.beta)
+        _, phi_hi = stable_branch_interval(0, p.beta)
         assert fold.fold_refined
-        assert fold.phi_ext_at_jump == pytest.approx(upper.phi_ext_fold, abs=1e-12)
-        assert fold.phi_before == pytest.approx(upper.phi_fold, abs=1e-12)
+        assert fold.phi_ext_at_jump == pytest.approx(c_hi, abs=1e-12)
+        assert fold.phi_before == pytest.approx(phi_hi, abs=1e-12)
         # the departing state is a tangency: g and g' both vanish there
         assert abs(residual(fold.phi_before, fold.phi_ext_at_jump, p)) < 1e-9
 
@@ -352,3 +369,19 @@ class TestRunSchedule:
         p = ReducedParams(beta=TWO_PI * 0.25)
         traj = run_schedule(p, SweepSchedule((0.5, 0.6), 0.05), init_phi_hint=0.5)
         assert traj.samples[0].phi == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("base", [1e4, 1e6])
+    def test_far_drive_matches_unit_scale(self, base):
+        # one ulp of phi near 1e4 already exceeds 1e-12, so the branch solve
+        # accepts |g| relative to max(1, |phi|); the model is periodic in
+        # the drive, so the sweep must repeat the one near zero
+        p = ReducedParams(beta=5.0, phi_fe=0.1)
+        far = run_schedule(p, SweepSchedule((base, base + 2, base - 2, base), 0.01),
+                           init_phi_hint=base)
+        near = run_schedule(p, SweepSchedule((0.0, 2.0, -2.0, 0.0), 0.01))
+        assert len(far.samples) == len(near.samples)
+        assert ([e.landing_index for e in far.events]
+                == [e.landing_index for e in near.events])
+        for a, b in zip(far.samples, near.samples):
+            assert a.branch_id == b.branch_id + int(base)
+            assert abs(a.phi - base - b.phi) <= 8 * math.ulp(base)

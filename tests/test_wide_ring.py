@@ -1,18 +1,10 @@
 """Inner/outer current decomposition and the remnant field."""
 
-import math
-
 import numpy as np
 import pytest
 
 from ringflux.ring_model import RingParams
-from ringflux.wide_ring import (
-    WideRingState,
-    currents_at,
-    phase_sine,
-    quantized_phase,
-    remnant_field,
-)
+from ringflux.wide_ring import currents_at, remnant_field
 
 PARAMS = RingParams(L=1e-10, I_J=1e-5, Phi0=2.07e-15, area_A=1e-6)
 
@@ -52,11 +44,6 @@ class TestCurrentsAt:
         with pytest.raises(ValueError):
             currents_at(1, h, PARAMS)
 
-    def test_state_record(self):
-        state = WideRingState.at(3, 1.0, PARAMS)
-        assert state.I_inner == -state.I_outer
-        assert state.n == 3
-
 
 class TestRemnantField:
     def test_zero(self):
@@ -76,13 +63,3 @@ class TestRemnantField:
     def test_sign_carried(self):
         assert remnant_field(-2, PARAMS) == pytest.approx(-2 * 2.07e-9, rel=1e-12)
 
-
-class TestQuantizedPhase:
-    def test_values(self):
-        assert quantized_phase(0) == 0.0
-        assert quantized_phase(1) == pytest.approx(2 * math.pi, rel=1e-15)
-        assert quantized_phase(-4) == pytest.approx(-8 * math.pi, rel=1e-15)
-
-    @pytest.mark.parametrize("n", [0, 1, -4, 1000, -123456])
-    def test_sine_vanishes_after_range_reduction(self, n):
-        assert abs(phase_sine(quantized_phase(n))) < 1e-12

@@ -105,6 +105,12 @@ _CONFIG_PARSERS = {
     "beta_min": float, "beta_max": float, "phi_fe_min": float, "phi_fe_max": float,
 }
 
+#: help for the flags whose use differs between commands
+_HELP = {
+    "step": "largest drive sub-step of a sweep; for fit it applies to current "
+            "data only, since remnants are computed fold to fold without a sweep",
+}
+
 
 def parse_config_file(path: Path) -> dict:
     """Read a line-oriented `key = value` file; unknown keys are rejected."""
@@ -365,7 +371,7 @@ def _build_parser() -> _Parser:
         if key in ("coeffs",):
             common.add_argument(f"--{key}", type=_parse_coeffs)
         elif kind in (float, int):
-            common.add_argument(f"--{key}", type=kind)
+            common.add_argument(f"--{key}", type=kind, help=_HELP.get(key))
         else:
             common.add_argument(f"--{key}")
     sub = parser.add_subparsers(dest="command", required=True)

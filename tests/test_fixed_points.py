@@ -153,6 +153,19 @@ class TestFindFixedPoints:
             # measured up to 3.4e-15 * |phi|
             assert abs(residual(r.phi, phi_ext, p)) <= 1e-14 * abs(r.phi)
 
+    def test_large_beta_roots_accepted_at_rounding_of_g(self):
+        # |g'| reaches 1 + beta = 1e5 + 1, so |g| at the float root is about
+        # |g'|*ulp(phi) (measured up to 0.64*(1 + beta)*ulp(phi)), far above
+        # 1e-12*|phi| at |phi| ~ 1.6e4; the window |phi - c| <= lam spans
+        # 2*lam = 31,831 periods with two roots each
+        p = ReducedParams(beta=1e5)
+        roots = find_fixed_points(0.3, p)
+        assert len(roots) == 63663
+        kinds = [r.stability for r in roots]
+        assert kinds[0] is Stability.STABLE and kinds[-1] is Stability.STABLE
+        assert all(a is not b for a, b in zip(kinds, kinds[1:]))
+        assert Stability.MARGINAL not in kinds
+
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             find_fixed_points(0.0, ReducedParams(beta=2.0), tol=0.0)

@@ -7,6 +7,8 @@ import pytest
 
 from helpers import TWO_PI, brute_force_roots, brute_stability, residual_slope
 from ringflux.fixed_points import (
+    FixedPoint,
+    NumericsError,
     Stability,
     branch_flux_range,
     branch_index,
@@ -16,6 +18,7 @@ from ringflux.fixed_points import (
     stable_branch_interval,
     tangency_offset,
 )
+from ringflux import sweep
 from ringflux.ring_model import ReducedParams, RingParams
 from ringflux.sweep import (
     BranchState,
@@ -24,6 +27,7 @@ from ringflux.sweep import (
     SweepSchedule,
     SweepTrajectory,
     continue_branch,
+    hysteresis_remnants,
     loop_area,
     refine_fold,
     remnant_report,
@@ -300,6 +304,46 @@ class TestRunHysteresis:
             brute = brute_force_roots(s.phi_ext, p.beta, step=1e-4)
             stable = [b for b in brute if brute_stability(b, p.beta) == 1]
             assert min(abs(b - s.phi) for b in stable) < 1e-6
+
+
+class TestHysteresisRemnants:
+    # agreement with run_hysteresis on drawn parameters is a property in
+    # test_sweep_properties.py; these are the edges
+
+    @pytest.mark.parametrize("beta,phi_fe", [(5.0, 0.3), (12.0, 0.0), (40.0, -0.45)])
+    def test_huge_amplitude_needs_no_sweep(self, beta, phi_fe):
+        # once the ascending pass climbs above every branch that exists at
+        # zero drive (k up to about lam, reached past A ~ 2*lam + 1 = 13.7 at
+        # beta 40), the remnants no longer depend on the amplitude; no
+        # sweep could take these excursions at a step that resolves folds,
+        # and at 1e300 one ulp of the drive spans 1e284 branches
+        p = ReducedParams(beta=beta, phi_fe=phi_fe)
+        loop = run_hysteresis(p, 20.25, 0.05)
+        for got in hysteresis_remnants(p, [20.25 + 2.0 ** 40, 1e3, 1e300]):
+            assert got == pytest.approx((loop.remnant_down, loop.remnant_up), rel=0.0, abs=1e-12)
+
+    def test_raises_where_the_sweep_raises(self):
+        # the fold window is below rounding: no stable root survives the jump
+        p = ReducedParams(beta=1.0 + 1e-12)
+        with pytest.raises(NumericsError):
+            run_hysteresis(p, 2.0, 0.01)
+        with pytest.raises(NumericsError):
+            hysteresis_remnants(p, [2.0])
+        # a loop that crosses no fold needs no jump and returns the root
+        [(down, up)] = hysteresis_remnants(p, [0.25])
+        assert down == up == run_hysteresis(p, 0.25, 0.01).remnant_down
+
+    def test_jump_that_does_not_advance_is_rejected(self, monkeypatch):
+        # a landing on the departing branch would let the fold walk cycle
+        monkeypatch.setattr(sweep, "resolve_jump",
+                            lambda fold, p: FixedPoint(0.0, 0.0, Stability.STABLE))
+        with pytest.raises(NumericsError):
+            hysteresis_remnants(ReducedParams(beta=5.0), [3.0])
+
+    def test_rejects_bad_amplitudes(self):
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                hysteresis_remnants(ReducedParams(beta=5.0), [2.0, bad])
 
 
 class TestLoopArea:

@@ -16,6 +16,9 @@ is the sinusoidal junction relation; for K = 1 the two coincide exactly.
 Sign note: c_1 < 0 puts the free-energy minima at integer flux quanta
 (I_0 < 0), c_1 > 0 at half-integers; the junction critical current in
 either case is I_J = 2*pi*|c_1|/Phi0.
+
+numpy is imported inside the functions that build arrays, so that importing
+ringflux, and the CLI commands that never reach this module, do not load it.
 """
 
 from __future__ import annotations
@@ -23,8 +26,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
-
-import numpy as np
 
 from .ring_model import FLUX_QUANTUM, TWO_PI
 
@@ -45,6 +46,8 @@ class FreeEnergyModel:
 
 def free_energy(model: FreeEnergyModel, Phi) -> float:
     """F(Phi) = sum_k c_k cos(2*pi*k*Phi/Phi0) [J]; accepts scalars or arrays."""
+    import numpy as np
+
     x = TWO_PI * np.asarray(Phi, dtype=float) / model.Phi0
     total = 0.0
     for k, c in enumerate(model.coeffs, start=1):
@@ -54,6 +57,8 @@ def free_energy(model: FreeEnergyModel, Phi) -> float:
 
 def current(model: FreeEnergyModel, Phi) -> float:
     """Induced supercurrent I = -dF/dPhi [A], evaluated analytically."""
+    import numpy as np
+
     x = TWO_PI * np.asarray(Phi, dtype=float) / model.Phi0
     total = 0.0
     for k, c in enumerate(model.coeffs, start=1):
@@ -95,6 +100,8 @@ def validate_symmetries(model: FreeEnergyModel, grid_size: int = 64) -> Symmetry
     grid; a cosine series satisfies all four identities to roundoff, so
     anything beyond ~1e-12 indicates a broken model.
     """
+    import numpy as np
+
     if grid_size < 16:
         raise ValueError(f"grid_size must be >= 16, got {grid_size}")
     Phi = np.linspace(-model.Phi0, model.Phi0, grid_size, endpoint=False)
@@ -115,6 +122,8 @@ def finite_difference_current_error(model: FreeEnergyModel,
                                     rel_step: float = 1e-6) -> float:
     """Largest relative gap between the analytic current and -dF/dPhi by
     central differences, over a grid spanning two flux periods."""
+    import numpy as np
+
     Phi = np.linspace(-model.Phi0, model.Phi0, grid_size)
     h = rel_step * model.Phi0
     fd = -(np.asarray(free_energy(model, Phi + h))
@@ -146,6 +155,8 @@ def reduced_cpr(model: FreeEnergyModel) -> tuple[Callable[[float], float],
             return sign * TWO_PI * math.cos(TWO_PI * phi)
 
         return i_fun, di_fun, i_j
+
+    import numpy as np
 
     grid = np.linspace(0.0, 1.0, 4096 * len(model.coeffs), endpoint=False)
     i_j = float(np.max(np.abs(current(model, grid * model.Phi0))))

@@ -14,6 +14,9 @@ fold cascade reconfigures, so the objective is only piecewise smooth;
 fitting therefore uses a bounded Nelder-Mead simplex with deterministic
 random restarts rather than a gradient method.  Restarts stop early once
 the objective reaches the machine floor.
+
+numpy and scipy.optimize are imported inside the functions that use them,
+so that importing ringflux, and every CLI command but `fit`, loads neither.
 """
 
 from __future__ import annotations
@@ -22,9 +25,6 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
-from scipy.optimize import minimize
 
 from .fixed_points import NumericsError
 from .ring_model import ReducedParams, RingParams, unreduce
@@ -41,6 +41,15 @@ FLAT_OBJECTIVE_SPREAD = 1e-12
 _FLAT_PROBES = 5
 
 _RESTART_SEED = 1729
+
+
+# a module attribute, not an import inside fit_parameters: the benchmark's
+# tracer wraps fit.minimize
+def minimize(fun, x0, **kwargs):
+    """scipy.optimize.minimize, imported on first use."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 class ObservationKind(enum.Enum):
@@ -136,6 +145,8 @@ def simulate_observables(p: ReducedParams, protocol: SweepSchedule | Sequence[fl
 
 
 def _objective(data: list[Observation], step: float):
+    import numpy as np
+
     kind = data[0].kind
     keys = tuple(o.phi_ext for o in data)
     protocol = keys if kind is ObservationKind.REMNANT_FLUX else SweepSchedule(keys, step)
@@ -150,10 +161,12 @@ def _objective(data: list[Observation], step: float):
     return fun
 
 
-def _flat_directions(objective, best: np.ndarray, bounds: FitBounds) -> bool:
+def _flat_directions(objective, best: Sequence[float], bounds: FitBounds) -> bool:
     """True when the objective is constant (to FLAT_OBJECTIVE_SPREAD) along
     either parameter axis across the whole search box - the data then carry
     no information about that parameter."""
+    import numpy as np
+
     betas = np.linspace(bounds.beta_min, bounds.beta_max, _FLAT_PROBES)
     fes = np.linspace(bounds.phi_fe_min, bounds.phi_fe_max, _FLAT_PROBES)
     beta_spread = np.ptp([objective((b, best[1])) for b in betas])
@@ -177,6 +190,8 @@ def fit_parameters(data: list[Observation], initial: ReducedParams,
     fold-to-fold kernel and do not depend on `step`, the sweep sub-step
     used for CURRENT data only.
     """
+    import numpy as np
+
     if len(data) == 0:
         raise ValueError("no observations given")
     if len(data) < 3:

@@ -16,14 +16,13 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import scipy.constants as sc
-
 TWO_PI = 2.0 * math.pi
 
-# ---- Fundamental constants (CODATA, exact since the 2019 SI) ----
-PLANCK_H: float = sc.h  # [J*s]
-ELEMENTARY_CHARGE: float = sc.e  # [C]
-ELECTRON_MASS: float = sc.m_e  # [kg]
+# ---- Fundamental constants: h and e are exact in the 2019 SI; m_e is the
+# measured CODATA 2022 value ----
+PLANCK_H: float = 6.62607015e-34  # [J*s]
+ELEMENTARY_CHARGE: float = 1.602176634e-19  # [C]
+ELECTRON_MASS: float = 9.1093837139e-31  # [kg]
 
 #: Magnetic flux quantum h/(2e) [Wb].  This is the package default; rounded
 #: literature values (e.g. 2.07e-15) are accepted as explicit inputs.

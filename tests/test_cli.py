@@ -1,7 +1,12 @@
-"""Config layering, CSV schemas and round-trips, determinism, exit codes."""
+"""Config layering, CSV schemas and round-trips, determinism, exit codes,
+and the real CLI process."""
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -233,3 +238,20 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "passed = true" in out
         assert "finite_difference_error" in out
+
+
+def test_cli_process_matches_main_and_starts_without_numpy_or_scipy(capsys):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    argv = ("fixed-points", "--beta", "5", "--phi_ext", "0.25")
+    proc = subprocess.run([sys.executable, "-m", "ringflux.cli", *argv], env=env,
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert run_cli(*argv) == 0
+    assert proc.stdout == capsys.readouterr().out.encode()
+
+    probe = ("import ringflux, ringflux.cli, sys; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "[]"

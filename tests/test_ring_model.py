@@ -10,7 +10,10 @@ from ringflux.bloch_cpr import FreeEnergyModel, reduced_cpr
 from ringflux.ring_model import (
     COOPER_PAIR_CHARGE,
     COOPER_PAIR_MASS,
+    ELECTRON_MASS,
+    ELEMENTARY_CHARGE,
     FLUX_QUANTUM,
+    PLANCK_H,
     TWO_PI,
     FluxoidState,
     ReducedParams,
@@ -162,3 +165,11 @@ def test_flux_quantum_matches_codata_catalog():
     import scipy.constants as sc
     assert FLUX_QUANTUM == pytest.approx(
         sc.physical_constants["mag. flux quantum"][0], rel=1e-12)
+
+
+def test_constant_literals_match_scipy():
+    import scipy.constants as sc
+    assert PLANCK_H == sc.h
+    assert ELEMENTARY_CHARGE == sc.e
+    # m_e is measured: CODATA 2022 here, and a scipy shipping CODATA 2018 differs
+    assert ELECTRON_MASS == pytest.approx(sc.m_e, rel=1e-8)

@@ -356,9 +356,21 @@ _COMMANDS = {
 }
 
 
+_VALUE_FLAGS = {"--config", *(f"--{key}" for key in _CONFIG_PARSERS)}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse default exits with code 2
         raise UsageError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse reads only "-0.5"-like tokens as negative numbers, so a
+        # value such as -1e-3 or -1e-22,0 is passed joined as --key=value
+        rest, joined = iter(sys.argv[1:] if args is None else args), []
+        for arg in rest:
+            value = next(rest, None) if arg in _VALUE_FLAGS else None
+            joined.append(arg if value is None else f"{arg}={value}")
+        return super().parse_known_args(joined, namespace)
 
 
 def _build_parser() -> _Parser:

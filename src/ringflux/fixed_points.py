@@ -21,6 +21,7 @@ coalesce pairwise at fold (tangency) points where g = g' = 0.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -36,8 +37,6 @@ DEFAULT_ROOT_TOL = 1e-12
 
 #: |g'| band classified as Marginal (fold tangency vs roundoff).
 MARGINAL_TOL = 1e-9
-
-_MAX_BISECT = 220
 
 
 class NumericsError(RuntimeError):
@@ -102,15 +101,27 @@ def classify_stability(phi_star: float, p: ReducedParams,
 # c = phi_ext + phi_fe in [k + c_lo, k + c_hi].
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=64)  # a sweep asks for the folds at every sub-step
+def _fold_geometry(beta: float) -> tuple[float, float]:
+    """(phi_a, w) from t = tan(2*pi*phi_a) = sqrt(beta**2 - 1), beta > 1:
+    phi_a = atan(t)/(2*pi) and the window half-width w = (t - atan t)/(2*pi),
+    summed as t**3/3 - t**5/5 + ... for t < 0.7, where t - atan t cancels."""
+    if beta <= 1.0:
+        raise ValueError(f"tangency offset requires beta > 1, got {beta}")
+    t = math.sqrt((beta - 1.0) * (beta + 1.0))
+    atan_t = math.atan(t)
+    w = (t - atan_t if t >= 0.7 else
+         math.fsum((-t * t) ** n * t ** 3 / (2 * n + 3) for n in range(60)))
+    return atan_t / TWO_PI, w / TWO_PI
+
+
 def tangency_offset(beta: float) -> float:
     """phi_a in (0, 1/4): distance from a half-integer flux to the nearest
     fold tangency, which sits at k + 1/2 +/- phi_a.
 
     Defined by cos(2*pi*phi_a) = 1/beta; requires beta > 1.
     """
-    if beta <= 1.0:
-        raise ValueError(f"tangency offset requires beta > 1, got {beta}")
-    return math.acos(1.0 / beta) / TWO_PI
+    return _fold_geometry(beta)[0]
 
 
 def stable_branch_interval(k: int, beta: float) -> tuple[float, float]:
@@ -124,16 +135,12 @@ def branch_flux_range(k: int, beta: float) -> tuple[float, float]:
     """Total-flux levels c = phi_ext + phi_fe over which stable branch k exists.
 
     The endpoints are the fold levels c = phi + lambda*sin(2*pi*phi) at the
-    segment ends: the branch dies at k + c_lo on a descending sweep and at
-    k + c_hi on an ascending one, with c_lo = -1/2 + phi_a - lambda*s_a and
-    c_hi = 1/2 - phi_a + lambda*s_a, s_a = sin(2*pi*phi_a).
+    segment ends: the branch dies at k - (1/2 + w) on a descending sweep and
+    at k + 1/2 + w on an ascending one, w = lambda*sin(2*pi*phi_a) - phi_a.
+    Below beta - 1 of about 1e-10, w is under the rounding of k + 1/2.
     """
-    phi_a = tangency_offset(beta)
-    lam = beta / TWO_PI
-    s_a = math.sqrt(1.0 - 1.0 / (beta * beta))  # sin(2*pi*phi_a)
-    c_lo = -0.5 + phi_a - lam * s_a
-    c_hi = 0.5 - phi_a + lam * s_a
-    return k + c_lo, k + c_hi
+    half = 0.5 + _fold_geometry(beta)[1]
+    return k - half, k + half
 
 
 def branch_index(phi: float, beta: float) -> int:
@@ -152,22 +159,34 @@ def branch_index(phi: float, beta: float) -> int:
 # Root finding
 # ---------------------------------------------------------------------------
 
-def _bisect(f: Callable[[float], float], a: float, b: float,
-            fa: float, fb: float) -> float:
-    """Bisection to machine width on a sign-changing bracket; returns the
-    endpoint with the smaller |f|."""
-    for _ in range(_MAX_BISECT):
-        m = 0.5 * (a + b)
-        if m <= a or m >= b:
-            break
-        fm = f(m)
-        if fm == 0.0:
-            return m
-        if (fa < 0.0) == (fm < 0.0):
-            a, fa = m, fm
+def _bracketed_newton(f: Callable[[float], float], df: Callable[[float], float],
+                      a: float, b: float, fa: float, fb: float,
+                      x0: float) -> tuple[float, float]:
+    """(x, f(x)) at the root of f in the sign bracket a < b, fa*fb < 0.
+
+    Newton from x0; each evaluated point becomes a bracket end.  A step out
+    of the bracket bisects it, and a step that rounds to x moves one float
+    toward the other end.  Unless f rounds to 0 first, the solve ends on two
+    adjacent floats and returns the one with the smaller |f| (ties: a).
+    """
+    x = min(max(x0, a), b)
+    while True:
+        fx = f(x)
+        if fx == 0.0:
+            return x, fx
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa = x, fx
         else:
-            b, fb = m, fm
-    return a if abs(fa) <= abs(fb) else b
+            b, fb = x, fx
+        if math.nextafter(a, b) == b:
+            return (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+        d = df(x)
+        xn = x - fx / d if d != 0.0 else math.nan  # a flat slope bisects
+        if xn == x:
+            xn = math.nextafter(x, b if x == a else a)
+        elif not a < xn < b:
+            xn = 0.5 * (a + b)
+        x = xn
 
 
 def _scan_boundaries(c: float, p: ReducedParams) -> list[float]:
@@ -211,6 +230,10 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
                       cpr_slope_bound: float = TWO_PI) -> list[FixedPoint]:
     """All flux states at a given applied flux, sorted ascending in phi.
 
+    Each sign-changing segment of the partition is solved by bracketed
+    Newton from its midpoint (with g' from residual_derivative) down to two
+    adjacent floats, about 7.5 calls of `residual` per root.
+
     Parameters
     ----------
     phi_ext : float
@@ -226,8 +249,9 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
         Optional reduced current-phase relation (|i| <= 1), its derivative,
         and a bound on max|i'|, replacing the sinusoid.  `cpr` and
         `cpr_prime` go together, since stability is classified with the
-        slope.  With a custom relation the roots are bracketed by a uniform
-        scan at the contract step instead of the analytic monotone partition.
+        slope, and `cpr_prime` also gives the Newton steps.  With a custom
+        relation the roots are bracketed by a uniform scan at the contract
+        step instead of the analytic monotone partition.
 
     Returns
     -------
@@ -250,25 +274,25 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
         bounds = _grid_boundaries(c, p, cpr_slope_bound)
 
     vals = [f(x) for x in bounds]
-    roots: list[float] = []
+    roots: list[tuple[float, float]] = []
 
-    def push(root: float) -> None:
-        if not roots or root - roots[-1] > 1e-12 * max(1.0, abs(root)):
-            roots.append(root)
+    def push(root: float, r: float) -> None:
+        if not roots or root - roots[-1][0] > 1e-12 * max(1.0, abs(root)):
+            roots.append((root, r))
 
     for (a, b), (fa, fb) in zip(zip(bounds, bounds[1:]), zip(vals, vals[1:])):
         if fa == 0.0:
-            push(a)
+            push(a, fa)
         elif fb == 0.0:
             continue  # owned by the next segment's left endpoint
         elif (fa < 0.0) != (fb < 0.0):
-            push(_bisect(f, a, b, fa, fb))
+            push(*_bracketed_newton(f, lambda x: residual_derivative(x, p, cpr_prime),
+                                    a, b, fa, fb, 0.5 * (a + b)))
     if vals[-1] == 0.0:
-        push(bounds[-1])
+        push(bounds[-1], 0.0)
 
     out = []
-    for root in roots:
-        r = f(root)
+    for root, r in roots:
         # the second bound, the residual rounding of g at |g'| <= 1 + beta,
         # matters only at large beta; it is computed only when the first fails
         if (abs(r) > tol * max(1.0, abs(root))

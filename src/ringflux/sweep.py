@@ -27,6 +27,7 @@ from .fixed_points import (
     FixedPoint,
     NumericsError,
     Stability,
+    _bracketed_newton,
     branch_flux_range,
     branch_index,
     find_fixed_points,
@@ -162,13 +163,13 @@ def _solve_on_branch(p: ReducedParams, k: int, c: float, x0: float) -> float:
 
     This is the flux balance phi = c - lam*sin(2*pi*phi) with
     c = phi_ext + phi_fe, whose slope 1 + beta*cos(2*pi*phi) is positive
-    inside stable branch k.  Safeguarded Newton: every iterate stays inside
-    the shrinking sign bracket, falling back to bisection whenever Newton
-    leaves it, so the solve converges for any branch position including
-    fold-adjacent ones.  The root is accepted at |g| <= DEFAULT_ROOT_TOL *
-    max(1, |phi|), as find_fixed_points accepts it.
+    inside stable branch k.  The bracketed Newton solve of find_fixed_points
+    runs from x0 and ends on the root's canonical float, the same for every
+    start except where g flips sign at rounding level over a few floats.
+    The root is accepted at |g| <= DEFAULT_ROOT_TOL * max(1, |phi|), as
+    find_fixed_points accepts it.
     """
-    lam = p.lam
+    lam, beta = p.lam, p.beta
     a, b = _branch_bounds(p, k, c)
 
     def f(x: float) -> float:
@@ -186,23 +187,8 @@ def _solve_on_branch(p: ReducedParams, k: int, c: float, x0: float) -> float:
     if fa > 0.0 or fb < 0.0:
         raise NumericsError(
             f"branch {k} does not bracket c={c!r} (f(a)={fa:.3e}, f(b)={fb:.3e})")
-
-    x = min(max(x0, a), b)
-    fx = f(x)
-    for _ in range(160):
-        if fx == 0.0:
-            return x
-        if fx < 0.0:
-            a = x
-        else:
-            b = x
-        d = 1.0 + p.beta * math.cos(TWO_PI * x)
-        xn = x - fx / d if d > 0.0 else 0.5 * (a + b)
-        if not (a < xn < b):
-            xn = 0.5 * (a + b)
-        if xn == x or not (a < xn < b):
-            break  # position converged to machine width
-        x, fx = xn, f(xn)
+    x, fx = _bracketed_newton(f, lambda x: 1.0 + beta * math.cos(TWO_PI * x),
+                              a, b, fa, fb, x0)
     tol = DEFAULT_ROOT_TOL * max(1.0, abs(x))
     if abs(fx) > tol:
         raise NumericsError(f"branch solve stalled at |g|={abs(fx):.3e} > {tol:.3e}")
@@ -270,7 +256,10 @@ def resolve_jump(fold: FoldSignal, p: ReducedParams) -> FixedPoint:
     Among all stable roots at the fold drive, excluding the vanishing
     branch, picks the one nearest in flux to the departing state; ties break
     toward smaller |i|, then smaller phi.  A stable root always survives a
-    fold, so this never comes up empty.
+    fold, but its slope g' is about 3*(beta - 1): below beta - 1 of about
+    3e-10 it is Marginal, and below about 1e-10 the window itself is under
+    the rounding of the fold level.  NumericsError then names the window
+    below rounding.
     """
     if fold.phi_ext_at_jump is None:
         fold = refine_fold(fold, p)
@@ -282,7 +271,9 @@ def resolve_jump(fold: FoldSignal, p: ReducedParams) -> FixedPoint:
     ]
     if not candidates:
         raise NumericsError(
-            f"no stable root survives the fold at phi_ext={fold.phi_ext_at_jump!r}")
+            f"no stable root survives the fold at phi_ext={fold.phi_ext_at_jump!r}: "
+            f"hysteretic window below rounding at beta={p.beta!r} (the landing "
+            f"slope 3*(beta - 1) is under MARGINAL_TOL)")
     phi_before = fold.phi_before
     return min(candidates, key=lambda r: (abs(r.phi - phi_before), abs(r.i), r.phi))
 

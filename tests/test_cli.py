@@ -233,11 +233,34 @@ class TestExitCodes:
         assert run_cli("sweep", "--beta", "2") == 2
         assert "synthetic solver breakdown" in capsys.readouterr().err
 
+    def test_window_below_rounding_is_two(self, capsys):
+        assert run_cli("sweep", "--beta", "1.000000000001", "--amplitude", "2",
+                       "--step", "0.01") == 2
+        assert "window below rounding" in capsys.readouterr().err
+
     def test_bloch_check_passes_for_cosine_series(self, capsys):
         assert run_cli("bloch-check", "--coeffs", "3.2e-22,0,1e-23") == 0
         out = capsys.readouterr().out
         assert "passed = true" in out
         assert "finite_difference_error" in out
+
+
+class TestNegativeValues:
+    # argparse alone takes only "-0.5"-like tokens as negative numbers
+
+    def test_exponent_form_drive(self, capsys):
+        assert run_cli("fixed-points", "--beta", "5", "--phi_ext", "-1e-3") == 0
+        spaced = capsys.readouterr().out
+        assert run_cli("fixed-points", "--beta", "5", "--phi_ext=-1e-3") == 0
+        assert spaced == capsys.readouterr().out
+        assert spaced.splitlines()[1].startswith("-0.001,")
+
+    def test_coefficient_list_with_leading_minus(self, capsys):
+        assert run_cli("bloch-check", "--coeffs", "-1e-22,0") == 0
+        spaced = capsys.readouterr().out
+        assert run_cli("bloch-check", "--coeffs=-1e-22,0") == 0
+        assert spaced == capsys.readouterr().out
+        assert "passed = true" in spaced
 
 
 def test_cli_process_matches_main_and_starts_without_numpy_or_scipy(capsys):

@@ -7,6 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from helpers import TWO_PI, brute_force_roots, brute_stability, residual_formula
+from ringflux import fixed_points
 from ringflux.fixed_points import (
     FixedPoint,
     Stability,
@@ -169,6 +170,25 @@ class TestFindFixedPoints:
     def test_rejects_bad_tolerance(self):
         with pytest.raises(ValueError):
             find_fixed_points(0.0, ReducedParams(beta=2.0), tol=0.0)
+
+    def test_residual_calls_per_root(self, monkeypatch):
+        # each segment is solved by bracketed Newton from its midpoint, which
+        # takes about 7.5 calls per root here (segment ends included);
+        # bisection to machine width took about 52
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return residual(*args, **kwargs)
+
+        monkeypatch.setattr(fixed_points, "residual", counting)
+        rng = np.random.default_rng(8)
+        n_roots = 0
+        for _ in range(200):
+            p = ReducedParams(beta=float(10.0 ** rng.uniform(math.log10(1.05), 2.0)),
+                              phi_fe=float(rng.uniform(-0.5, 0.5)))
+            n_roots += len(find_fixed_points(float(rng.uniform(-3.0, 3.0)), p))
+        assert len(calls) <= 12 * n_roots
 
 
 class TestClassifyStability:

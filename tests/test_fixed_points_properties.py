@@ -2,16 +2,20 @@
 
 The flux balance phi = phi_ext + phi_fe - lam*sin(2*pi*phi) is periodic in
 the drive, odd under (phi_ext, phi_fe, phi) -> (-phi_ext, -phi_fe, -phi),
-and sees the bias only through c = phi_ext + phi_fe.
+and sees the bias only through c = phi_ext + phi_fe.  The hysteretic
+window beyond each half-integer level, w = (t - atan t)/(2*pi) with
+t = sqrt(beta**2 - 1), keeps its digits down to beta = 1 + 1e-14.
 """
 
 import math
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
-from ringflux.fixed_points import find_fixed_points
-from ringflux.ring_model import ReducedParams
+from ringflux import fixed_points
+from ringflux.fixed_points import branch_flux_range, find_fixed_points
+from ringflux.ring_model import TWO_PI, ReducedParams
 
 betas = st.floats(min_value=0.1, max_value=40.0)
 large_betas = st.floats(min_value=2.0, max_value=4.0).map(lambda u: 10.0 ** u)
@@ -56,3 +60,35 @@ def test_bias_is_a_drive_translation(beta, phi_fe, phi_ext):
     biased = find_fixed_points(phi_ext, ReducedParams(beta=beta, phi_fe=phi_fe))
     shifted = find_fixed_points(phi_ext + phi_fe, ReducedParams(beta=beta))
     assert biased == shifted
+
+
+def _window_reference(beta):
+    """w for the float t that the library computes: the series
+    t**3/3 - t**5/5 + ... summed exactly for t <= 0.9, and the float
+    difference t - atan t above, where it loses under one digit."""
+    t = math.sqrt((beta - 1.0) * (beta + 1.0))
+    if t > 0.9:
+        return Fraction((t - math.atan(t)) / TWO_PI)
+    t2, term, n, total, sign = Fraction(t) ** 2, Fraction(t) ** 3, 3, Fraction(0), 1
+    while True:
+        total += sign * term / n
+        if term / n < total * Fraction(1, 10 ** 20):
+            return total / Fraction(TWO_PI)
+        term, n, sign = term * t2, n + 2, -sign
+
+
+@given(u=st.floats(min_value=-14.0, max_value=2.0), k=st.integers(-50, 50))
+@example(u=-14.0, k=0)
+@example(u=2.0, k=0)
+@example(u=math.log10(math.sqrt(1.49) - 1.0), k=0)  # t = 0.7, where the series stops
+@example(u=-8.0, k=0)
+def test_fold_window_keeps_its_digits_near_unity(u, k):
+    beta = 1.0 + 10.0 ** u
+    w = fixed_points._fold_geometry(beta)[1]
+    ref = _window_reference(beta)
+    assert abs(Fraction(w) - ref) <= Fraction(1, 10 ** 15) * ref
+    # c_hi - k - 1/2 is w up to the rounding of the level k + 1/2 + w
+    c_lo, c_hi = branch_flux_range(k, beta)
+    assert c_lo == k - (0.5 + w) and c_hi == k + (0.5 + w)
+    assert abs(Fraction(c_hi) - k - Fraction(1, 2) - ref) <= (
+        Fraction(1, 10 ** 15) * ref + Fraction(math.ulp(c_hi)))

@@ -333,6 +333,15 @@ class TestHysteresisRemnants:
         [(down, up)] = hysteresis_remnants(p, [0.25])
         assert down == up == run_hysteresis(p, 0.25, 0.01).remnant_down
 
+    def test_window_below_rounding_is_named(self):
+        # beta - 1 = 1e-12 puts the window w ~ 1.5e-19 under the rounding of
+        # the fold level 1/2 + w, so no stable landing root can be resolved
+        p = ReducedParams(beta=1.0 + 1e-12)
+        with pytest.raises(NumericsError, match="window below rounding"):
+            run_hysteresis(p, 2.0, 0.01)
+        with pytest.raises(NumericsError, match="window below rounding"):
+            hysteresis_remnants(p, [2.0])
+
     def test_jump_that_does_not_advance_is_rejected(self, monkeypatch):
         # a landing on the departing branch would let the fold walk cycle
         monkeypatch.setattr(sweep, "resolve_jump",

@@ -2,7 +2,9 @@
 
 The loop area is exact and the folds sit on analytic tangencies, so the
 area and the jump events of a loop must not depend on the sweep step, and
-the fold-to-fold remnant kernel must land where the sweep lands.
+the fold-to-fold remnant kernel must land where the sweep lands.  A branch
+solve ends on one canonical float, whatever its start, in a handful of
+residual evaluations.
 
 beta - 1 is drawn log-uniformly from [1e-6, 19] so the near-threshold
 regime is covered.  Closer to 1 the area (which scales as (beta - 1)**2)
@@ -11,12 +13,14 @@ falls below the rounding of the branch integrals, and below about
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from ringflux.fixed_points import branch_index
-from ringflux.ring_model import ReducedParams
+from ringflux import fixed_points, sweep
+from ringflux.fixed_points import branch_flux_range, branch_index, stable_branch_interval
+from ringflux.ring_model import TWO_PI, ReducedParams
 from ringflux.sweep import hysteresis_remnants, run_hysteresis
 
 STEPS = (0.05, 0.01)
@@ -72,3 +76,67 @@ def test_kernel_remnants_match_the_sweep(beta, phi_fe, amplitude):
         for swept, got in zip((loop.remnant_down, loop.remnant_up), kernel):
             assert branch_index(got, beta) == branch_index(swept, beta)
             assert got == pytest.approx(swept, rel=0.0, abs=1e-12)
+
+
+def _branch_residual(p, c):
+    """g on a stable branch, evaluated as the branch solve evaluates it."""
+    return lambda x: x - c + p.lam * math.sin(TWO_PI * x)
+
+
+@given(beta=hysteretic_betas, k=st.integers(min_value=-20, max_value=20),
+       level=st.floats(min_value=0.01, max_value=0.99),
+       start=st.floats(min_value=0.0, max_value=1.0))
+@example(beta=1.0000024137087573, k=0, level=0.01, start=0.5)
+def test_branch_solve_ends_on_the_canonical_float(beta, k, level, start):
+    p = ReducedParams(beta=beta)
+    c_lo, c_hi = branch_flux_range(k, beta)
+    c = c_lo + level * (c_hi - c_lo)
+    a, b = stable_branch_interval(k, beta)
+    g = _branch_residual(p, c)
+    got = [sweep._solve_on_branch(p, k, c, x0)
+           for x0 in (0.5 * (a + b), a, b, float(k), a + start * (b - a))]
+    for x in got:
+        # an end of an adjacent-float sign-change bracket, the one with the
+        # smaller |g| (ties go to the smaller phi)
+        gx = g(x)
+        brackets = [sorted((x, y))
+                    for y in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf))
+                    if (g(y) < 0.0) != (gx < 0.0)]
+        assert gx == 0.0 or any(
+            x == (lo if abs(g(lo)) <= abs(g(hi)) else hi) for lo, hi in brackets)
+    # where g' is small the sign of g flips at rounding level over a few
+    # floats, so starts may end on different brackets (2 ulps apart at most
+    # over 20k drawn solves)
+    assert max(got) - min(got) <= 8 * math.ulp(max(abs(x) for x in got))
+
+
+def test_continuation_solve_takes_a_handful_of_evaluations():
+    # a branch solve started from the previous sample, counted outside the
+    # two segment ends it always evaluates; restarting as bisection once
+    # Newton had converged cost about 20
+    rng = random.Random(3)
+    evals = solves = 0
+    for _ in range(4):
+        p = ReducedParams(beta=rng.uniform(1.2, 20.0), phi_fe=rng.uniform(-0.5, 0.5))
+        samples = run_hysteresis(p, rng.uniform(1.0, 5.0), 0.01).cycle.samples
+        for prev, cur in zip(samples, samples[1:]):
+            if cur.branch_id != prev.branch_id or cur.phi_ext == prev.phi_ext:
+                continue
+            c = cur.phi_ext + p.phi_fe
+            a, b = stable_branch_interval(cur.branch_id, p.beta)
+            g = _branch_residual(p, c)
+            fa, fb = g(a), g(b)
+            if not (fa < -1e-12 and fb > 1e-12):
+                continue  # a drive on the fold level returns the segment end
+
+            def f(x):
+                nonlocal evals
+                evals += 1
+                return g(x)
+
+            x, _ = fixed_points._bracketed_newton(
+                f, lambda x: 1.0 + p.beta * math.cos(TWO_PI * x), a, b, fa, fb, prev.phi)
+            assert x == cur.phi
+            solves += 1
+    assert solves > 1000
+    assert evals <= 6 * solves

@@ -105,12 +105,6 @@ _CONFIG_PARSERS = {
     "beta_min": float, "beta_max": float, "phi_fe_min": float, "phi_fe_max": float,
 }
 
-#: help for the flags whose use differs between commands
-_HELP = {
-    "step": "largest drive sub-step of a sweep; for fit it applies to current "
-            "data only, since remnants are computed fold to fold without a sweep",
-}
-
 
 def parse_config_file(path: Path) -> dict:
     """Read a line-oriented `key = value` file; unknown keys are rejected."""
@@ -324,15 +318,12 @@ def _cmd_fit(config: RunConfig) -> int:
         raise UsageError("missing parameter: data (observations CSV)")
     if config.beta is None:
         raise UsageError("missing parameter: beta (initial guess)")
-    kind = (fit_mod.ObservationKind.REMNANT_FLUX if config.kind == "remnant"
-            else fit_mod.ObservationKind.CURRENT)
-    observations = read_observations_csv(Path(config.data), kind)
+    observations = read_observations_csv(Path(config.data),
+                                         fit_mod.ObservationKind(config.kind))
     bounds = fit_mod.FitBounds(
         **_given(config, "beta_min", "beta_max", "phi_fe_min", "phi_fe_max"))
     initial = ring_model.ReducedParams(beta=config.beta, **_given(config, "phi_fe"))
-    options = _given(config, "step")
-    if config.restarts is not None:
-        options["n_restarts"] = config.restarts
+    options = {} if config.restarts is None else {"n_restarts": config.restarts}
     result = fit_mod.fit_parameters(observations, initial, bounds, **options)
     print(f"beta = {_fmt(result.params.beta)}")
     print(f"phi_fe = {_fmt(result.params.phi_fe)}")
@@ -380,12 +371,7 @@ def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--config", help=f"config file (default: ${ENV_CONFIG})")
     for key, kind in _CONFIG_PARSERS.items():
-        if key in ("coeffs",):
-            common.add_argument(f"--{key}", type=_parse_coeffs)
-        elif kind in (float, int):
-            common.add_argument(f"--{key}", type=kind, help=_HELP.get(key))
-        else:
-            common.add_argument(f"--{key}")
+        common.add_argument(f"--{key}", type=kind)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         sub.add_parser(name, parents=[common])

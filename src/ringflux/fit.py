@@ -4,10 +4,11 @@ Observations are remnant fluxes (the Hall-probe observable after a field
 excursion) or quasi-static currents.  A remnant observation is keyed by the
 signed excursion amplitude that prepared it: +A means "swept to +A and back
 to zero" (the descending-pass crossing), -A the mirror image; one full
-cycle of amplitude A yields both.  Remnants are predicted by the
-fold-to-fold kernel sweep.hysteresis_remnants, one branch solve each, so
-the fit's sub-step applies only to currents, which are keyed by the drive
-value at which they are read along a swept schedule.
+cycle of amplitude A yields both.  A current is keyed by the drive value
+at which it is read along a path from the virgin state at zero drive that
+visits the keys in order.  The fold-to-fold kernel of ringflux.sweep
+(hysteresis_remnants, path_fluxes) predicts both, one branch solve per
+observation and no sweep, so the fit has no sub-step.
 
 The forward map has jump discontinuities in parameter space wherever a
 fold cascade reconfigures, so the objective is only piecewise smooth;
@@ -27,9 +28,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .fixed_points import NumericsError
-from .ring_model import ReducedParams, RingParams, unreduce
-# run_hysteresis is not called here; the benchmark's tracer wraps fit.run_hysteresis
-from .sweep import SweepSchedule, hysteresis_remnants, run_hysteresis, run_schedule  # noqa: F401
+from .ring_model import TWO_PI, ReducedParams, RingParams, unreduce
+# run_hysteresis and run_schedule are unused: the benchmark's tracer wraps fit.run_*
+from .sweep import (SweepSchedule, hysteresis_remnants, path_fluxes,  # noqa: F401
+                    run_hysteresis, run_schedule)
 
 #: Objective value treated as "exactly solved"; further restarts are skipped.
 OBJECTIVE_FLOOR = 1e-18
@@ -110,51 +112,40 @@ class FitResult:
 
 def simulate_observables(p: ReducedParams, protocol: SweepSchedule | Sequence[float],
                          kind: ObservationKind = ObservationKind.REMNANT_FLUX) -> list[float]:
-    """Forward predictions for each protocol entry, matching `kind`.
+    """Forward predictions for each protocol entry, matching `kind`.  The
+    protocol is a sequence of keys; of a SweepSchedule only the waypoints
+    are read.
 
-    REMNANT_FLUX: the protocol is a sequence of nonzero signed excursion
-    amplitudes (of a SweepSchedule only the waypoints are read); each
+    REMNANT_FLUX: the keys are nonzero signed excursion amplitudes; each
     prediction is the remnant flux at zero drive after a cycle of that
-    amplitude (descending crossing for +A, ascending for -A).  Remnants come
-    from the fold-to-fold kernel sweep.hysteresis_remnants, so no sub-step
-    is involved and repeated amplitudes are repeated measurements.
+    amplitude (descending crossing for +A, ascending for -A), from
+    sweep.hysteresis_remnants.  Repeated amplitudes are repeated
+    measurements.
 
-    CURRENT: the protocol is a SweepSchedule whose waypoints are drive
-    values visited in order starting from zero drive; each prediction is the
-    reduced current there, read off a sweep at the schedule's step.
+    CURRENT: the keys are drive values visited in order from the virgin
+    state at zero drive; each prediction is the reduced current there, from
+    sweep.path_fluxes.
     """
-    if kind is ObservationKind.REMNANT_FLUX:
-        amplitudes = tuple(protocol.waypoints if isinstance(protocol, SweepSchedule)
-                           else protocol)
-        if any(a == 0.0 for a in amplitudes):
-            raise ValueError("remnant observations need a nonzero amplitude")
-        unique = tuple(dict.fromkeys(abs(a) for a in amplitudes))
-        loops = dict(zip(unique, hysteresis_remnants(p, unique)))
-        return [loops[abs(a)][0 if a > 0.0 else 1] for a in amplitudes]
-
-    if not isinstance(protocol, SweepSchedule):
-        raise TypeError("current observations need a SweepSchedule (waypoints and step)")
-    waypoints = tuple(protocol.waypoints)
-    if waypoints[0] != 0.0:
-        waypoints = (0.0,) + waypoints
-        skip = 1
-    else:
-        skip = 0
-    traj = run_schedule(p, SweepSchedule(waypoints, protocol.step))
-    return [traj.samples[i].i for i in traj.waypoint_indices[skip:]]
+    keys = tuple(protocol.waypoints if isinstance(protocol, SweepSchedule) else protocol)
+    if kind is ObservationKind.CURRENT:
+        return [math.sin(TWO_PI * phi) for phi in path_fluxes(p, keys)]
+    if any(a == 0.0 for a in keys):
+        raise ValueError("remnant observations need a nonzero amplitude")
+    unique = tuple(dict.fromkeys(abs(a) for a in keys))
+    loops = dict(zip(unique, hysteresis_remnants(p, unique)))
+    return [loops[abs(a)][0 if a > 0.0 else 1] for a in keys]
 
 
-def _objective(data: list[Observation], step: float):
+def _objective(data: list[Observation]):
     import numpy as np
 
     kind = data[0].kind
     keys = tuple(o.phi_ext for o in data)
-    protocol = keys if kind is ObservationKind.REMNANT_FLUX else SweepSchedule(keys, step)
     observed = np.array([o.observable for o in data])
 
     def fun(x) -> float:
         p = ReducedParams(beta=float(x[0]), phi_fe=float(x[1]))
-        r = np.array(simulate_observables(p, protocol, kind)) - observed
+        r = np.array(simulate_observables(p, keys, kind)) - observed
         value = float(r @ r)
         return value if math.isfinite(value) else math.inf
 
@@ -176,7 +167,7 @@ def _flat_directions(objective, best: Sequence[float], bounds: FitBounds) -> boo
 
 def fit_parameters(data: list[Observation], initial: ReducedParams,
                    bounds: FitBounds | None = None,
-                   n_restarts: int = 2, step: float = 0.05) -> FitResult:
+                   n_restarts: int = 2) -> FitResult:
     """Least-squares fit of (beta, phi_fe) to observed hysteresis data.
 
     Runs a bound-projected Nelder-Mead from the initial guess plus
@@ -186,9 +177,9 @@ def fit_parameters(data: list[Observation], initial: ReducedParams,
     requires the returned objective to be finite.  The flat_objective flag
     marks an information-free data set: the objective stays constant along
     a whole parameter axis of the search box (e.g. beta on all-zero
-    remnants when beta_max < 1).  Remnant predictions come from the
-    fold-to-fold kernel and do not depend on `step`, the sweep sub-step
-    used for CURRENT data only.
+    remnants when beta_max < 1).  Every prediction comes from the
+    fold-to-fold kernel (simulate_observables), so no sweep and no sub-step
+    is involved.
     """
     import numpy as np
 
@@ -205,7 +196,7 @@ def fit_parameters(data: list[Observation], initial: ReducedParams,
         raise ValueError(
             f"initial point ({initial.beta}, {initial.phi_fe}) lies outside the bounds")
 
-    objective = _objective(data, step)
+    objective = _objective(data)
     rng = np.random.default_rng(_RESTART_SEED)
     starts = [np.array([initial.beta, initial.phi_fe])]
     for _ in range(n_restarts):

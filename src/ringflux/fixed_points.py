@@ -224,7 +224,6 @@ def _grid_boundaries(c: float, p: ReducedParams, slope_bound: float) -> list[flo
 
 
 def find_fixed_points(phi_ext: float, p: ReducedParams,
-                      tol: float = DEFAULT_ROOT_TOL,
                       cpr: Callable[[float], float] | None = None,
                       cpr_prime: Callable[[float], float] | None = None,
                       cpr_slope_bound: float = TWO_PI) -> list[FixedPoint]:
@@ -232,7 +231,11 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
 
     Each sign-changing segment of the partition is solved by bracketed
     Newton from its midpoint (with g' from residual_derivative) down to two
-    adjacent floats, about 7.5 calls of `residual` per root.
+    adjacent floats, about 7.5 calls of `residual` per root.  A root is
+    accepted at |g| <= DEFAULT_ROOT_TOL * max(1, |phi|), relative because
+    near |phi| ~ 1e4 one ulp of phi alone exceeds an absolute 1e-12, or at
+    |g| <= 2*(1 + beta)*ulp(phi), the rounding of g where its slope |g'|
+    reaches 1 + beta (beta >~ 1e4).
 
     Parameters
     ----------
@@ -240,11 +243,6 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
         Applied flux in units of Phi0.
     p : ReducedParams
         Ring parameters.
-    tol : float
-        Acceptance tolerance on |g| at each root, relative to max(1, |phi|):
-        near |phi| ~ 1e4 one ulp of phi alone exceeds an absolute 1e-12.
-        A root is also accepted at |g| <= 2*(1 + beta)*ulp(phi), the rounding
-        of g where its slope |g'| reaches 1 + beta (beta >~ 1e4).
     cpr, cpr_prime, cpr_slope_bound :
         Optional reduced current-phase relation (|i| <= 1), its derivative,
         and a bound on max|i'|, replacing the sinusoid.  `cpr` and
@@ -259,8 +257,6 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
         Every root in the window [c - lambda - eps, c + lambda + eps] with
         c = phi_ext + phi_fe.  Never empty: g(lo) < 0 < g(hi) by |i| <= 1.
     """
-    if tol <= 0.0:
-        raise ValueError(f"tol must be > 0, got {tol}")
     if (cpr is None) != (cpr_prime is None):
         raise ValueError("cpr and cpr_prime must be given together")
     c = phi_ext + p.phi_fe
@@ -295,10 +291,10 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
     for root, r in roots:
         # the second bound, the residual rounding of g at |g'| <= 1 + beta,
         # matters only at large beta; it is computed only when the first fails
-        if (abs(r) > tol * max(1.0, abs(root))
+        if (abs(r) > DEFAULT_ROOT_TOL * max(1.0, abs(root))
                 and abs(r) > 2.0 * (1.0 + p.beta) * math.ulp(root)):
             raise NumericsError(
-                f"root at phi={root!r} has residual {r:.3e} > max(tol {tol:.3e} * "
+                f"root at phi={root!r} has residual {r:.3e} > max({DEFAULT_ROOT_TOL:.0e} * "
                 f"max(1, |phi|), 2*(1 + beta)*ulp(phi))")
         i = math.sin(TWO_PI * root) if cpr is None else cpr(root)
         out.append(FixedPoint(root, i, classify_stability(root, p, cpr_prime)))

@@ -17,9 +17,10 @@ the area is evaluated in closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .fixed_points import (
     DEFAULT_ROOT_TOL,
@@ -362,7 +363,10 @@ def run_hysteresis(p: ReducedParams, amplitude: float, step: float) -> Hysteresi
     Starts from the virgin state (stable root nearest phi = 0 at zero
     drive).  Returns the loop with both remnant crossings and the signed
     cycle area; for beta <= 1 the passes retrace each other and the area
-    vanishes to roundoff.
+    vanishes to roundoff.  With jumps the area scales as (beta - 1)**2; an
+    area within the rounding of the fsum of its 2 + 2*jumps terms (each
+    |F| <= 1/(2*pi) + lam/2), reached below beta - 1 of about 2e-8, raises
+    NumericsError ("loop area below rounding").
     """
     if not (amplitude > 0.0 and math.isfinite(amplitude)):
         raise ValueError(f"amplitude must be positive and finite, got {amplitude}")
@@ -371,34 +375,65 @@ def run_hysteresis(p: ReducedParams, amplitude: float, step: float) -> Hysteresi
 
     schedule = SweepSchedule((0.0, amplitude, 0.0, -amplitude, 0.0), step)
     traj = run_schedule(p, schedule)
+    area, jumps = loop_area(traj, p), len(traj.events)
+    floor = 4 * (2 + 2 * jumps) * math.ulp(1.0 / TWO_PI + 0.5 * p.lam)
+    if jumps and abs(area) <= floor:
+        raise NumericsError(f"loop area below rounding at beta={p.beta!r}: "
+                            f"|{area:.3e}| <= {floor:.3e} over {jumps} jumps")
     i2, i4 = traj.waypoint_indices[2], traj.waypoint_indices[4]
     return HysteresisLoop(
         remnant_up=traj.samples[i4].phi,
         remnant_down=traj.samples[i2].phi,
-        loop_area=loop_area(traj, p),
+        loop_area=area,
         cycle=traj,
     )
 
 
-def _landing_shift(p: ReducedParams, ascending: bool) -> int:
-    """Branch-index change of a jump off a fold in the given drive direction.
+def _landing_shift(p: ReducedParams) -> int:
+    """Branch-index change of a jump off an ascending fold.
 
     The model is integer-periodic in the drive, so the jump off branch k
     lands on k + shift for every k; the shift is read off one resolve_jump
     from the analytic fold of branch 0, placed as refine_fold places it.
+    The model is odd, so a jump off a descending fold moves k by -shift.
     """
-    c_lo, c_hi = branch_flux_range(0, p.beta)
-    seg_lo, seg_hi = stable_branch_interval(0, p.beta)
-    c_fold, phi_fold = (c_hi, seg_hi) if ascending else (c_lo, seg_lo)
+    _, c_fold = branch_flux_range(0, p.beta)
+    phi_fold = stable_branch_interval(0, p.beta)[1]
     w = c_fold - p.phi_fe
-    fold = FoldSignal(w, w, phi_fold, 0, ascending,
+    fold = FoldSignal(w, w, phi_fold, 0, True,
                       phi_ext_at_jump=w, phi_before=phi_fold, fold_refined=True)
     shift = branch_index(resolve_jump(fold, p).phi, p.beta)
-    if shift == 0 or (shift > 0) != ascending:
-        raise NumericsError(
-            f"jump off the {'ascending' if ascending else 'descending'} fold at "
-            f"phi_ext={w!r} lands on branch {shift}, not past branch 0")
+    if shift <= 0:
+        raise NumericsError(f"jump off the ascending fold at phi_ext={w!r} lands on "
+                            f"branch {shift}, not past branch 0")
     return shift
+
+
+def _walk(p: ReducedParams, k: int, w: float, ascending: bool,
+          shift: Callable[[], int]) -> int:
+    """Branch occupied once the drive has moved monotonically from branch k
+    to w, without a sweep.
+
+    Fold-to-fold continuation: between folds the occupied state is fixed by
+    its branch index k, the fold levels are analytic (branch_flux_range) and
+    a jump moves k by shift() ascending and -shift() descending (the
+    _landing_shift of the call, asked for once a fold is first crossed).
+    The cost grows with the number of folds, not with the excursion/step.
+    """
+    if p.beta <= 1.0:
+        return k
+    c = w + p.phi_fe  # rounded as continue_branch rounds it
+    while True:
+        c_lo, c_hi = branch_flux_range(k, p.beta)
+        gap = c - c_hi if ascending else c - c_lo
+        if (gap <= 0.0) if ascending else (gap >= 0.0):
+            return k
+        s = shift() if ascending else -shift()
+        # at least gap/s folds remain: skipping all but the last one or two
+        # (with a relative margin for the rounding of gap, which matters once
+        # ulp(c) nears 1) leaves them to the exact comparison above, so a
+        # huge excursion costs a few passes
+        k += s * max(1, int(gap / s * (1.0 - 1e-12)) - 1)
 
 
 def hysteresis_remnants(p: ReducedParams,
@@ -406,13 +441,8 @@ def hysteresis_remnants(p: ReducedParams,
     """(remnant_down, remnant_up) of the cycle 0 -> +A -> -A -> 0 for each
     amplitude A, without a sweep.
 
-    Fold-to-fold continuation: between folds the occupied state is fixed by
-    its branch index k, the fold levels are analytic (branch_flux_range) and
-    a jump moves k by a shift that depends only on the drive's direction
-    (_landing_shift, computed once a fold is first crossed and shared by all
-    amplitudes).  Each leg's end drive therefore fixes the branch, and a
-    remnant is one branch solve at zero drive: the cost grows with the
-    number of folds, not with amplitude/step.  The result is that of
+    _walk fixes the branch at the end of each leg, and a remnant is one
+    branch solve at zero drive.  The result is that of
     run_hysteresis(p, A, step).remnant_down/.remnant_up for any step, up to
     the last bits of the branch solve, which starts here from the fluxoid k
     instead of from the previous sample.
@@ -421,37 +451,33 @@ def hysteresis_remnants(p: ReducedParams,
     for amp in amplitudes:
         if not (amp > 0.0 and math.isfinite(amp)):
             raise ValueError(f"amplitude must be positive and finite, got {amp}")
-    shifts: dict[bool, int] = {}
-
-    def walk(k: int, w: float, ascending: bool) -> int:
-        """Branch occupied once the drive has moved monotonically to w."""
-        if p.beta <= 1.0:
-            return k
-        c = w + p.phi_fe  # rounded as continue_branch rounds it
-        while True:
-            c_lo, c_hi = branch_flux_range(k, p.beta)
-            gap = c - c_hi if ascending else c - c_lo
-            if (gap <= 0.0) if ascending else (gap >= 0.0):
-                return k
-            if ascending not in shifts:
-                shifts[ascending] = _landing_shift(p, ascending)
-            s = shifts[ascending]
-            # at least gap/s folds remain: skipping all but the last one or
-            # two (with a relative margin for the rounding of gap, which
-            # matters once ulp(c) nears 1) leaves them to the exact
-            # comparison above, so a huge amplitude costs a few passes
-            k += s * max(1, int(gap / s * (1.0 - 1e-12)) - 1)
-
-    def remnant(k: int) -> float:
-        return _solve_on_branch(p, k, p.phi_fe, float(k))
-
     virgin = _initial_state(p, 0.0, 0.0).branch_id
+    shift = functools.cache(lambda: _landing_shift(p))
     out = []
     for amp in amplitudes:
-        k = walk(walk(virgin, amp, True), 0.0, False)
-        down = remnant(k)
-        k = walk(walk(k, -amp, False), 0.0, True)
-        out.append((down, remnant(k)))
+        k = _walk(p, _walk(p, virgin, amp, True, shift), 0.0, False, shift)
+        down = _solve_on_branch(p, k, p.phi_fe, float(k))
+        k = _walk(p, _walk(p, k, -amp, False, shift), 0.0, True, shift)
+        out.append((down, _solve_on_branch(p, k, p.phi_fe, float(k))))
+    return out
+
+
+def path_fluxes(p: ReducedParams, waypoints: Iterable[float]) -> list[float]:
+    """Flux at each waypoint of a drive path from the virgin state at zero
+    drive, without a sweep: _walk fixes the branch at each waypoint, and the
+    flux there is one branch solve.  The result is that of run_schedule over
+    (0, *waypoints) at any step, on the same branch and up to the last bits
+    of the solve.
+    """
+    waypoints = tuple(waypoints)
+    if not all(math.isfinite(w) for w in waypoints):
+        raise ValueError(f"waypoints must be finite, got {waypoints}")
+    k = _initial_state(p, 0.0, 0.0).branch_id
+    shift = functools.cache(lambda: _landing_shift(p))
+    out = []
+    for prev, w in zip((0.0,) + waypoints, waypoints):
+        k = _walk(p, k, w, w > prev, shift)
+        out.append(_solve_on_branch(p, k, w + p.phi_fe, float(k)))
     return out
 
 

@@ -53,7 +53,7 @@ def test_criterion_2_fixed_point_oracle_equivalence():
             beta = 1e-6
         phi_ext = float(rng.uniform(-3.0, 3.0))
         p = ReducedParams(beta=beta)
-        mine = find_fixed_points(phi_ext, p, tol=1e-12)
+        mine = find_fixed_points(phi_ext, p)
         brute = brute_force_roots(phi_ext, beta, step=1e-5)
         if len(mine) != len(brute):
             count_ok = False

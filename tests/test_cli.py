@@ -238,6 +238,11 @@ class TestExitCodes:
                        "--step", "0.01") == 2
         assert "window below rounding" in capsys.readouterr().err
 
+    def test_area_below_rounding_is_two(self, capsys):
+        assert run_cli("sweep", "--beta", "1.000000003", "--amplitude", "2",
+                       "--step", "0.01") == 2
+        assert "loop area below rounding" in capsys.readouterr().err
+
     def test_bloch_check_passes_for_cosine_series(self, capsys):
         assert run_cli("bloch-check", "--coeffs", "3.2e-22,0,1e-23") == 0
         out = capsys.readouterr().out

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ringflux import fit, sweep
 from ringflux.fit import (
     FitBounds,
     Observation,
@@ -14,12 +15,19 @@ from ringflux.ring_model import FLUX_QUANTUM, ReducedParams
 from ringflux.sweep import SweepSchedule, run_hysteresis
 
 AMPS = (2.0, -2.0, 3.0, -3.0, 4.0, -4.0)
+CURRENT_WAYPOINTS = (0.35, 1.2, 0.6, -0.45, -1.3, -0.5, 0.25, 0.8)
 
 
 def _remnant_data(beta, phi_fe, step=0.05):
     p = ReducedParams(beta=beta, phi_fe=phi_fe)
     values = simulate_observables(p, SweepSchedule(AMPS, step))
     return [Observation(a, v) for a, v in zip(AMPS, values)]
+
+
+def _current_data(beta, phi_fe):
+    p = ReducedParams(beta=beta, phi_fe=phi_fe)
+    values = simulate_observables(p, CURRENT_WAYPOINTS, ObservationKind.CURRENT)
+    return [Observation(w, v, ObservationKind.CURRENT) for w, v in zip(CURRENT_WAYPOINTS, values)]
 
 
 class TestSimulateObservables:
@@ -71,9 +79,12 @@ class TestSimulateObservables:
         with pytest.raises(ValueError):
             simulate_observables(ReducedParams(beta=2.0), (1.0, 0.0))
 
-    def test_current_kind_needs_a_schedule(self):
-        with pytest.raises(TypeError):
-            simulate_observables(ReducedParams(beta=2.0), (0.5, 1.0), ObservationKind.CURRENT)
+    def test_current_kind_reads_only_the_waypoints_of_a_schedule(self):
+        p = ReducedParams(beta=8.0, phi_fe=-0.2)
+        plain = simulate_observables(p, CURRENT_WAYPOINTS, ObservationKind.CURRENT)
+        for step in (0.05, 0.01):
+            assert simulate_observables(p, SweepSchedule(CURRENT_WAYPOINTS, step),
+                                        ObservationKind.CURRENT) == plain
 
     def test_current_kind_reads_states_along_path(self):
         p = ReducedParams(beta=0.5)
@@ -139,7 +150,7 @@ class TestFitParameters:
         data = _remnant_data(5.0, 0.3)
         from ringflux.fit import _objective
         initial = ReducedParams(beta=4.5, phi_fe=0.1)
-        start_value = _objective(data, 0.05)((4.5, 0.1))
+        start_value = _objective(data)((4.5, 0.1))
         result = fit_parameters(data, initial, FitBounds(1.5, 15.0, -0.5, 0.5))
         assert result.objective_value <= start_value
 
@@ -158,6 +169,27 @@ class TestFitParameters:
                                FitBounds(1.5, 15.0, -0.5, 0.5), n_restarts=3)
         assert one.objective_value == three.objective_value
         assert one.params == three.params
+
+    def test_roundtrip_current_fit(self):
+        result = fit_parameters(_current_data(8.0, -0.2), ReducedParams(beta=7.7, phi_fe=-0.17),
+                                FitBounds(1.5, 15.0, -0.5, 0.5))
+        assert result.params.beta == pytest.approx(8.0, abs=1e-2)
+        assert result.params.phi_fe == pytest.approx(-0.2, abs=1e-2)
+
+    def test_fits_run_no_sweep(self, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a fit ran a sweep")
+
+        for module in (sweep, fit):
+            monkeypatch.setattr(module, "run_schedule", no_sweep)
+            monkeypatch.setattr(module, "run_hysteresis", no_sweep)
+        bounds = FitBounds(1.5, 15.0, -0.5, 0.5)
+        remnant = fit_parameters(_remnant_data(5.0, 0.3),
+                                 ReducedParams(beta=4.5, phi_fe=0.25), bounds)
+        assert remnant.params.beta == pytest.approx(5.0, rel=1e-2)
+        current = fit_parameters(_current_data(6.0, 0.1),
+                                 ReducedParams(beta=5.8, phi_fe=0.08), bounds)
+        assert current.params.beta == pytest.approx(6.0, rel=1e-2)
 
     def test_repeated_calls_identical(self):
         data = _remnant_data(5.0, 0.0)

@@ -89,7 +89,7 @@ class TestFindFixedPoints:
     def test_every_root_satisfies_contract(self):
         p = ReducedParams(beta=8.0, phi_fe=0.2)
         for pe in (-2.3, -0.4, 0.0, 1.1, 2.9):
-            for r in find_fixed_points(pe, p, tol=1e-12):
+            for r in find_fixed_points(pe, p):
                 assert abs(residual(r.phi, pe, p)) <= 1e-12
                 assert r.i == pytest.approx(math.sin(TWO_PI * r.phi), abs=1e-14)
                 assert abs(r.phi - (pe + p.phi_fe)) <= p.lam + 1e-9
@@ -128,7 +128,7 @@ class TestFindFixedPoints:
             beta = float(rng.uniform(0.05, 20.0))
             pe = float(rng.uniform(-3.0, 3.0))
             p = ReducedParams(beta=beta)
-            mine = find_fixed_points(pe, p, tol=1e-12)
+            mine = find_fixed_points(pe, p)
             brute = brute_force_roots(pe, beta)
             assert len(mine) == len(brute), (beta, pe)
             for r, b in zip(mine, brute):
@@ -166,10 +166,6 @@ class TestFindFixedPoints:
         assert kinds[0] is Stability.STABLE and kinds[-1] is Stability.STABLE
         assert all(a is not b for a, b in zip(kinds, kinds[1:]))
         assert Stability.MARGINAL not in kinds
-
-    def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            find_fixed_points(0.0, ReducedParams(beta=2.0), tol=0.0)
 
     def test_residual_calls_per_root(self, monkeypatch):
         # each segment is solved by bracketed Newton from its midpoint, which

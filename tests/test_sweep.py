@@ -32,6 +32,7 @@ from ringflux.sweep import (
     refine_fold,
     remnant_report,
     MAX_SUBSTEPS,
+    path_fluxes,
     resolve_jump,
     run_hysteresis,
     run_schedule,
@@ -354,6 +355,25 @@ class TestHysteresisRemnants:
             with pytest.raises(ValueError):
                 hysteresis_remnants(ReducedParams(beta=5.0), [2.0, bad])
 
+    @pytest.mark.parametrize("beta,phi_fe", [(5.0, 0.3), (8.5, -0.3), (12.0, 0.1)])
+    def test_two_root_scans_per_call(self, monkeypatch, beta, phi_fe):
+        # one for the virgin state and one for the landing shift, which by
+        # the model's odd symmetry serves both drive directions
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return find_fixed_points(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "find_fixed_points", counting)
+        hysteresis_remnants(ReducedParams(beta=beta, phi_fe=phi_fe), [2.0, 3.0, 4.0])
+        assert len(calls) <= 2
+
+    def test_path_fluxes_rejects_non_finite_waypoints(self):
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                path_fluxes(ReducedParams(beta=5.0), [1.0, bad])
+
 
 class TestLoopArea:
     def test_zero_for_retraced_path(self):
@@ -371,6 +391,23 @@ class TestLoopArea:
         assert fine.loop_area == pytest.approx(plain, abs=2e-2)
         coarse = run_hysteresis(p, 3.0, 0.02)
         assert coarse.loop_area == pytest.approx(fine.loop_area, abs=5e-3)
+
+
+    @pytest.mark.parametrize("excess", [3e-9, 1e-9])
+    def test_area_below_rounding_is_named(self, excess):
+        # the exact area, (beta - 1)**2 times about 5.7 at amplitude 2, is
+        # under the rounding of the fsum of its 18 terms: 0.0 at 1 + 3e-9 and
+        # 5.6e-17 at 1 + 1e-9, where about 5.7e-18 is exact
+        with pytest.raises(NumericsError, match="loop area below rounding"):
+            run_hysteresis(ReducedParams(beta=1.0 + excess), 2.0, 0.01)
+
+    def test_area_above_its_rounding_is_returned(self):
+        # 5.3e-15 against the floor 4*(2 + 2*8)*ulp(1/(2*pi) + lam/2) = 2.0e-15
+        p = ReducedParams(beta=1.0 + 3e-8)
+        loop = run_hysteresis(p, 2.0, 0.01)
+        assert len(loop.cycle.events) == 8
+        assert loop.loop_area == loop_area(loop.cycle, p)
+        assert loop.loop_area == pytest.approx(5.7 * (3e-8) ** 2, rel=0.1)
 
 
 class TestRemnantReport:

@@ -16,12 +16,13 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from ringflux import fixed_points, sweep
 from ringflux.fixed_points import branch_flux_range, branch_index, stable_branch_interval
 from ringflux.ring_model import TWO_PI, ReducedParams
-from ringflux.sweep import hysteresis_remnants, run_hysteresis
+from ringflux.sweep import (SweepSchedule, hysteresis_remnants, path_fluxes,
+                            run_hysteresis, run_schedule)
 
 STEPS = (0.05, 0.01)
 
@@ -74,6 +75,23 @@ def test_kernel_remnants_match_the_sweep(beta, phi_fe, amplitude):
     [kernel] = hysteresis_remnants(ReducedParams(beta=beta, phi_fe=phi_fe), [amplitude])
     for loop in _loops(beta, phi_fe, amplitude):
         for swept, got in zip((loop.remnant_down, loop.remnant_up), kernel):
+            assert branch_index(got, beta) == branch_index(swept, beta)
+            assert got == pytest.approx(swept, rel=0.0, abs=1e-12)
+
+
+@given(beta=st.one_of(hysteretic_betas, st.floats(min_value=0.1, max_value=1.0)),
+       phi_fe=st.floats(min_value=-0.5, max_value=0.5),
+       waypoints=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=3, max_size=9))
+def test_path_fluxes_match_the_sweep(beta, phi_fe, waypoints):
+    # the same walk as the remnant kernel, read at every waypoint of a path
+    drives = (0.0, *waypoints)
+    assume(all(a != b for a, b in zip(drives, drives[1:])))
+    p = ReducedParams(beta=beta, phi_fe=phi_fe)
+    kernel = path_fluxes(p, waypoints)
+    for step in STEPS:
+        traj = run_schedule(p, SweepSchedule(drives, step))
+        for got, i in zip(kernel, traj.waypoint_indices[1:], strict=True):
+            swept = traj.samples[i].phi
             assert branch_index(got, beta) == branch_index(swept, beta)
             assert got == pytest.approx(swept, rel=0.0, abs=1e-12)
 

@@ -189,6 +189,44 @@ def _bracketed_newton(f: Callable[[float], float], df: Callable[[float], float],
         x = xn
 
 
+def _segment_root(f: Callable[[float], float], df: Callable[[float], float],
+                  a: float, b: float, fa: float, fb: float) -> tuple[float, float] | None:
+    """(x, f(x)) at the root of f on a monotone segment [a, b]: a zero at a, or
+    bracketed Newton from the midpoint on a sign change; else None."""
+    if fa == 0.0:
+        return a, fa
+    if fb != 0.0 and (fa < 0.0) != (fb < 0.0):  # a zero at b is the next segment's
+        return _bracketed_newton(f, df, a, b, fa, fb, 0.5 * (a + b))
+    return None
+
+
+def _fixed_point(root: float, r: float, p: ReducedParams, cpr: Callable[[float], float] | None,
+                 cpr_prime: Callable[[float], float] | None) -> FixedPoint:
+    """Accept a solved root with residual r and classify it, or raise."""
+    # the second bound, the residual rounding of g at |g'| <= 1 + beta,
+    # matters only at large beta; it is computed only when the first fails
+    if (abs(r) > DEFAULT_ROOT_TOL * max(1.0, abs(root))
+            and abs(r) > 2.0 * (1.0 + p.beta) * math.ulp(root)):
+        raise NumericsError(
+            f"root at phi={root!r} has residual {r:.3e} > max({DEFAULT_ROOT_TOL:.0e} * "
+            f"max(1, |phi|), 2*(1 + beta)*ulp(phi))")
+    i = math.sin(TWO_PI * root) if cpr is None else cpr(root)
+    return FixedPoint(root, i, classify_stability(root, p, cpr_prime))
+
+
+def _branch_root(phi_ext: float, k: int, p: ReducedParams) -> FixedPoint | None:
+    """find_fixed_points(phi_ext, p)'s root on stable segment k, or None: the
+    segment is clipped to the root window as _scan_boundaries clips it (an
+    end within 1e-12 above the window's merges into it) and solved alike."""
+    c = phi_ext + p.phi_fe
+    a, b = stable_branch_interval(k, p.beta)
+    lo, hi = c - p.lam - WINDOW_MARGIN, c + p.lam + WINDOW_MARGIN
+    a, b = (lo if a - lo <= 1e-12 else a), min(b, hi)
+    f = functools.partial(residual, phi_ext=phi_ext, p=p)
+    hit = a < b and _segment_root(f, lambda x: residual_derivative(x, p), a, b, f(a), f(b))
+    return _fixed_point(*hit, p, None, None) if hit else None
+
+
 def _scan_boundaries(c: float, p: ReducedParams) -> list[float]:
     """Segment boundaries inside the root window: window edges plus every
     critical point of g (analytic for the sinusoid)."""
@@ -264,10 +302,8 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
     def f(x: float) -> float:
         return residual(x, phi_ext, p, cpr)
 
-    if cpr is None:
-        bounds = _scan_boundaries(c, p)
-    else:
-        bounds = _grid_boundaries(c, p, cpr_slope_bound)
+    bounds = (_scan_boundaries(c, p) if cpr is None
+              else _grid_boundaries(c, p, cpr_slope_bound))
 
     vals = [f(x) for x in bounds]
     roots: list[tuple[float, float]] = []
@@ -277,25 +313,9 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
             roots.append((root, r))
 
     for (a, b), (fa, fb) in zip(zip(bounds, bounds[1:]), zip(vals, vals[1:])):
-        if fa == 0.0:
-            push(a, fa)
-        elif fb == 0.0:
-            continue  # owned by the next segment's left endpoint
-        elif (fa < 0.0) != (fb < 0.0):
-            push(*_bracketed_newton(f, lambda x: residual_derivative(x, p, cpr_prime),
-                                    a, b, fa, fb, 0.5 * (a + b)))
+        hit = _segment_root(f, lambda x: residual_derivative(x, p, cpr_prime), a, b, fa, fb)
+        if hit is not None:
+            push(*hit)
     if vals[-1] == 0.0:
         push(bounds[-1], 0.0)
-
-    out = []
-    for root, r in roots:
-        # the second bound, the residual rounding of g at |g'| <= 1 + beta,
-        # matters only at large beta; it is computed only when the first fails
-        if (abs(r) > DEFAULT_ROOT_TOL * max(1.0, abs(root))
-                and abs(r) > 2.0 * (1.0 + p.beta) * math.ulp(root)):
-            raise NumericsError(
-                f"root at phi={root!r} has residual {r:.3e} > max({DEFAULT_ROOT_TOL:.0e} * "
-                f"max(1, |phi|), 2*(1 + beta)*ulp(phi))")
-        i = math.sin(TWO_PI * root) if cpr is None else cpr(root)
-        out.append(FixedPoint(root, i, classify_stability(root, p, cpr_prime)))
-    return out
+    return [_fixed_point(root, r, p, cpr, cpr_prime) for root, r in roots]

@@ -3,10 +3,11 @@
 A sweep follows the stable root of the flux balance as the applied flux
 moves through a schedule of waypoints.  While the occupied stable branch
 exists the state tracks it continuously; when the drive crosses a fold the
-branch vanishes and the state jumps to the nearest surviving stable root
-("the flux quantum is admitted").  A branch of the sinusoidal relation
-ends at an analytic tangency, so a fold is placed there directly, not
-searched for; remnant values therefore do not depend on the step size.
+branch vanishes and the state jumps to the neighbouring branch in the
+drive's direction ("the flux quantum is admitted").  A branch of the
+sinusoidal relation ends at an analytic tangency, so a fold is placed there
+directly, not searched for; remnant values therefore do not depend on the
+step size.
 
 Hysteresis loops run the cycle 0 -> +amplitude -> -amplitude -> 0 and
 report the two zero-drive crossings (descending and ascending remnants)
@@ -20,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .fixed_points import (
     DEFAULT_ROOT_TOL,
@@ -29,6 +30,7 @@ from .fixed_points import (
     NumericsError,
     Stability,
     _bracketed_newton,
+    _branch_root,
     branch_flux_range,
     branch_index,
     find_fixed_points,
@@ -152,13 +154,6 @@ class RemnantReport(NamedTuple):
 # Single-branch continuation
 # ---------------------------------------------------------------------------
 
-def _branch_bounds(p: ReducedParams, k: int, c: float) -> tuple[float, float]:
-    """Flux interval on which the occupied branch is solved."""
-    if p.beta > 1.0:
-        return stable_branch_interval(k, p.beta)
-    return c - p.lam - WINDOW_MARGIN, c + p.lam + WINDOW_MARGIN
-
-
 def _solve_on_branch(p: ReducedParams, k: int, c: float, x0: float) -> float:
     """Root of phi + lam*sin(2*pi*phi) = c on the (monotone) branch segment.
 
@@ -171,7 +166,8 @@ def _solve_on_branch(p: ReducedParams, k: int, c: float, x0: float) -> float:
     find_fixed_points accepts it.
     """
     lam, beta = p.lam, p.beta
-    a, b = _branch_bounds(p, k, c)
+    a, b = (stable_branch_interval(k, beta) if beta > 1.0  # else the root window
+            else (c - lam - WINDOW_MARGIN, c + lam + WINDOW_MARGIN))
 
     def f(x: float) -> float:
         return x - c + lam * math.sin(TWO_PI * x)
@@ -254,29 +250,23 @@ def refine_fold(fold: FoldSignal, p: ReducedParams) -> FoldSignal:
 def resolve_jump(fold: FoldSignal, p: ReducedParams) -> FixedPoint:
     """Stable root the system falls onto when the occupied branch vanishes.
 
-    Among all stable roots at the fold drive, excluding the vanishing
-    branch, picks the one nearest in flux to the departing state; ties break
-    toward smaller |i|, then smaller phi.  A stable root always survives a
-    fold, but its slope g' is about 3*(beta - 1): below beta - 1 of about
-    3e-10 it is Marginal, and below about 1e-10 the window itself is under
-    the rounding of the fold level.  NumericsError then names the window
-    below rounding.
+    One flux quantum is admitted in the drive's direction: off a fold of
+    branch k the state lands on branch k + 1 ascending and k - 1 descending,
+    the nearest surviving stable root (README, numerical notes), solved on
+    that one segment as find_fixed_points solves it.  Its slope g' is about
+    3*(beta - 1): Marginal below beta - 1 of about 3e-10, which NumericsError
+    names as the window below rounding.
     """
     if fold.phi_ext_at_jump is None:
         fold = refine_fold(fold, p)
-    roots = find_fixed_points(fold.phi_ext_at_jump, p)
-    candidates = [
-        r for r in roots
-        if r.stability is Stability.STABLE
-        and branch_index(r.phi, p.beta) != fold.branch_id
-    ]
-    if not candidates:
+    k = fold.branch_id + (1 if fold.ascending else -1)
+    landing = _branch_root(fold.phi_ext_at_jump, k, p)
+    if landing is None or landing.stability is not Stability.STABLE:
         raise NumericsError(
             f"no stable root survives the fold at phi_ext={fold.phi_ext_at_jump!r}: "
             f"hysteretic window below rounding at beta={p.beta!r} (the landing "
             f"slope 3*(beta - 1) is under MARGINAL_TOL)")
-    phi_before = fold.phi_before
-    return min(candidates, key=lambda r: (abs(r.phi - phi_before), abs(r.i), r.phi))
+    return landing
 
 
 # ---------------------------------------------------------------------------
@@ -389,51 +379,33 @@ def run_hysteresis(p: ReducedParams, amplitude: float, step: float) -> Hysteresi
     )
 
 
-def _landing_shift(p: ReducedParams) -> int:
-    """Branch-index change of a jump off an ascending fold.
-
-    The model is integer-periodic in the drive, so the jump off branch k
-    lands on k + shift for every k; the shift is read off one resolve_jump
-    from the analytic fold of branch 0, placed as refine_fold places it.
-    The model is odd, so a jump off a descending fold moves k by -shift.
-    """
-    _, c_fold = branch_flux_range(0, p.beta)
-    phi_fold = stable_branch_interval(0, p.beta)[1]
-    w = c_fold - p.phi_fe
-    fold = FoldSignal(w, w, phi_fold, 0, True,
-                      phi_ext_at_jump=w, phi_before=phi_fold, fold_refined=True)
-    shift = branch_index(resolve_jump(fold, p).phi, p.beta)
-    if shift <= 0:
-        raise NumericsError(f"jump off the ascending fold at phi_ext={w!r} lands on "
-                            f"branch {shift}, not past branch 0")
-    return shift
+@functools.lru_cache(maxsize=64)
+def _check_landing(p: ReducedParams) -> None:
+    """Resolve the jump off branch 0's fold, which stands for all folds, at p's own drive
+    (its rounding decides a Marginal landing), so a walk raises where a sweep would."""
+    w, phi = branch_flux_range(0, p.beta)[1] - p.phi_fe, stable_branch_interval(0, p.beta)[1]
+    resolve_jump(FoldSignal(w, w, phi, 0, True, w, phi, True), p)
 
 
-def _walk(p: ReducedParams, k: int, w: float, ascending: bool,
-          shift: Callable[[], int]) -> int:
+def _walk(p: ReducedParams, k: int, w: float, ascending: bool) -> int:
     """Branch occupied once the drive has moved monotonically from branch k
     to w, without a sweep.
 
-    Fold-to-fold continuation: between folds the occupied state is fixed by
-    its branch index k, the fold levels are analytic (branch_flux_range) and
-    a jump moves k by shift() ascending and -shift() descending (the
-    _landing_shift of the call, asked for once a fold is first crossed).
-    The cost grows with the number of folds, not with the excursion/step.
+    Each fold crossed moves the branch by one in the drive's direction
+    (resolve_jump), so the walk ends on the first branch from k whose fold
+    level c = w + phi_fe does not pass: about ceil(c - 1/2 - w_fold), then
+    settled by continue_branch's comparison with branch_flux_range.  The
+    model is odd, so a descending walk is an ascending one in -c.
     """
     if p.beta <= 1.0:
         return k
-    c = w + p.phi_fe  # rounded as continue_branch rounds it
-    while True:
-        c_lo, c_hi = branch_flux_range(k, p.beta)
-        gap = c - c_hi if ascending else c - c_lo
-        if (gap <= 0.0) if ascending else (gap >= 0.0):
-            return k
-        s = shift() if ascending else -shift()
-        # at least gap/s folds remain: skipping all but the last one or two
-        # (with a relative margin for the rounding of gap, which matters once
-        # ulp(c) nears 1) leaves them to the exact comparison above, so a
-        # huge excursion costs a few passes
-        k += s * max(1, int(gap / s * (1.0 - 1e-12)) - 1)
+    c, s = w + p.phi_fe, 1 if ascending else -1  # c rounded as continue_branch rounds it
+    j = max(s * k, math.ceil(s * c - branch_flux_range(0, p.beta)[1]) - 1)
+    while s * c > branch_flux_range(j, p.beta)[1]:
+        j += 1
+    if j != s * k:
+        _check_landing(p)
+    return s * j
 
 
 def hysteresis_remnants(p: ReducedParams,
@@ -441,9 +413,9 @@ def hysteresis_remnants(p: ReducedParams,
     """(remnant_down, remnant_up) of the cycle 0 -> +A -> -A -> 0 for each
     amplitude A, without a sweep.
 
-    _walk fixes the branch at the end of each leg, and a remnant is one
-    branch solve at zero drive.  The result is that of
-    run_hysteresis(p, A, step).remnant_down/.remnant_up for any step, up to
+    _walk fixes the branch at the end of each leg in closed form, a remnant
+    is one branch solve at zero drive, and only the virgin state needs a root
+    scan.  The result is run_hysteresis(p, A, step)'s for any step, up to
     the last bits of the branch solve, which starts here from the fluxoid k
     instead of from the previous sample.
     """
@@ -452,31 +424,29 @@ def hysteresis_remnants(p: ReducedParams,
         if not (amp > 0.0 and math.isfinite(amp)):
             raise ValueError(f"amplitude must be positive and finite, got {amp}")
     virgin = _initial_state(p, 0.0, 0.0).branch_id
-    shift = functools.cache(lambda: _landing_shift(p))
     out = []
     for amp in amplitudes:
-        k = _walk(p, _walk(p, virgin, amp, True, shift), 0.0, False, shift)
+        k = _walk(p, _walk(p, virgin, amp, True), 0.0, False)
         down = _solve_on_branch(p, k, p.phi_fe, float(k))
-        k = _walk(p, _walk(p, k, -amp, False, shift), 0.0, True, shift)
+        k = _walk(p, _walk(p, k, -amp, False), 0.0, True)
         out.append((down, _solve_on_branch(p, k, p.phi_fe, float(k))))
     return out
 
 
 def path_fluxes(p: ReducedParams, waypoints: Iterable[float]) -> list[float]:
     """Flux at each waypoint of a drive path from the virgin state at zero
-    drive, without a sweep: _walk fixes the branch at each waypoint, and the
-    flux there is one branch solve.  The result is that of run_schedule over
-    (0, *waypoints) at any step, on the same branch and up to the last bits
-    of the solve.
+    drive, without a sweep: _walk fixes the branch at each waypoint in closed
+    form, the flux there is one branch solve, and only the virgin state needs
+    a root scan.  The result is that of run_schedule over (0, *waypoints) at
+    any step, on the same branch and up to the last bits of the solve.
     """
     waypoints = tuple(waypoints)
     if not all(math.isfinite(w) for w in waypoints):
         raise ValueError(f"waypoints must be finite, got {waypoints}")
     k = _initial_state(p, 0.0, 0.0).branch_id
-    shift = functools.cache(lambda: _landing_shift(p))
     out = []
     for prev, w in zip((0.0,) + waypoints, waypoints):
-        k = _walk(p, k, w, w > prev, shift)
+        k = _walk(p, k, w, w > prev)
         out.append(_solve_on_branch(p, k, w + p.phi_fe, float(k)))
     return out
 

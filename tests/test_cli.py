@@ -2,6 +2,7 @@
 and the real CLI process."""
 
 import csv
+import hashlib
 import math
 import os
 import subprocess
@@ -266,6 +267,31 @@ class TestNegativeValues:
         assert run_cli("bloch-check", "--coeffs=-1e-22,0") == 0
         assert spaced == capsys.readouterr().out
         assert "passed = true" in spaced
+
+
+FROZEN_STDOUT = {
+    ("sweep", "--beta", "5", "--phi_fe", "0.3", "--amplitude", "3", "--step", "0.01"):
+        "e1d534b96487aa5f2dd15eb3237c1d2b2e236f35e4f449063abdb2a4d2030b33",
+    ("sweep", "--beta", "18.55972099975719", "--phi_fe", "-0.08016403792901305",
+     "--amplitude", "3.7168673500582896", "--step", "0.05"):
+        "1c6c4a7ec5a282070d97d7c37d8df96e4fd12aafff10cf1196fd4d34562418a8",
+    ("fixed-points", "--beta", "40", "--phi_ext", "0.183"):
+        "9146a403cdf5e5a53ce16e7c3ee75c3abae12c23b2190ec251f5ec31b8e931f0",
+}
+
+
+@pytest.mark.parametrize("argv", list(FROZEN_STDOUT), ids=lambda argv: argv[0])
+def test_stdout_bytes_are_frozen(argv, capsys):
+    """main()'s stdout is byte-identical across refactors, checked by sha256.
+
+    The second sweep moves by a few ulps if a jump's landing is solved with
+    another slope than the g' of find_fixed_points.
+    A deliberate byte change updates these digests, with a ledger of what
+    moved in CHANGES.md.
+    """
+    assert run_cli(*argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == FROZEN_STDOUT[argv]
 
 
 def test_cli_process_matches_main_and_starts_without_numpy_or_scipy(capsys):

@@ -7,7 +7,6 @@ import pytest
 
 from helpers import TWO_PI, brute_force_roots, brute_stability, residual_slope
 from ringflux.fixed_points import (
-    FixedPoint,
     NumericsError,
     Stability,
     branch_flux_range,
@@ -44,6 +43,18 @@ from ringflux.sweep import (
 REMNANT = {3.0: 0.0, 5.0: 0.7808611255, 10.0: 0.9038739936}
 BIASED_REMNANT_DOWN = 0.8722692073  # beta=5, phi_fe=0.3
 BIASED_REMNANT_UP = 0.0507114433
+
+
+def _count_root_scans(monkeypatch):
+    """Patch sweep's find_fixed_points to record its calls in the list returned."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return find_fixed_points(*args, **kwargs)
+
+    monkeypatch.setattr(sweep, "find_fixed_points", counting)
+    return calls
 
 
 def _state_at(p, phi_ext, phi_hint):
@@ -176,6 +187,21 @@ class TestResolveJump:
         down_landing = resolve_jump(down_fold, p)
         assert down_landing.phi == pytest.approx(-up_landing.phi, abs=1e-11)
 
+    def test_lands_in_the_drive_direction(self):
+        # off an unrefined fold the jump leaves from phi = 0, where the roots
+        # -/+0.7808611255265885 of branches -1 and +1 are equally far, up to
+        # one ulp; nearest-root selection would land against the drive
+        p = ReducedParams(5.0)
+        down = resolve_jump(refine_fold(
+            FoldSignal(0.0, -0.5, 0.0, branch_id=0, ascending=False), p), p)
+        up = resolve_jump(refine_fold(
+            FoldSignal(0.0, 0.5, 0.0, branch_id=0, ascending=True), p), p)
+        assert branch_index(down.phi, p.beta) == -1
+        assert branch_index(up.phi, p.beta) == 1
+        assert up.phi == 0.7808611255265885
+        assert down.phi == pytest.approx(-up.phi, rel=0.0, abs=2 * math.ulp(up.phi))
+        assert down.stability is up.stability is Stability.STABLE
+
 
 class TestRunHysteresis:
     def test_rejects_bad_arguments(self):
@@ -306,6 +332,13 @@ class TestRunHysteresis:
             stable = [b for b in brute if brute_stability(b, p.beta) == 1]
             assert min(abs(b - s.phi) for b in stable) < 1e-6
 
+    def test_sweep_scans_roots_once(self, monkeypatch):
+        # for the initial state, whatever the number of jumps
+        calls = _count_root_scans(monkeypatch)
+        loop = run_hysteresis(ReducedParams(5.0, 0.1), 3.0, 0.01)
+        assert len(loop.cycle.events) >= 6
+        assert len(calls) == 1
+
 
 class TestHysteresisRemnants:
     # agreement with run_hysteresis on drawn parameters is a property in
@@ -343,31 +376,21 @@ class TestHysteresisRemnants:
         with pytest.raises(NumericsError, match="window below rounding"):
             hysteresis_remnants(p, [2.0])
 
-    def test_jump_that_does_not_advance_is_rejected(self, monkeypatch):
-        # a landing on the departing branch would let the fold walk cycle
-        monkeypatch.setattr(sweep, "resolve_jump",
-                            lambda fold, p: FixedPoint(0.0, 0.0, Stability.STABLE))
-        with pytest.raises(NumericsError):
-            hysteresis_remnants(ReducedParams(beta=5.0), [3.0])
-
     def test_rejects_bad_amplitudes(self):
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 hysteresis_remnants(ReducedParams(beta=5.0), [2.0, bad])
 
     @pytest.mark.parametrize("beta,phi_fe", [(5.0, 0.3), (8.5, -0.3), (12.0, 0.1)])
-    def test_two_root_scans_per_call(self, monkeypatch, beta, phi_fe):
-        # one for the virgin state and one for the landing shift, which by
-        # the model's odd symmetry serves both drive directions
-        calls = []
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return find_fixed_points(*args, **kwargs)
-
-        monkeypatch.setattr(sweep, "find_fixed_points", counting)
-        hysteresis_remnants(ReducedParams(beta=beta, phi_fe=phi_fe), [2.0, 3.0, 4.0])
-        assert len(calls) <= 2
+    def test_one_root_scan_per_call(self, monkeypatch, beta, phi_fe):
+        # the virgin state's; the walk's branches are closed form and a
+        # landing solves its one segment
+        calls = _count_root_scans(monkeypatch)
+        p = ReducedParams(beta=beta, phi_fe=phi_fe)
+        hysteresis_remnants(p, [2.0, 3.0, 4.0])
+        assert len(calls) == 1
+        path_fluxes(p, [2.0, -3.0, 4.0, 0.5])
+        assert len(calls) == 2
 
     def test_path_fluxes_rejects_non_finite_waypoints(self):
         for bad in (math.inf, math.nan):

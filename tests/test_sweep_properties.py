@@ -16,13 +16,14 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ringflux import fixed_points, sweep
-from ringflux.fixed_points import branch_flux_range, branch_index, stable_branch_interval
+from ringflux.fixed_points import (Stability, branch_flux_range, branch_index,
+                                   find_fixed_points, stable_branch_interval)
 from ringflux.ring_model import TWO_PI, ReducedParams
-from ringflux.sweep import (SweepSchedule, hysteresis_remnants, path_fluxes,
-                            run_hysteresis, run_schedule)
+from ringflux.sweep import (FoldSignal, SweepSchedule, hysteresis_remnants, path_fluxes,
+                            refine_fold, resolve_jump, run_hysteresis, run_schedule)
 
 STEPS = (0.05, 0.01)
 
@@ -94,6 +95,28 @@ def test_path_fluxes_match_the_sweep(beta, phi_fe, waypoints):
             swept = traj.samples[i].phi
             assert branch_index(got, beta) == branch_index(swept, beta)
             assert got == pytest.approx(swept, rel=0.0, abs=1e-12)
+
+
+@settings(max_examples=200)
+@given(beta=st.floats(min_value=-6.0, max_value=3.0).map(lambda u: 1.0 + 10.0 ** u),
+       phi_fe=st.floats(min_value=-3.0, max_value=3.0),
+       k=st.integers(min_value=-5, max_value=5), ascending=st.booleans())
+def test_jump_lands_on_the_neighbouring_branch(beta, phi_fe, k, ascending):
+    # the nearest stable root off the dying branch, from a full root scan,
+    # is the root of branch k +/- 1, solved alone bit for bit
+    p = ReducedParams(beta=beta, phi_fe=phi_fe)
+    c_lo, c_hi = branch_flux_range(k, beta)
+    w = (c_hi if ascending else c_lo) - phi_fe
+    s = 0.25 if ascending else -0.25
+    fold = refine_fold(FoldSignal(w - s, w + s, float(k), k, ascending), p)
+    assert fold.fold_refined
+    landing = resolve_jump(fold, p)
+    nearest = min((r for r in find_fixed_points(fold.phi_ext_at_jump, p)
+                   if r.stability is Stability.STABLE and branch_index(r.phi, beta) != k),
+                  key=lambda r: (abs(r.phi - fold.phi_before), abs(r.i), r.phi))
+    assert (landing.phi, landing.i, landing.stability) == (
+        nearest.phi, nearest.i, nearest.stability)
+    assert branch_index(landing.phi, beta) == k + (1 if ascending else -1)
 
 
 def _branch_residual(p, c):

@@ -48,7 +48,6 @@ from .ring_model import (
 )
 from .sweep import (
     BranchState,
-    FoldSignal,
     HysteresisLoop,
     JumpEvent,
     RemnantReport,
@@ -56,7 +55,6 @@ from .sweep import (
     SweepTrajectory,
     continue_branch,
     loop_area,
-    refine_fold,
     remnant_report,
     resolve_jump,
     run_hysteresis,

@@ -227,22 +227,28 @@ def _branch_root(phi_ext: float, k: int, p: ReducedParams) -> FixedPoint | None:
     return _fixed_point(*hit, p, None, None) if hit else None
 
 
-def _scan_boundaries(c: float, p: ReducedParams) -> list[float]:
-    """Segment boundaries inside the root window: window edges plus every
-    critical point of g (analytic for the sinusoid)."""
+def _scan_boundaries(c: float, p: ReducedParams, hint: float | None = None) -> list[float]:
+    """Ascending segment boundaries inside the root window: window edges plus
+    every critical point of g (analytic for the sinusoid).  With a flux
+    `hint`, only those from m - 3/2 - phi_a to m + 3/2 + phi_a, m = round(hint)
+    clamped to the branches that exist at c: stable segments m - 1 .. m + 1,
+    which hold the stable root nearest the hint, and the unstable ones about them."""
     lo = c - p.lam - WINDOW_MARGIN
     hi = c + p.lam + WINDOW_MARGIN
+    if p.beta <= 1.0:
+        return [lo, hi]
+    phi_a, w = _fold_geometry(p.beta)
+    if hint is not None:
+        half = 0.5 + w  # branch k exists for |c - k| <= half
+        m = round(min(max(hint, math.ceil(c - half)), math.floor(c + half)))
+        a = (m - 2) + 0.5 - phi_a  # merges into lo within 1e-12, as below
+        lo, hi = (lo if a - lo <= 1e-12 else a), min(hi, (m + 1) + 0.5 + phi_a)
     pts = [lo]
-    if p.beta > 1.0:
-        phi_a = tangency_offset(p.beta)
-        k = math.floor(lo)
-        while k <= math.ceil(hi):
-            for cp in (k + 0.5 - phi_a, k + 0.5 + phi_a):
-                if lo < cp < hi:
-                    pts.append(cp)
-            k += 1
+    for k in range(math.floor(lo), math.ceil(hi) + 1):
+        for cp in (k + 0.5 - phi_a, k + 0.5 + phi_a):
+            if lo < cp < hi:
+                pts.append(cp)
     pts.append(hi)
-    pts.sort()
     # collapse near-degenerate boundaries (phi_a -> 0 or 1/4 limits)
     out = [pts[0]]
     for x in pts[1:]:
@@ -298,12 +304,18 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
     if (cpr is None) != (cpr_prime is None):
         raise ValueError("cpr and cpr_prime must be given together")
     c = phi_ext + p.phi_fe
-
-    def f(x: float) -> float:
-        return residual(x, phi_ext, p, cpr)
-
     bounds = (_scan_boundaries(c, p) if cpr is None
               else _grid_boundaries(c, p, cpr_slope_bound))
+    return _partition_roots(phi_ext, p, bounds, cpr, cpr_prime)
+
+
+def _partition_roots(phi_ext: float, p: ReducedParams, bounds: list[float],
+                     cpr: Callable[[float], float] | None = None,
+                     cpr_prime: Callable[[float], float] | None = None) -> list[FixedPoint]:
+    """Every root on the partition `bounds`, ascending: find_fixed_points'
+    segment loop, shared with the sweep's virgin state."""
+    def f(x: float) -> float:
+        return residual(x, phi_ext, p, cpr)
 
     vals = [f(x) for x in bounds]
     roots: list[tuple[float, float]] = []

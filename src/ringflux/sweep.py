@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .fixed_points import (
@@ -31,9 +31,11 @@ from .fixed_points import (
     Stability,
     _bracketed_newton,
     _branch_root,
+    _partition_roots,
+    _scan_boundaries,
     branch_flux_range,
     branch_index,
-    find_fixed_points,
+    find_fixed_points,  # noqa: F401  unused: the benchmark's tracer wraps it here
     stable_branch_interval,
 )
 from .ring_model import TWO_PI, ReducedParams, RingParams
@@ -85,31 +87,12 @@ class BranchState:
 
 
 @dataclass(frozen=True)
-class FoldSignal:
-    """Raised state of a continuation step that lost its branch.
-
-    The bracket [phi_ext_last_good, phi_ext_first_bad] contains the fold.
-    refine_fold() fills in the refined fields (phi_ext_at_jump, phi_before).
-    """
-
-    phi_ext_last_good: float
-    phi_ext_first_bad: float
-    phi_last_good: float
-    branch_id: int
-    ascending: bool
-    phi_ext_at_jump: float | None = None
-    phi_before: float | None = None
-    fold_refined: bool = False
-
-
-@dataclass(frozen=True)
 class JumpEvent:
     """One branch loss: drive value, departing and landing flux."""
 
     phi_ext_at_jump: float
     phi_before: float
     phi_after: float
-    fold_refined: bool
     landing_index: int
 
 
@@ -192,81 +175,41 @@ def _solve_on_branch(p: ReducedParams, k: int, c: float, x0: float) -> float:
     return x
 
 
-def continue_branch(state: BranchState, phi_ext_next: float,
-                    p: ReducedParams) -> BranchState | FoldSignal:
-    """Advance the occupied stable root to the next applied flux.
-
-    Returns the new BranchState while the occupied branch still exists at
-    phi_ext_next (the stable root nearest the current flux), otherwise a
-    FoldSignal bracketing the drive value at which the branch vanishes.
-    For beta <= 1 the branch exists for every drive, so a fold is never
-    signalled.
-    """
+def continue_branch(state: BranchState, phi_ext_next: float, p: ReducedParams) -> BranchState:
+    """The occupied stable root moved along its own branch to the next applied
+    flux, which the caller has checked lies within the branch's fold levels
+    (every flux for beta <= 1); at the state's own drive, the state itself."""
     if phi_ext_next == state.phi_ext:
         return state
-    c_next = phi_ext_next + p.phi_fe
-    if p.beta > 1.0:
-        c_lo, c_hi = branch_flux_range(state.branch_id, p.beta)
-        if not c_lo <= c_next <= c_hi:
-            return FoldSignal(
-                phi_ext_last_good=state.phi_ext,
-                phi_ext_first_bad=phi_ext_next,
-                phi_last_good=state.phi,
-                branch_id=state.branch_id,
-                ascending=phi_ext_next > state.phi_ext,
-            )
-    phi = _solve_on_branch(p, state.branch_id, c_next, state.phi)
+    phi = _solve_on_branch(p, state.branch_id, phi_ext_next + p.phi_fe, state.phi)
     return BranchState(phi_ext_next, phi, math.sin(TWO_PI * phi), state.branch_id)
 
 
-def refine_fold(fold: FoldSignal, p: ReducedParams) -> FoldSignal:
-    """Place the fold at the analytic tangency that ends the branch.
+def resolve_jump(p: ReducedParams, k: int, ascending: bool) -> tuple[float, float, FixedPoint]:
+    """(drive, departing flux, landing root) of the jump off a fold of branch k.
 
-    Branch k dies at the total-flux level k + c_hi (ascending) or k + c_lo
-    (descending) of branch_flux_range, with the flux at the segment end of
-    stable_branch_interval; the jump leaves from exactly there, which makes
-    remnants independent of the sweep step.  The tangency is checked to lie
-    inside the signal's bracket; if it does not, the jump is taken from the
-    last surviving state and the result is marked fold_refined=False.
+    Branch k dies at its fold level in the drive's direction
+    (branch_flux_range), at that end of stable_branch_interval, so remnants
+    do not depend on the sweep step.  One flux quantum is admitted: the
+    state lands on branch k + 1 ascending and k - 1 descending, the nearest
+    surviving stable root (README, numerical notes), solved on that one
+    segment as find_fixed_points solves it.  Its slope g' is about
+    3*(beta - 1): Marginal below beta - 1 of about 3e-10, which
+    NumericsError names as the window below rounding.
     """
-    if fold.fold_refined:
-        return fold
-    c_lo, c_hi = branch_flux_range(fold.branch_id, p.beta)
-    seg_lo, seg_hi = stable_branch_interval(fold.branch_id, p.beta)
-    if fold.ascending:
-        c_fold, phi_fold = c_hi, seg_hi
-    else:
-        c_fold, phi_fold = c_lo, seg_lo
-    # compare in total flux, rounded as continue_branch rounds it
-    c_good = fold.phi_ext_last_good + p.phi_fe
-    c_bad = fold.phi_ext_first_bad + p.phi_fe
-    if min(c_good, c_bad) <= c_fold <= max(c_good, c_bad):
-        return replace(fold, phi_ext_at_jump=c_fold - p.phi_fe, phi_before=phi_fold,
-                       fold_refined=True)
-    return replace(fold, phi_ext_at_jump=fold.phi_ext_last_good,
-                   phi_before=fold.phi_last_good, fold_refined=False)
-
-
-def resolve_jump(fold: FoldSignal, p: ReducedParams) -> FixedPoint:
-    """Stable root the system falls onto when the occupied branch vanishes.
-
-    One flux quantum is admitted in the drive's direction: off a fold of
-    branch k the state lands on branch k + 1 ascending and k - 1 descending,
-    the nearest surviving stable root (README, numerical notes), solved on
-    that one segment as find_fixed_points solves it.  Its slope g' is about
-    3*(beta - 1): Marginal below beta - 1 of about 3e-10, which NumericsError
-    names as the window below rounding.
-    """
-    if fold.phi_ext_at_jump is None:
-        fold = refine_fold(fold, p)
-    k = fold.branch_id + (1 if fold.ascending else -1)
-    landing = _branch_root(fold.phi_ext_at_jump, k, p)
+    end = 1 if ascending else 0
+    phi_ext = branch_flux_range(k, p.beta)[end] - p.phi_fe
+    landing = _branch_root(phi_ext, k + (1 if ascending else -1), p)
     if landing is None or landing.stability is not Stability.STABLE:
         raise NumericsError(
-            f"no stable root survives the fold at phi_ext={fold.phi_ext_at_jump!r}: "
+            f"no stable root survives the fold at phi_ext={phi_ext!r}: "
             f"hysteretic window below rounding at beta={p.beta!r} (the landing "
             f"slope 3*(beta - 1) is under MARGINAL_TOL)")
-    return landing
+    return phi_ext, stable_branch_interval(k, p.beta)[end], landing
+
+
+# unused: only the benchmark's tracer reads this name, which it still wraps
+refine_fold = resolve_jump
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +217,13 @@ def resolve_jump(fold: FoldSignal, p: ReducedParams) -> FixedPoint:
 # ---------------------------------------------------------------------------
 
 def _initial_state(p: ReducedParams, phi_ext: float, phi_hint: float) -> BranchState:
-    roots = find_fixed_points(phi_ext, p)
-    stable = [r for r in roots if r.stability is Stability.STABLE]
-    if not stable:  # beta == 1 tangency corner: accept the marginal root
-        stable = [r for r in roots if r.stability is Stability.MARGINAL]
+    """The stable root nearest phi_hint (ties: smaller |i|, then smaller phi),
+    from find_fixed_points' partition solved only over the three periods that
+    hold it (_scan_boundaries), at a cost that does not grow with beta."""
+    roots = _partition_roots(phi_ext, p, _scan_boundaries(phi_ext + p.phi_fe, p, phi_hint))
+    stable = ([r for r in roots if r.stability is Stability.STABLE]
+              # beta == 1 tangency corner: accept the marginal root
+              or [r for r in roots if r.stability is Stability.MARGINAL])
     if not stable:
         raise NumericsError(f"no stable root at phi_ext={phi_ext!r}")
     pick = min(stable, key=lambda r: (abs(r.phi - phi_hint), abs(r.i), r.phi))
@@ -289,10 +235,13 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
     """Sweep the applied flux through the schedule, recording every sub-step.
 
     The sweep starts on the stable root nearest `init_phi_hint` at the first
-    waypoint (the virgin state for hysteresis runs).  Samples are appended
-    at every sub-step and at every jump landing; each sample is a stable
-    fixed point at its drive value.
+    waypoint (the virgin state for hysteresis runs).  While a sub-step's
+    total flux c is past a fold level of the occupied branch, resolve_jump
+    moves the state to the next branch; then it continues along its branch.
+    Every sub-step and every jump landing is a sample, a stable fixed point.
     """
+    if not math.isfinite(init_phi_hint):
+        raise ValueError(f"init_phi_hint must be finite, got {init_phi_hint}")
     w = schedule.waypoints
     state = _initial_state(p, w[0], init_phi_hint)
     samples = [state]
@@ -304,26 +253,26 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
         delta = (w1 - w0) / nsub
         for j in range(1, nsub + 1):
             pe = w1 if j == nsub else w0 + j * delta
+            c = pe + p.phi_fe
             for _ in range(_MAX_JUMPS_PER_STEP):
-                nxt = continue_branch(state, pe, p)
-                if nxt is state:
-                    break  # a jump landed exactly on this sub-step's drive
-                if isinstance(nxt, BranchState):
-                    state = nxt
-                    samples.append(state)
+                if pe == state.phi_ext or p.beta <= 1.0:
                     break
-                fold = refine_fold(nxt, p)
-                landing = resolve_jump(fold, p)
-                state = BranchState(fold.phi_ext_at_jump, landing.phi, landing.i,
+                c_lo, c_hi = branch_flux_range(state.branch_id, p.beta)
+                if c_lo <= c <= c_hi:
+                    break
+                at, before, landing = resolve_jump(p, state.branch_id, c > c_hi)
+                state = BranchState(at, landing.phi, landing.i,
                                     branch_index(landing.phi, p.beta))
                 samples.append(state)
-                events.append(JumpEvent(fold.phi_ext_at_jump, fold.phi_before,
-                                        landing.phi, fold.fold_refined,
-                                        landing_index=len(samples) - 1))
+                events.append(JumpEvent(at, before, landing.phi, len(samples) - 1))
             else:
                 raise NumericsError(
                     f"more than {_MAX_JUMPS_PER_STEP} folds inside one sub-step; "
                     f"step {schedule.step} is too coarse")
+            nxt = continue_branch(state, pe, p)
+            if nxt is not state:  # else a jump landed exactly on this drive
+                state = nxt
+                samples.append(state)
         waypoint_indices.append(len(samples) - 1)
 
     return SweepTrajectory(tuple(samples), tuple(events), tuple(waypoint_indices))
@@ -383,8 +332,7 @@ def run_hysteresis(p: ReducedParams, amplitude: float, step: float) -> Hysteresi
 def _check_landing(p: ReducedParams) -> None:
     """Resolve the jump off branch 0's fold, which stands for all folds, at p's own drive
     (its rounding decides a Marginal landing), so a walk raises where a sweep would."""
-    w, phi = branch_flux_range(0, p.beta)[1] - p.phi_fe, stable_branch_interval(0, p.beta)[1]
-    resolve_jump(FoldSignal(w, w, phi, 0, True, w, phi, True), p)
+    resolve_jump(p, 0, True)
 
 
 def _walk(p: ReducedParams, k: int, w: float, ascending: bool) -> int:
@@ -394,12 +342,12 @@ def _walk(p: ReducedParams, k: int, w: float, ascending: bool) -> int:
     Each fold crossed moves the branch by one in the drive's direction
     (resolve_jump), so the walk ends on the first branch from k whose fold
     level c = w + phi_fe does not pass: about ceil(c - 1/2 - w_fold), then
-    settled by continue_branch's comparison with branch_flux_range.  The
+    settled by run_schedule's comparison with branch_flux_range.  The
     model is odd, so a descending walk is an ascending one in -c.
     """
     if p.beta <= 1.0:
         return k
-    c, s = w + p.phi_fe, 1 if ascending else -1  # c rounded as continue_branch rounds it
+    c, s = w + p.phi_fe, 1 if ascending else -1  # c rounded as run_schedule rounds it
     j = max(s * k, math.ceil(s * c - branch_flux_range(0, p.beta)[1]) - 1)
     while s * c > branch_flux_range(j, p.beta)[1]:
         j += 1
@@ -413,11 +361,12 @@ def hysteresis_remnants(p: ReducedParams,
     """(remnant_down, remnant_up) of the cycle 0 -> +A -> -A -> 0 for each
     amplitude A, without a sweep.
 
-    _walk fixes the branch at the end of each leg in closed form, a remnant
-    is one branch solve at zero drive, and only the virgin state needs a root
-    scan.  The result is run_hysteresis(p, A, step)'s for any step, up to
-    the last bits of the branch solve, which starts here from the fluxoid k
-    instead of from the previous sample.
+    _walk fixes the branch at the end of each leg in closed form, and a
+    remnant is one branch solve at zero drive.  The virgin state solves
+    three periods of the partition, whatever beta; nothing scans every root.
+    The result is run_hysteresis(p, A, step)'s for any step, up to the last
+    bits of the branch solve, which starts here from the fluxoid k instead
+    of from the previous sample.
     """
     amplitudes = tuple(amplitudes)
     for amp in amplitudes:
@@ -436,9 +385,10 @@ def hysteresis_remnants(p: ReducedParams,
 def path_fluxes(p: ReducedParams, waypoints: Iterable[float]) -> list[float]:
     """Flux at each waypoint of a drive path from the virgin state at zero
     drive, without a sweep: _walk fixes the branch at each waypoint in closed
-    form, the flux there is one branch solve, and only the virgin state needs
-    a root scan.  The result is that of run_schedule over (0, *waypoints) at
-    any step, on the same branch and up to the last bits of the solve.
+    form, the flux there is one branch solve, and the virgin state solves
+    three periods of the partition, with no scan of every root.  The result
+    is that of run_schedule over (0, *waypoints) at any step, on the same
+    branch and up to the last bits of the solve.
     """
     waypoints = tuple(waypoints)
     if not all(math.isfinite(w) for w in waypoints):

@@ -1,6 +1,8 @@
 """Quasi-static continuation, jumps at folds, and hysteresis loops."""
 
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,18 +19,16 @@ from ringflux.fixed_points import (
     stable_branch_interval,
     tangency_offset,
 )
-from ringflux import sweep
+from ringflux import fixed_points, sweep
 from ringflux.ring_model import ReducedParams, RingParams
 from ringflux.sweep import (
     BranchState,
-    FoldSignal,
     HysteresisLoop,
     SweepSchedule,
     SweepTrajectory,
     continue_branch,
     hysteresis_remnants,
     loop_area,
-    refine_fold,
     remnant_report,
     MAX_SUBSTEPS,
     path_fluxes,
@@ -46,14 +46,16 @@ BIASED_REMNANT_UP = 0.0507114433
 
 
 def _count_root_scans(monkeypatch):
-    """Patch sweep's find_fixed_points to record its calls in the list returned."""
+    """Patch find_fixed_points, in sweep and at home, to record its calls in
+    the list returned."""
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return find_fixed_points(*args, **kwargs)
 
-    monkeypatch.setattr(sweep, "find_fixed_points", counting)
+    for module in (sweep, fixed_points):
+        monkeypatch.setattr(module, "find_fixed_points", counting)
     return calls
 
 
@@ -116,14 +118,17 @@ class TestContinueBranch:
             assert isinstance(state, BranchState)
 
     def test_fold_signalled_past_branch_end(self):
+        # from the origin, branch 0, one sub-step past its fold level jumps
+        # there, and one that ends on the level stays on the branch
         p = ReducedParams(beta=5.0)
-        state = _state_at(p, 0.0, 0.0)  # the origin, branch 0
-        assert state.branch_id == 0
-        c_lo, c_hi = branch_flux_range(0, p.beta)
-        nxt = continue_branch(state, c_hi + 0.01, p)
-        assert isinstance(nxt, FoldSignal)
-        assert nxt.ascending
-        assert nxt.branch_id == 0
+        _, c_hi = branch_flux_range(0, p.beta)
+        traj = run_schedule(p, SweepSchedule((0.0, c_hi + 0.01), 2.0))
+        [event] = traj.events
+        assert event.phi_ext_at_jump == c_hi
+        assert [s.branch_id for s in traj.samples] == [0, 1, 1]
+        traj = run_schedule(p, SweepSchedule((0.0, c_hi), 2.0))
+        assert traj.events == ()
+        assert [s.branch_id for s in traj.samples] == [0, 0]
 
     def test_drive_on_fold_level_stays_on_branch(self):
         # at a fold level the root is the segment end, where the residual
@@ -140,67 +145,46 @@ class TestContinueBranch:
     def test_refined_fold_matches_analytic_tangency(self):
         # branch 0 dies at c_hi = 1/2 - phi_a + lambda*sin(2*pi*phi_a) ~ 1.062
         p = ReducedParams(beta=5.0)
-        state = _state_at(p, 0.0, 0.0)
-        fold = refine_fold(continue_branch(state, 1.6, p), p)
+        at, before, _ = resolve_jump(p, 0, True)
         _, c_hi = branch_flux_range(0, p.beta)
         _, phi_hi = stable_branch_interval(0, p.beta)
-        assert fold.fold_refined
-        assert fold.phi_ext_at_jump == pytest.approx(c_hi, abs=1e-12)
-        assert fold.phi_before == pytest.approx(phi_hi, abs=1e-12)
+        assert (at, before) == (c_hi, phi_hi)
         # the departing state is a tangency: g and g' both vanish there
-        assert abs(residual(fold.phi_before, fold.phi_ext_at_jump, p)) < 1e-9
-
-    def test_tangency_outside_bracket_is_not_refined(self):
-        # branch 0 dies at c ~ 1.062, outside this bracket: the jump is
-        # taken from the last surviving state and marked unrefined
-        p = ReducedParams(beta=5.0)
-        fold = FoldSignal(0.0, 0.5, 0.0, branch_id=0, ascending=True)
-        out = refine_fold(fold, p)
-        assert not out.fold_refined
-        assert (out.phi_ext_at_jump, out.phi_before) == (0.0, 0.0)
+        assert abs(residual(before, at, p)) < 1e-9
+        assert abs(residual_slope(before, p.beta)) < 1e-9
 
 
 class TestResolveJump:
     def test_lands_on_nearest_surviving_stable_root(self):
         p = ReducedParams(beta=5.0)
-        state = _state_at(p, 0.0, 0.0)
-        fold = refine_fold(continue_branch(state, 1.6, p), p)
-        landing = resolve_jump(fold, p)
+        at, before, landing = resolve_jump(p, 0, True)
         # independent selection: enumerate stable roots away from the dying
         # branch and take the nearest
-        roots = [r for r in find_fixed_points(fold.phi_ext_at_jump, p)
-                 if r.stability is Stability.STABLE
-                 and branch_index(r.phi, p.beta) != fold.branch_id]
-        expected = min(roots, key=lambda r: abs(r.phi - fold.phi_before))
+        roots = [r for r in find_fixed_points(at, p)
+                 if r.stability is Stability.STABLE and branch_index(r.phi, p.beta) != 0]
+        expected = min(roots, key=lambda r: abs(r.phi - before))
         assert landing.phi == expected.phi
         # one flux quantum admitted: the landing sits on the next branch up
-        assert branch_index(landing.phi, p.beta) == fold.branch_id + 1
-        assert landing.phi > fold.phi_before
+        assert branch_index(landing.phi, p.beta) == 1
+        assert landing.phi > before
 
     def test_descending_target_mirrors_ascending(self):
         p = ReducedParams(beta=5.0)
-        up_state = _state_at(p, 0.0, 0.0)
-        up_fold = refine_fold(continue_branch(up_state, 1.6, p), p)
-        up_landing = resolve_jump(up_fold, p)
-        down_state = _state_at(p, 0.0, 0.0)
-        down_fold = refine_fold(continue_branch(down_state, -1.6, p), p)
-        down_landing = resolve_jump(down_fold, p)
-        assert down_landing.phi == pytest.approx(-up_landing.phi, abs=1e-11)
+        up_at, _, up = resolve_jump(p, 0, True)
+        down_at, _, down = resolve_jump(p, 0, False)
+        assert down_at == -up_at
+        assert down.phi == pytest.approx(-up.phi, abs=1e-11)
 
     def test_lands_in_the_drive_direction(self):
-        # off an unrefined fold the jump leaves from phi = 0, where the roots
-        # -/+0.7808611255265885 of branches -1 and +1 are equally far, up to
-        # one ulp; nearest-root selection would land against the drive
-        p = ReducedParams(5.0)
-        down = resolve_jump(refine_fold(
-            FoldSignal(0.0, -0.5, 0.0, branch_id=0, ascending=False), p), p)
-        up = resolve_jump(refine_fold(
-            FoldSignal(0.0, 0.5, 0.0, branch_id=0, ascending=True), p), p)
-        assert branch_index(down.phi, p.beta) == -1
-        assert branch_index(up.phi, p.beta) == 1
-        assert up.phi == 0.7808611255265885
-        assert down.phi == pytest.approx(-up.phi, rel=0.0, abs=2 * math.ulp(up.phi))
-        assert down.stability is up.stability is Stability.STABLE
+        # off branch 0's descending fold on branch -1, off its ascending one
+        # on branch 1: one flux quantum out or in, never against the drive
+        p = ReducedParams(5.0, 0.1)
+        for ascending, k in ((False, -1), (True, 1)):
+            at, before, landing = resolve_jump(p, 0, ascending)
+            assert branch_index(landing.phi, p.beta) == k
+            assert (landing.phi > before) is ascending
+            assert landing.stability is Stability.STABLE
+            assert abs(residual(landing.phi, at, p)) <= 1e-12
 
 
 class TestRunHysteresis:
@@ -283,7 +267,6 @@ class TestRunHysteresis:
         p = ReducedParams(beta=5.0)
         loop = run_hysteresis(p, 3.0, 0.01)
         for e in loop.cycle.events:
-            assert e.fold_refined
             assert abs(residual(e.phi_before, e.phi_ext_at_jump, p)) < 1e-9
             assert abs(residual_slope(e.phi_before, p.beta)) < 1e-6
             # landing is a stable root at the jump drive
@@ -332,12 +315,13 @@ class TestRunHysteresis:
             stable = [b for b in brute if brute_stability(b, p.beta) == 1]
             assert min(abs(b - s.phi) for b in stable) < 1e-6
 
-    def test_sweep_scans_roots_once(self, monkeypatch):
-        # for the initial state, whatever the number of jumps
+    def test_sweep_scans_no_roots(self, monkeypatch):
+        # the virgin state solves three periods of the partition, a jump
+        # its landing segment, whatever the number of jumps
         calls = _count_root_scans(monkeypatch)
         loop = run_hysteresis(ReducedParams(5.0, 0.1), 3.0, 0.01)
         assert len(loop.cycle.events) >= 6
-        assert len(calls) == 1
+        assert calls == []
 
 
 class TestHysteresisRemnants:
@@ -381,16 +365,26 @@ class TestHysteresisRemnants:
             with pytest.raises(ValueError):
                 hysteresis_remnants(ReducedParams(beta=5.0), [2.0, bad])
 
-    @pytest.mark.parametrize("beta,phi_fe", [(5.0, 0.3), (8.5, -0.3), (12.0, 0.1)])
-    def test_one_root_scan_per_call(self, monkeypatch, beta, phi_fe):
-        # the virgin state's; the walk's branches are closed form and a
-        # landing solves its one segment
+    @pytest.mark.parametrize("beta,phi_fe", [(5.0, 0.3), (8.5, -0.3), (12.0, 0.1),
+                                             (1e4, -0.3), (1e6, 0.2)])
+    def test_no_root_scan_per_call(self, monkeypatch, beta, phi_fe):
+        # the virgin state solves three periods of the partition, the walk's
+        # branches are closed form and a landing solves its one segment
         calls = _count_root_scans(monkeypatch)
         p = ReducedParams(beta=beta, phi_fe=phi_fe)
         hysteresis_remnants(p, [2.0, 3.0, 4.0])
-        assert len(calls) == 1
         path_fluxes(p, [2.0, -3.0, 4.0, 0.5])
-        assert len(calls) == 2
+        assert calls == []
+
+    @pytest.mark.parametrize("beta", [1e3, 1e4])
+    def test_large_beta_remnants_match_the_sweep(self, beta):
+        # hundreds to thousands of jumps per loop; the kernel's remnants are
+        # the sweep's, bit for bit
+        p = ReducedParams(beta=beta)
+        amp = 2 * p.lam + 2.25
+        loop = run_hysteresis(p, amp, 0.5)
+        assert len(loop.cycle.events) > 2 * p.lam
+        assert hysteresis_remnants(p, [amp]) == [(loop.remnant_down, loop.remnant_up)]
 
     def test_path_fluxes_rejects_non_finite_waypoints(self):
         for bad in (math.inf, math.nan):
@@ -469,12 +463,32 @@ class TestRunSchedule:
         for w, idx in zip(schedule.waypoints, traj.waypoint_indices):
             assert traj.samples[idx].phi_ext == w
 
+    def test_landing_on_the_substep_drive_adds_no_sample(self):
+        # here c_hi - phi_fe, added back to phi_fe, rounds past c_hi: the last
+        # sub-step's drive is past the fold level, and the jump lands on it
+        p = ReducedParams(beta=5.0, phi_fe=-1.88)
+        _, c_hi = branch_flux_range(0, p.beta)
+        w = c_hi - p.phi_fe
+        assert w + p.phi_fe > c_hi
+        traj = run_schedule(p, SweepSchedule((1.88, w), 0.1))
+        [event] = traj.events
+        assert event.phi_ext_at_jump == w
+        assert event.landing_index == len(traj.samples) - 1 == traj.waypoint_indices[-1]
+        assert traj.samples[-2].phi_ext < w
+        assert traj.samples[-2].branch_id + 1 == traj.samples[-1].branch_id == 1
+
     def test_initial_state_nearest_hint(self):
         # stable roots at zero drive are 0 and +/-0.78086 (brute-force
         # oracle); the hint 1.0 selects the outer positive one
         p = ReducedParams(beta=5.0)
         traj = run_schedule(p, SweepSchedule((0.0, 0.1), 0.05), init_phi_hint=1.0)
         assert traj.samples[0].phi == pytest.approx(0.7808611255265885, abs=1e-12)
+
+    def test_rejects_non_finite_hint(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="init_phi_hint"):
+                run_schedule(ReducedParams(beta=5.0), SweepSchedule((0.0, 0.1), 0.05),
+                             init_phi_hint=bad)
 
     def test_initial_tie_breaks_toward_smaller_phi(self):
         # lambda = 1/4 at phi_ext = 1/2: the stable roots 1/4 and 3/4 lie
@@ -498,3 +512,49 @@ class TestRunSchedule:
         for a, b in zip(far.samples, near.samples):
             assert a.branch_id == b.branch_id + int(base)
             assert abs(a.phi - base - b.phi) <= 8 * math.ulp(base)
+
+
+# sha256 of _schedule_bits(); a deliberate change of any sample, event or
+# raise message updates it, with a ledger of what moved in CHANGES.md
+FROZEN_SCHEDULE_BITS = "76cc55f343d9478456f396acc4a4ca99a995d0788ccc6032a4c84e041bb9fcc9"
+
+
+def _schedule_bits(n=200, seed=11):
+    """sha256 over n seeded run_schedule calls: every sample, every jump
+    event and the waypoint indices, or the NumericsError message.
+
+    Draws: beta - 1 in [1e-13, 1e-8.5] (where landings fail), beta in
+    [0.2, 1] and in [1, 100], |phi_fe| <= 3, steps log-uniform in
+    [0.01, 0.7], loops from the virgin state and random paths with hints
+    away from 0.
+    """
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for _ in range(n):
+        regime = rng.randrange(3)
+        beta = (1.0 + 10.0 ** rng.uniform(-13.0, -8.5) if regime == 0
+                else rng.uniform(0.2, 1.0) if regime == 1 else rng.uniform(1.0, 100.0))
+        p = ReducedParams(beta, rng.uniform(-3.0, 3.0))
+        step = 10.0 ** rng.uniform(-2.0, math.log10(0.7))
+        if rng.random() < 0.5:
+            amp = rng.uniform(0.5, 4.0)
+            waypoints, hint = (0.0, amp, 0.0, -amp, 0.0), 0.0
+        else:
+            waypoints = tuple(rng.uniform(-4.0, 4.0) for _ in range(rng.randint(2, 6)))
+            hint = rng.uniform(-3.0, 3.0)
+        try:
+            traj = run_schedule(p, SweepSchedule(waypoints, step), init_phi_hint=hint)
+        except NumericsError as exc:
+            h.update(f"raise {exc}\n".encode())
+            continue
+        for s in traj.samples:
+            h.update(f"{s.phi_ext!r} {s.phi!r} {s.i!r} {s.branch_id}\n".encode())
+        for e in traj.events:
+            h.update(f"{e.phi_ext_at_jump!r} {e.phi_before!r} {e.phi_after!r} "
+                     f"{e.landing_index}\n".encode())
+        h.update(f"{traj.waypoint_indices}\n".encode())
+    return h.hexdigest()
+
+
+def test_run_schedule_bits_are_frozen():
+    assert _schedule_bits() == FROZEN_SCHEDULE_BITS

@@ -19,11 +19,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ringflux import fixed_points, sweep
-from ringflux.fixed_points import (Stability, branch_flux_range, branch_index,
-                                   find_fixed_points, stable_branch_interval)
+from ringflux.fixed_points import (NumericsError, Stability, branch_flux_range,
+                                   branch_index, find_fixed_points, stable_branch_interval)
 from ringflux.ring_model import TWO_PI, ReducedParams
-from ringflux.sweep import (FoldSignal, SweepSchedule, hysteresis_remnants, path_fluxes,
-                            refine_fold, resolve_jump, run_hysteresis, run_schedule)
+from ringflux.sweep import (SweepSchedule, hysteresis_remnants, path_fluxes, resolve_jump,
+                            run_hysteresis, run_schedule)
 
 STEPS = (0.05, 0.01)
 
@@ -105,18 +105,49 @@ def test_jump_lands_on_the_neighbouring_branch(beta, phi_fe, k, ascending):
     # the nearest stable root off the dying branch, from a full root scan,
     # is the root of branch k +/- 1, solved alone bit for bit
     p = ReducedParams(beta=beta, phi_fe=phi_fe)
-    c_lo, c_hi = branch_flux_range(k, beta)
-    w = (c_hi if ascending else c_lo) - phi_fe
-    s = 0.25 if ascending else -0.25
-    fold = refine_fold(FoldSignal(w - s, w + s, float(k), k, ascending), p)
-    assert fold.fold_refined
-    landing = resolve_jump(fold, p)
-    nearest = min((r for r in find_fixed_points(fold.phi_ext_at_jump, p)
+    at, before, landing = resolve_jump(p, k, ascending)
+    end = 1 if ascending else 0
+    assert at == branch_flux_range(k, beta)[end] - phi_fe
+    assert before == stable_branch_interval(k, beta)[end]
+    nearest = min((r for r in find_fixed_points(at, p)
                    if r.stability is Stability.STABLE and branch_index(r.phi, beta) != k),
-                  key=lambda r: (abs(r.phi - fold.phi_before), abs(r.i), r.phi))
+                  key=lambda r: (abs(r.phi - before), abs(r.i), r.phi))
     assert (landing.phi, landing.i, landing.stability) == (
         nearest.phi, nearest.i, nearest.stability)
     assert branch_index(landing.phi, beta) == k + (1 if ascending else -1)
+
+
+@settings(max_examples=200)
+@given(beta=st.one_of(st.floats(min_value=-12.0, max_value=3.0).map(lambda u: 1.0 + 10.0 ** u),
+                      st.floats(min_value=0.1, max_value=1.0)),
+       phi_fe=st.floats(min_value=-3.0, max_value=3.0),
+       drive=st.floats(min_value=-5.0, max_value=5.0),
+       snap=st.sampled_from((None, None, None, None, -1e-6, 1e-6)),
+       hint=st.floats(min_value=-4.0, max_value=4.0))
+# the only root, 1.499999775028179, is Marginal and lies between stable
+# segments 1 and 2, so a solve of stable segments alone finds no root
+@example(beta=1.0 + 1e-12, phi_fe=0.0, drive=1.5, snap=None, hint=0.0)
+# a cubic-flat root: a solve with slope 1 + beta*cos instead of
+# residual_derivative lands 1.5e-7 away
+@example(beta=1.0, phi_fe=0.5, drive=0.0, snap=None, hint=0.0)
+def test_virgin_state_is_the_scan_pick(beta, phi_fe, drive, snap, hint):
+    # the sweep's start solves three periods of the partition only, and
+    # must pick what a full root scan picks: the nearest STABLE root, else
+    # the nearest MARGINAL one, ties to smaller |i| and then smaller phi
+    p = ReducedParams(beta=beta, phi_fe=phi_fe)
+    if snap is not None:  # a third of the drives: c a half-integer, +/- 1e-6
+        drive = math.floor(drive + phi_fe) + 0.5 + snap - phi_fe
+    roots = find_fixed_points(drive, p)
+    pool = ([r for r in roots if r.stability is Stability.STABLE]
+            or [r for r in roots if r.stability is Stability.MARGINAL])
+    if not pool:
+        with pytest.raises(NumericsError, match="no stable root"):
+            sweep._initial_state(p, drive, hint)
+        return
+    want = min(pool, key=lambda r: (abs(r.phi - hint), abs(r.i), r.phi))
+    got = sweep._initial_state(p, drive, hint)
+    assert (got.phi_ext, got.phi, got.i, got.branch_id) == (
+        drive, want.phi, want.i, branch_index(want.phi, beta))
 
 
 def _branch_residual(p, c):

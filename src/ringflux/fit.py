@@ -83,6 +83,9 @@ class FitBounds:
     phi_fe_max: float = 0.5
 
     def __post_init__(self) -> None:
+        box = (self.beta_min, self.beta_max, self.phi_fe_min, self.phi_fe_max)
+        if not all(math.isfinite(v) for v in box):
+            raise ValueError(f"fit bounds must be finite, got {box}")
         if not (0.0 < self.beta_min <= self.beta_max):
             raise ValueError(
                 f"need 0 < beta_min <= beta_max, got [{self.beta_min}, {self.beta_max}]")

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .ring_model import TWO_PI, ReducedParams
+from .ring_model import TWO_PI, ReducedParams, _require_finite
 
 #: Margin added beyond the analytic root window |phi - c| <= lambda, guarding
 #: boundary roots against rounding.
@@ -108,7 +108,8 @@ def _fold_geometry(beta: float) -> tuple[float, float]:
     summed as t**3/3 - t**5/5 + ... for t < 0.7, where t - atan t cancels."""
     if beta <= 1.0:
         raise ValueError(f"tangency offset requires beta > 1, got {beta}")
-    t = math.sqrt((beta - 1.0) * (beta + 1.0))
+    t2 = (beta - 1.0) * (beta + 1.0)
+    t = math.sqrt(t2) if t2 < math.inf else beta  # sqrt rounds to beta beyond ~1.34e154
     atan_t = math.atan(t)
     w = (t - atan_t if t >= 0.7 else
          math.fsum((-t * t) ** n * t ** 3 / (2 * n + 3) for n in range(60)))
@@ -227,22 +228,14 @@ def _branch_root(phi_ext: float, k: int, p: ReducedParams) -> FixedPoint | None:
     return _fixed_point(*hit, p, None, None) if hit else None
 
 
-def _scan_boundaries(c: float, p: ReducedParams, hint: float | None = None) -> list[float]:
+def _scan_boundaries(c: float, p: ReducedParams) -> list[float]:
     """Ascending segment boundaries inside the root window: window edges plus
-    every critical point of g (analytic for the sinusoid).  With a flux
-    `hint`, only those from m - 3/2 - phi_a to m + 3/2 + phi_a, m = round(hint)
-    clamped to the branches that exist at c: stable segments m - 1 .. m + 1,
-    which hold the stable root nearest the hint, and the unstable ones about them."""
+    every critical point of g (analytic for the sinusoid)."""
     lo = c - p.lam - WINDOW_MARGIN
     hi = c + p.lam + WINDOW_MARGIN
     if p.beta <= 1.0:
         return [lo, hi]
-    phi_a, w = _fold_geometry(p.beta)
-    if hint is not None:
-        half = 0.5 + w  # branch k exists for |c - k| <= half
-        m = round(min(max(hint, math.ceil(c - half)), math.floor(c + half)))
-        a = (m - 2) + 0.5 - phi_a  # merges into lo within 1e-12, as below
-        lo, hi = (lo if a - lo <= 1e-12 else a), min(hi, (m + 1) + 0.5 + phi_a)
+    phi_a = tangency_offset(p.beta)
     pts = [lo]
     for k in range(math.floor(lo), math.ceil(hi) + 1):
         for cp in (k + 0.5 - phi_a, k + 0.5 + phi_a):
@@ -299,21 +292,18 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
     -------
     list[FixedPoint]
         Every root in the window [c - lambda - eps, c + lambda + eps] with
-        c = phi_ext + phi_fe.  Never empty: g(lo) < 0 < g(hi) by |i| <= 1.
+        c = phi_ext + phi_fe.  Never empty, since g(lo) < 0 < g(hi) by
+        |i| <= 1; where the rounding of c leaves no root resolved (|c| >~
+        1e16 at beta 5), NumericsError is raised instead.  A non-finite
+        phi_ext raises ValueError.
     """
+    _require_finite("phi_ext", phi_ext)
     if (cpr is None) != (cpr_prime is None):
         raise ValueError("cpr and cpr_prime must be given together")
     c = phi_ext + p.phi_fe
     bounds = (_scan_boundaries(c, p) if cpr is None
               else _grid_boundaries(c, p, cpr_slope_bound))
-    return _partition_roots(phi_ext, p, bounds, cpr, cpr_prime)
 
-
-def _partition_roots(phi_ext: float, p: ReducedParams, bounds: list[float],
-                     cpr: Callable[[float], float] | None = None,
-                     cpr_prime: Callable[[float], float] | None = None) -> list[FixedPoint]:
-    """Every root on the partition `bounds`, ascending: find_fixed_points'
-    segment loop, shared with the sweep's virgin state."""
     def f(x: float) -> float:
         return residual(x, phi_ext, p, cpr)
 
@@ -330,4 +320,7 @@ def _partition_roots(phi_ext: float, p: ReducedParams, bounds: list[float],
             push(*hit)
     if vals[-1] == 0.0:
         push(bounds[-1], 0.0)
+    if not roots:  # the window rounds away about c
+        raise NumericsError(f"no root resolved at phi_ext={phi_ext!r}: the root window "
+                            f"about c={c!r} is below float resolution")
     return [_fixed_point(root, r, p, cpr, cpr_prime) for root, r in roots]

@@ -1,10 +1,12 @@
 """Quasi-static continuation of the occupied flux state under a varying drive.
 
 A sweep follows the stable root of the flux balance as the applied flux
-moves through a schedule of waypoints.  While the occupied stable branch
-exists the state tracks it continuously; when the drive crosses a fold the
-branch vanishes and the state jumps to the neighbouring branch in the
-drive's direction ("the flux quantum is admitted").  A branch of the
+moves through a schedule of waypoints.  It starts on the stable root
+nearest a flux hint, found by solving the three stable branches about the
+hint rather than every root.  While the occupied stable branch exists the
+state tracks it continuously; when the drive crosses a fold the branch
+vanishes and the state jumps to the neighbouring branch in the drive's
+direction ("the flux quantum is admitted").  A branch of the
 sinusoidal relation ends at an analytic tangency, so a fold is placed there
 directly, not searched for; remnant values therefore do not depend on the
 step size.
@@ -31,11 +33,9 @@ from .fixed_points import (
     Stability,
     _bracketed_newton,
     _branch_root,
-    _partition_roots,
-    _scan_boundaries,
     branch_flux_range,
     branch_index,
-    find_fixed_points,  # noqa: F401  unused: the benchmark's tracer wraps it here
+    find_fixed_points,  # the start's fallback, called by name: the benchmark's tracer wraps it
     stable_branch_interval,
 )
 from .ring_model import TWO_PI, ReducedParams, RingParams
@@ -217,13 +217,24 @@ refine_fold = resolve_jump
 # ---------------------------------------------------------------------------
 
 def _initial_state(p: ReducedParams, phi_ext: float, phi_hint: float) -> BranchState:
-    """The stable root nearest phi_hint (ties: smaller |i|, then smaller phi),
-    from find_fixed_points' partition solved only over the three periods that
-    hold it (_scan_boundaries), at a cost that does not grow with beta."""
-    roots = _partition_roots(phi_ext, p, _scan_boundaries(phi_ext + p.phi_fe, p, phi_hint))
-    stable = ([r for r in roots if r.stability is Stability.STABLE]
-              # beta == 1 tangency corner: accept the marginal root
-              or [r for r in roots if r.stability is Stability.MARGINAL])
+    """The stable root nearest phi_hint (ties: smaller |i|, then smaller phi).
+
+    For beta > 1 it is on stable branch m - 1, m or m + 1, m = round(phi_hint)
+    clamped to the branches at the drive (README, numerical notes), so three
+    branch solves find it whatever beta.  For beta <= 1, or when none of the
+    three is STABLE, find_fixed_points runs, and at the Marginal corners
+    about beta = 1 a MARGINAL root stands in for a STABLE one.
+    """
+    stable = []
+    if p.beta > 1.0:  # branch k exists for |c - k| <= half
+        c, half = phi_ext + p.phi_fe, branch_flux_range(0, p.beta)[1]
+        m = round(min(max(phi_hint, math.ceil(c - half)), math.floor(c + half)))
+        near = (_branch_root(phi_ext, k, p) for k in (m - 1, m, m + 1))
+        stable = [r for r in near if r is not None and r.stability is Stability.STABLE]
+    if not stable:
+        roots = find_fixed_points(phi_ext, p)
+        stable = ([r for r in roots if r.stability is Stability.STABLE]
+                  or [r for r in roots if r.stability is Stability.MARGINAL])
     if not stable:
         raise NumericsError(f"no stable root at phi_ext={phi_ext!r}")
     pick = min(stable, key=lambda r: (abs(r.phi - phi_hint), abs(r.i), r.phi))
@@ -362,8 +373,8 @@ def hysteresis_remnants(p: ReducedParams,
     amplitude A, without a sweep.
 
     _walk fixes the branch at the end of each leg in closed form, and a
-    remnant is one branch solve at zero drive.  The virgin state solves
-    three periods of the partition, whatever beta; nothing scans every root.
+    remnant is one branch solve at zero drive.  The virgin state is three
+    branch solves, whatever beta; nothing scans every root.
     The result is run_hysteresis(p, A, step)'s for any step, up to the last
     bits of the branch solve, which starts here from the fluxoid k instead
     of from the previous sample.
@@ -385,10 +396,10 @@ def hysteresis_remnants(p: ReducedParams,
 def path_fluxes(p: ReducedParams, waypoints: Iterable[float]) -> list[float]:
     """Flux at each waypoint of a drive path from the virgin state at zero
     drive, without a sweep: _walk fixes the branch at each waypoint in closed
-    form, the flux there is one branch solve, and the virgin state solves
-    three periods of the partition, with no scan of every root.  The result
-    is that of run_schedule over (0, *waypoints) at any step, on the same
-    branch and up to the last bits of the solve.
+    form, the flux there is one branch solve, and the virgin state is three
+    branch solves, with no scan of every root.  The result is that of
+    run_schedule over (0, *waypoints) at any step, on the same branch and up
+    to the last bits of the solve.
     """
     waypoints = tuple(waypoints)
     if not all(math.isfinite(w) for w in waypoints):

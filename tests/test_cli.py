@@ -244,6 +244,31 @@ class TestExitCodes:
                        "--step", "0.01") == 2
         assert "loop area below rounding" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("drive", ["inf", "-inf", "nan"])
+    def test_non_finite_drive_is_one(self, drive, capsys):
+        assert run_cli("fixed-points", "--beta", "5", "--phi_ext", drive) == 1
+        err = capsys.readouterr().err
+        assert "error: phi_ext must be finite" in err and "Traceback" not in err
+
+    def test_unresolved_root_window_is_two(self, capsys):
+        # c +/- lambda rounds to c: no root to print, not an empty table
+        assert run_cli("fixed-points", "--beta", "5", "--phi_ext", "1e300") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no root resolved" in captured.err and "Traceback" not in captured.err
+
+    def test_beta_past_the_overflow_of_beta_squared_is_zero(self, capsys):
+        assert run_cli("sweep", "--beta", "1e200", "--amplitude", "1", "--step", "0.5") == 0
+        captured = capsys.readouterr()
+        assert captured.out and captured.err == ""
+
+    def test_infinite_fit_bound_is_one(self, tmp_path, capsys):
+        data = tmp_path / "obs.csv"
+        data.write_text("phi_ext,observable\n2,0.1\n-2,-0.1\n3,0.2\n")
+        assert run_cli("fit", "--data", str(data), "--beta", "4", "--beta_max", "inf") == 1
+        err = capsys.readouterr().err
+        assert "error: fit bounds must be finite" in err and "Traceback" not in err
+
     def test_bloch_check_passes_for_cosine_series(self, capsys):
         assert run_cli("bloch-check", "--coeffs", "3.2e-22,0,1e-23") == 0
         out = capsys.readouterr().out

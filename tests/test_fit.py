@@ -1,5 +1,7 @@
 """Forward observable simulation and the inverse parameter fit."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -221,6 +223,13 @@ class TestFitParameters:
             FitBounds(beta_min=0.0)
         with pytest.raises(ValueError):
             Observation(np.nan, 0.0)
+
+    @pytest.mark.parametrize("bounds", [(1.5, math.inf), (0.1, 20.0, -math.inf, 0.5),
+                                        (0.1, 20.0, -0.5, math.inf), (0.1, math.nan)])
+    def test_non_finite_bounds_rejected(self, bounds):
+        # an infinite box would fail only after the simplex has run
+        with pytest.raises(ValueError, match="fit bounds must be finite"):
+            FitBounds(*bounds)
 
     def test_si_back_conversion(self):
         data = _remnant_data(5.0, 0.3)

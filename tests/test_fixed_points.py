@@ -154,6 +154,17 @@ class TestFindFixedPoints:
             # measured up to 3.4e-15 * |phi|
             assert abs(residual(r.phi, phi_ext, p)) <= 1e-14 * abs(r.phi)
 
+    @pytest.mark.parametrize("phi_ext", [math.inf, -math.inf, math.nan])
+    def test_non_finite_drive_rejected(self, phi_ext):
+        with pytest.raises(ValueError, match="phi_ext must be finite"):
+            find_fixed_points(phi_ext, ReducedParams(beta=5.0))
+
+    @pytest.mark.parametrize("phi_ext", [1e16, -1e16, 1e300])
+    def test_unresolved_root_window_raises(self, phi_ext):
+        # c +/- lambda rounds to c itself, so no segment is left to solve
+        with pytest.raises(fixed_points.NumericsError, match="no root resolved"):
+            find_fixed_points(phi_ext, ReducedParams(beta=5.0))
+
     def test_large_beta_roots_accepted_at_rounding_of_g(self):
         # |g'| reaches 1 + beta = 1e5 + 1, so |g| at the float root is about
         # |g'|*ulp(phi) (measured up to 0.64*(1 + beta)*ulp(phi)), far above
@@ -243,6 +254,14 @@ class TestFoldLocations:
             assert 0.0 < tangency_offset(beta) < 0.25
         with pytest.raises(ValueError):
             tangency_offset(1.0)
+
+    @pytest.mark.parametrize("beta", [1.35e154, 1e200, 1e300])
+    def test_fold_geometry_past_the_overflow_of_beta_squared(self, beta):
+        # beta**2 - 1 overflows, while sqrt(beta**2 - 1) rounds to beta
+        phi_a = tangency_offset(beta)
+        assert phi_a == 0.25
+        c_lo, c_hi = branch_flux_range(0, beta)
+        assert c_hi == -c_lo == pytest.approx(beta / TWO_PI, rel=1e-15)
 
 
 def test_fixed_point_record_is_frozen():

@@ -195,6 +195,18 @@ class TestRunHysteresis:
         with pytest.raises(ValueError):
             run_hysteresis(p, 2.0, -0.1)
 
+    @pytest.mark.parametrize("beta", [1.35e154, 1e200, 1e300])
+    def test_beta_past_the_overflow_of_beta_squared(self, beta):
+        # branch 0 spans |c| <= about beta/(2*pi), so a unit drive never
+        # folds, and the flux follows c/(1 + beta)
+        p = ReducedParams(beta=beta)
+        loop = run_hysteresis(p, 1.0, 0.5)
+        assert loop.cycle.events == ()
+        for s in loop.cycle.samples:
+            assert s.branch_id == 0
+            assert s.phi == pytest.approx(s.phi_ext / beta, rel=1e-15, abs=0.0)
+        assert hysteresis_remnants(p, [1.0, 3.0]) == [(0.0, 0.0), (0.0, 0.0)]
+
     @pytest.mark.parametrize("beta", [0.2, 0.5, 0.9])
     def test_single_state_regime_is_history_free(self, beta):
         loop = run_hysteresis(ReducedParams(beta=beta), 2.0, 0.01)
@@ -316,8 +328,8 @@ class TestRunHysteresis:
             assert min(abs(b - s.phi) for b in stable) < 1e-6
 
     def test_sweep_scans_no_roots(self, monkeypatch):
-        # the virgin state solves three periods of the partition, a jump
-        # its landing segment, whatever the number of jumps
+        # the virgin state solves three stable branches, a jump its landing
+        # segment, whatever the number of jumps
         calls = _count_root_scans(monkeypatch)
         loop = run_hysteresis(ReducedParams(5.0, 0.1), 3.0, 0.01)
         assert len(loop.cycle.events) >= 6
@@ -368,8 +380,8 @@ class TestHysteresisRemnants:
     @pytest.mark.parametrize("beta,phi_fe", [(5.0, 0.3), (8.5, -0.3), (12.0, 0.1),
                                              (1e4, -0.3), (1e6, 0.2)])
     def test_no_root_scan_per_call(self, monkeypatch, beta, phi_fe):
-        # the virgin state solves three periods of the partition, the walk's
-        # branches are closed form and a landing solves its one segment
+        # the virgin state solves three stable branches, the walk's branches
+        # are closed form and a landing solves its one segment
         calls = _count_root_scans(monkeypatch)
         p = ReducedParams(beta=beta, phi_fe=phi_fe)
         hysteresis_remnants(p, [2.0, 3.0, 4.0])

@@ -123,18 +123,26 @@ def test_jump_lands_on_the_neighbouring_branch(beta, phi_fe, k, ascending):
        phi_fe=st.floats(min_value=-3.0, max_value=3.0),
        drive=st.floats(min_value=-5.0, max_value=5.0),
        snap=st.sampled_from((None, None, None, None, -1e-6, 1e-6)),
-       hint=st.floats(min_value=-4.0, max_value=4.0))
+       hint=st.floats(min_value=-4.0, max_value=4.0),
+       offset=st.one_of(st.just(0), st.integers(min_value=-10**6, max_value=10**6)))
 # the only root, 1.499999775028179, is Marginal and lies between stable
 # segments 1 and 2, so a solve of stable segments alone finds no root
-@example(beta=1.0 + 1e-12, phi_fe=0.0, drive=1.5, snap=None, hint=0.0)
+@example(beta=1.0 + 1e-12, phi_fe=0.0, drive=1.5, snap=None, hint=0.0, offset=0)
 # a cubic-flat root: a solve with slope 1 + beta*cos instead of
 # residual_derivative lands 1.5e-7 away
-@example(beta=1.0, phi_fe=0.5, drive=0.0, snap=None, hint=0.0)
-def test_virgin_state_is_the_scan_pick(beta, phi_fe, drive, snap, hint):
-    # the sweep's start solves three periods of the partition only, and
-    # must pick what a full root scan picks: the nearest STABLE root, else
-    # the nearest MARGINAL one, ties to smaller |i| and then smaller phi
+@example(beta=1.0, phi_fe=0.5, drive=0.0, snap=None, hint=0.0, offset=0)
+# m = round(hint) = 0, but the pick is branch 1's root 0.78, not branch 0's
+# root 0, which lies farther from the hint
+@example(beta=5.0, phi_fe=0.0, drive=0.0, snap=None, hint=0.45, offset=0)
+# one ulp of the drive (1.2e-10) exceeds the 1e-12 window-merge rule
+@example(beta=5.0, phi_fe=0.3, drive=0.2, snap=None, hint=-3.0, offset=10**6)
+def test_virgin_state_is_the_scan_pick(beta, phi_fe, drive, snap, hint, offset):
+    # the sweep's start solves three stable branches only, and must pick
+    # what a full root scan picks: the nearest STABLE root, else the
+    # nearest MARGINAL one, ties to smaller |i| and then smaller phi; an
+    # integer offset moves both drive and hint far out
     p = ReducedParams(beta=beta, phi_fe=phi_fe)
+    drive, hint = drive + offset, hint + offset
     if snap is not None:  # a third of the drives: c a half-integer, +/- 1e-6
         drive = math.floor(drive + phi_fe) + 0.5 + snap - phi_fe
     roots = find_fixed_points(drive, p)

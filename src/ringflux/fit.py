@@ -193,6 +193,8 @@ def fit_parameters(data: list[Observation], initial: ReducedParams,
     kinds = {o.kind for o in data}
     if len(kinds) > 1:
         raise ValueError(f"observations mix kinds {sorted(k.value for k in kinds)}")
+    if n_restarts < 0:
+        raise ValueError(f"n_restarts must be >= 0, got {n_restarts}")
     bounds = bounds or FitBounds()
     b0, f0 = bounds.clip(initial.beta, initial.phi_fe)
     if (b0, f0) != (initial.beta, initial.phi_fe):

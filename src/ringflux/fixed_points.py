@@ -201,31 +201,55 @@ def _segment_root(f: Callable[[float], float], df: Callable[[float], float],
     return None
 
 
-def _fixed_point(root: float, r: float, p: ReducedParams, cpr: Callable[[float], float] | None,
-                 cpr_prime: Callable[[float], float] | None) -> FixedPoint:
-    """Accept a solved root with residual r and classify it, or raise."""
-    # the second bound, the residual rounding of g at |g'| <= 1 + beta,
-    # matters only at large beta; it is computed only when the first fails
-    if (abs(r) > DEFAULT_ROOT_TOL * max(1.0, abs(root))
-            and abs(r) > 2.0 * (1.0 + p.beta) * math.ulp(root)):
+def _accept(root: float, r: float, beta: float) -> float:
+    """root, if its residual r passes the acceptance rule of every solve, else raise."""
+    # |r| <= DEFAULT_ROOT_TOL * max(1, |root|), else the rounding of g at |g'|
+    # <= 1 + beta (large beta); each bound is computed only where those before fail
+    if (abs(r) > DEFAULT_ROOT_TOL and abs(r) > DEFAULT_ROOT_TOL * abs(root)
+            and abs(r) > 2.0 * (1.0 + beta) * math.ulp(root)):
         raise NumericsError(
             f"root at phi={root!r} has residual {r:.3e} > max({DEFAULT_ROOT_TOL:.0e} * "
             f"max(1, |phi|), 2*(1 + beta)*ulp(phi))")
+    return root
+
+
+def _fixed_point(root: float, r: float, p: ReducedParams, cpr: Callable[[float], float] | None,
+                 cpr_prime: Callable[[float], float] | None) -> FixedPoint:
+    """Accept a solved root with residual r and classify it, or raise."""
     i = math.sin(TWO_PI * root) if cpr is None else cpr(root)
-    return FixedPoint(root, i, classify_stability(root, p, cpr_prime))
+    return FixedPoint(_accept(root, r, p.beta), i, classify_stability(root, p, cpr_prime))
 
 
-def _branch_root(phi_ext: float, k: int, p: ReducedParams) -> FixedPoint | None:
-    """find_fixed_points(phi_ext, p)'s root on stable segment k, or None: the
-    segment is clipped to the root window as _scan_boundaries clips it (an
-    end within 1e-12 above the window's merges into it) and solved alike."""
-    c = phi_ext + p.phi_fe
-    a, b = stable_branch_interval(k, p.beta)
-    lo, hi = c - p.lam - WINDOW_MARGIN, c + p.lam + WINDOW_MARGIN
-    a, b = (lo if a - lo <= 1e-12 else a), min(b, hi)
-    f = functools.partial(residual, phi_ext=phi_ext, p=p)
-    hit = a < b and _segment_root(f, lambda x: residual_derivative(x, p), a, b, f(a), f(b))
-    return _fixed_point(*hit, p, None, None) if hit else None
+def _branch_root(phi_ext: float, k: int, p: ReducedParams, x0: float | None = None) -> float | None:
+    """The root on stable segment k (the root window for beta <= 1), or None.
+
+    The segment is clipped to the root window as _scan_boundaries clips it.
+    An end with g within DEFAULT_ROOT_TOL of 0 on the branch's side is the
+    tangency of a fold level, which rounding may leave unbracketed (absolute:
+    the root of a drive inside the band lies about sqrt(band) from the end).
+    Else bracketed Newton with residual_derivative's slope runs from x0 (by
+    default the midpoint: find_fixed_points' root) and _accept checks it."""
+    c, lam = phi_ext + p.phi_fe, p.lam
+    a, b = lo, hi = c - lam - WINDOW_MARGIN, c + lam + WINDOW_MARGIN
+    if p.beta > 1.0:
+        a, b = stable_branch_interval(k, p.beta)
+        a, b = (lo if a - lo <= 1e-12 else a), (b if b < hi else hi)
+
+    def f(x: float) -> float:  # residual(x, phi_ext, p), with c and lam hoisted
+        return x - c + lam * math.sin(TWO_PI * x)
+
+    if not a < b:
+        return None
+    fa, fb = f(a), f(b)
+    if 0.0 <= fa <= DEFAULT_ROOT_TOL:
+        return a
+    if -DEFAULT_ROOT_TOL <= fb <= 0.0:
+        return b
+    if fa > 0.0 or fb < 0.0:
+        return None
+    x, fx = _bracketed_newton(f, lambda x: 1.0 + lam * (TWO_PI * math.cos(TWO_PI * x)),
+                              a, b, fa, fb, 0.5 * (a + b) if x0 is None else x0)
+    return _accept(x, fx, p.beta)
 
 
 def _scan_boundaries(c: float, p: ReducedParams) -> list[float]:

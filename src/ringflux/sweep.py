@@ -26,15 +26,13 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .fixed_points import (
-    DEFAULT_ROOT_TOL,
-    WINDOW_MARGIN,
     FixedPoint,
     NumericsError,
     Stability,
-    _bracketed_newton,
     _branch_root,
     branch_flux_range,
     branch_index,
+    classify_stability,
     find_fixed_points,  # the start's fallback, called by name: the benchmark's tracer wraps it
     stable_branch_interval,
 )
@@ -137,42 +135,19 @@ class RemnantReport(NamedTuple):
 # Single-branch continuation
 # ---------------------------------------------------------------------------
 
-def _solve_on_branch(p: ReducedParams, k: int, c: float, x0: float) -> float:
-    """Root of phi + lam*sin(2*pi*phi) = c on the (monotone) branch segment.
+def _on_branch(p: ReducedParams, k: int, phi_ext: float, x0: float) -> float:
+    """Branch k's root at phi_ext from x0, where the caller found branch k."""
+    if (phi := _branch_root(phi_ext, k, p, x0)) is None:
+        raise NumericsError(f"branch {k} does not bracket c={phi_ext + p.phi_fe!r}")
+    return phi
 
-    This is the flux balance phi = c - lam*sin(2*pi*phi) with
-    c = phi_ext + phi_fe, whose slope 1 + beta*cos(2*pi*phi) is positive
-    inside stable branch k.  The bracketed Newton solve of find_fixed_points
-    runs from x0 and ends on the root's canonical float, the same for every
-    start except where g flips sign at rounding level over a few floats.
-    The root is accepted at |g| <= DEFAULT_ROOT_TOL * max(1, |phi|), as
-    find_fixed_points accepts it.
-    """
-    lam, beta = p.lam, p.beta
-    a, b = (stable_branch_interval(k, beta) if beta > 1.0  # else the root window
-            else (c - lam - WINDOW_MARGIN, c + lam + WINDOW_MARGIN))
 
-    def f(x: float) -> float:
-        return x - c + lam * math.sin(TWO_PI * x)
-
-    fa, fb = f(a), f(b)
-    # at a fold level the root is the segment end itself (the tangency),
-    # where rounding may leave the residual of the wrong sign.  This band
-    # stays absolute: a drive inside it has its root about sqrt(band) from
-    # the end, so a band growing with |phi| would snap roots off their place
-    if 0.0 <= fa <= DEFAULT_ROOT_TOL:
-        return a
-    if -DEFAULT_ROOT_TOL <= fb <= 0.0:
-        return b
-    if fa > 0.0 or fb < 0.0:
-        raise NumericsError(
-            f"branch {k} does not bracket c={c!r} (f(a)={fa:.3e}, f(b)={fb:.3e})")
-    x, fx = _bracketed_newton(f, lambda x: 1.0 + beta * math.cos(TWO_PI * x),
-                              a, b, fa, fb, x0)
-    tol = DEFAULT_ROOT_TOL * max(1.0, abs(x))
-    if abs(fx) > tol:
-        raise NumericsError(f"branch solve stalled at |g|={abs(fx):.3e} > {tol:.3e}")
-    return x
+def _stable_root(phi_ext: float, k: int, p: ReducedParams) -> FixedPoint | None:
+    """_branch_root's root on stable segment k as a FixedPoint if STABLE, else None."""
+    phi = _branch_root(phi_ext, k, p)
+    if phi is None or classify_stability(phi, p) is not Stability.STABLE:
+        return None
+    return FixedPoint(phi, math.sin(TWO_PI * phi), Stability.STABLE)
 
 
 def continue_branch(state: BranchState, phi_ext_next: float, p: ReducedParams) -> BranchState:
@@ -181,7 +156,7 @@ def continue_branch(state: BranchState, phi_ext_next: float, p: ReducedParams) -
     (every flux for beta <= 1); at the state's own drive, the state itself."""
     if phi_ext_next == state.phi_ext:
         return state
-    phi = _solve_on_branch(p, state.branch_id, phi_ext_next + p.phi_fe, state.phi)
+    phi = _on_branch(p, state.branch_id, phi_ext_next, state.phi)
     return BranchState(phi_ext_next, phi, math.sin(TWO_PI * phi), state.branch_id)
 
 
@@ -199,8 +174,8 @@ def resolve_jump(p: ReducedParams, k: int, ascending: bool) -> tuple[float, floa
     """
     end = 1 if ascending else 0
     phi_ext = branch_flux_range(k, p.beta)[end] - p.phi_fe
-    landing = _branch_root(phi_ext, k + (1 if ascending else -1), p)
-    if landing is None or landing.stability is not Stability.STABLE:
+    landing = _stable_root(phi_ext, k + (1 if ascending else -1), p)
+    if landing is None:
         raise NumericsError(
             f"no stable root survives the fold at phi_ext={phi_ext!r}: "
             f"hysteretic window below rounding at beta={p.beta!r} (the landing "
@@ -229,8 +204,7 @@ def _initial_state(p: ReducedParams, phi_ext: float, phi_hint: float) -> BranchS
     if p.beta > 1.0:  # branch k exists for |c - k| <= half
         c, half = phi_ext + p.phi_fe, branch_flux_range(0, p.beta)[1]
         m = round(min(max(phi_hint, math.ceil(c - half)), math.floor(c + half)))
-        near = (_branch_root(phi_ext, k, p) for k in (m - 1, m, m + 1))
-        stable = [r for r in near if r is not None and r.stability is Stability.STABLE]
+        stable = [r for k in (m - 1, m, m + 1) if (r := _stable_root(phi_ext, k, p))]
     if not stable:
         roots = find_fixed_points(phi_ext, p)
         stable = ([r for r in roots if r.stability is Stability.STABLE]
@@ -387,9 +361,9 @@ def hysteresis_remnants(p: ReducedParams,
     out = []
     for amp in amplitudes:
         k = _walk(p, _walk(p, virgin, amp, True), 0.0, False)
-        down = _solve_on_branch(p, k, p.phi_fe, float(k))
+        down = _on_branch(p, k, 0.0, float(k))
         k = _walk(p, _walk(p, k, -amp, False), 0.0, True)
-        out.append((down, _solve_on_branch(p, k, p.phi_fe, float(k))))
+        out.append((down, _on_branch(p, k, 0.0, float(k))))
     return out
 
 
@@ -408,7 +382,7 @@ def path_fluxes(p: ReducedParams, waypoints: Iterable[float]) -> list[float]:
     out = []
     for prev, w in zip((0.0,) + waypoints, waypoints):
         k = _walk(p, k, w, w > prev)
-        out.append(_solve_on_branch(p, k, w + p.phi_fe, float(k)))
+        out.append(_on_branch(p, k, w, float(k)))
     return out
 
 

@@ -269,6 +269,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: fit bounds must be finite" in err and "Traceback" not in err
 
+    def test_negative_restarts_is_one(self, tmp_path, capsys):
+        data = tmp_path / "obs.csv"
+        data.write_text("phi_ext,observable\n2,0.1\n-2,-0.1\n3,0.2\n")
+        assert run_cli("fit", "--data", str(data), "--beta", "4", "--restarts", "-1") == 1
+        err = capsys.readouterr().err
+        assert "error: n_restarts must be >= 0" in err and "Traceback" not in err
+
+    def test_large_beta_sweep_past_many_folds_is_zero(self, capsys):
+        # 8,451 jumps; at |phi| ~ 3e3 g rounds at a few 1e-9, above
+        # 1e-12*|phi|, so a branch solve accepts its root at the rounding of
+        # g, 2*(1 + beta)*ulp(phi), as find_fixed_points does
+        assert run_cli("sweep", "--beta", "2e4", "--amplitude", "6000", "--step", "50") == 0
+        captured = capsys.readouterr()
+        assert captured.out and captured.err == ""
+
     def test_bloch_check_passes_for_cosine_series(self, capsys):
         assert run_cli("bloch-check", "--coeffs", "3.2e-22,0,1e-23") == 0
         out = capsys.readouterr().out
@@ -296,10 +311,10 @@ class TestNegativeValues:
 
 FROZEN_STDOUT = {
     ("sweep", "--beta", "5", "--phi_fe", "0.3", "--amplitude", "3", "--step", "0.01"):
-        "e1d534b96487aa5f2dd15eb3237c1d2b2e236f35e4f449063abdb2a4d2030b33",
+        "28b116713c013291143c6f794289d68fd93217e23e1fa513468230e4097d6972",
     ("sweep", "--beta", "18.55972099975719", "--phi_fe", "-0.08016403792901305",
      "--amplitude", "3.7168673500582896", "--step", "0.05"):
-        "1c6c4a7ec5a282070d97d7c37d8df96e4fd12aafff10cf1196fd4d34562418a8",
+        "557cb283270efb7e4274273d1b1dfd2e93eaa99035d8e1cc79123f734ad2dd71",
     ("fixed-points", "--beta", "40", "--phi_ext", "0.183"):
         "9146a403cdf5e5a53ce16e7c3ee75c3abae12c23b2190ec251f5ec31b8e931f0",
 }
@@ -309,8 +324,8 @@ FROZEN_STDOUT = {
 def test_stdout_bytes_are_frozen(argv, capsys):
     """main()'s stdout is byte-identical across refactors, checked by sha256.
 
-    The second sweep moves by a few ulps if a jump's landing is solved with
-    another slope than the g' of find_fixed_points.
+    The second sweep moves by a few ulps if a branch solve, a landing's or
+    a sub-step's, takes another slope than the g' of find_fixed_points.
     A deliberate byte change updates these digests, with a ledger of what
     moved in CHANGES.md.
     """

@@ -231,6 +231,13 @@ class TestFitParameters:
         with pytest.raises(ValueError, match="fit bounds must be finite"):
             FitBounds(*bounds)
 
+    @pytest.mark.parametrize("n_restarts", [-1, -3])
+    def test_negative_restarts_rejected(self, n_restarts):
+        # range() of a negative count is empty: the fit ran no restart silently
+        with pytest.raises(ValueError, match="n_restarts must be >= 0"):
+            fit_parameters(_remnant_data(5.0, 0.3), ReducedParams(beta=4.0, phi_fe=0.2),
+                           n_restarts=n_restarts)
+
     def test_si_back_conversion(self):
         data = _remnant_data(5.0, 0.3)
         result = fit_parameters(data, ReducedParams(beta=5.0, phi_fe=0.3),

@@ -388,15 +388,36 @@ class TestHysteresisRemnants:
         path_fluxes(p, [2.0, -3.0, 4.0, 0.5])
         assert calls == []
 
-    @pytest.mark.parametrize("beta", [1e3, 1e4])
-    def test_large_beta_remnants_match_the_sweep(self, beta):
+    @pytest.mark.parametrize("beta,step", [pytest.param(1e3, 0.5, id="1000.0"),
+                                           pytest.param(1e4, 0.5, id="10000.0"),
+                                           pytest.param(2e4, 50.0, id="20000.0-step50")])
+    def test_large_beta_remnants_match_the_sweep(self, beta, step):
         # hundreds to thousands of jumps per loop; the kernel's remnants are
-        # the sweep's, bit for bit
+        # the sweep's, bit for bit.  At beta 2e4, |phi| reaches 3e3, where g
+        # rounds above 1e-12*|phi| and roots pass only the bound
+        # 2*(1 + beta)*ulp(phi) that find_fixed_points accepts them at
         p = ReducedParams(beta=beta)
         amp = 2 * p.lam + 2.25
-        loop = run_hysteresis(p, amp, 0.5)
+        loop = run_hysteresis(p, amp, step)
         assert len(loop.cycle.events) > 2 * p.lam
         assert hysteresis_remnants(p, [amp]) == [(loop.remnant_down, loop.remnant_up)]
+
+    def test_far_remnants_are_roots_of_the_scan(self):
+        # remnants at |phi| ~ 1.1e4, where g rounds at about 1e-8, are
+        # stable roots of a full scan (63,663 roots), bit for bit
+        p = ReducedParams(1e5, 0.3)
+        stable = {r.phi for r in find_fixed_points(0.0, p) if r.stability is Stability.STABLE}
+        [(down, up)] = hysteresis_remnants(p, [27059.4])
+        assert down in stable and up in stable
+
+    def test_remnants_at_beta_1e6(self):
+        # |phi| ~ 1.1e5; a full scan there returns about 6.4e5 roots
+        p = ReducedParams(1e6, 0.3)
+        [(down, up)] = hysteresis_remnants(p, [270600.0])
+        assert down > 0.0 > up
+        for phi in (down, up):
+            assert abs(residual(phi, 0.0, p)) <= 2.0 * (1.0 + p.beta) * math.ulp(phi)
+            assert classify_stability(phi, p) is Stability.STABLE
 
     def test_path_fluxes_rejects_non_finite_waypoints(self):
         for bad in (math.inf, math.nan):
@@ -528,7 +549,7 @@ class TestRunSchedule:
 
 # sha256 of _schedule_bits(); a deliberate change of any sample, event or
 # raise message updates it, with a ledger of what moved in CHANGES.md
-FROZEN_SCHEDULE_BITS = "76cc55f343d9478456f396acc4a4ca99a995d0788ccc6032a4c84e041bb9fcc9"
+FROZEN_SCHEDULE_BITS = "0016bc0f050692202551556bb9728a2f3c12805e4dc9d760622cb4de7af73573"
 
 
 def _schedule_bits(n=200, seed=11):

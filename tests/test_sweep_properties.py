@@ -19,8 +19,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ringflux import fixed_points, sweep
-from ringflux.fixed_points import (NumericsError, Stability, branch_flux_range,
-                                   branch_index, find_fixed_points, stable_branch_interval)
+from ringflux.fixed_points import (WINDOW_MARGIN, NumericsError, Stability, branch_flux_range,
+                                   branch_index, find_fixed_points, residual_derivative,
+                                   stable_branch_interval)
 from ringflux.ring_model import TWO_PI, ReducedParams
 from ringflux.sweep import (SweepSchedule, hysteresis_remnants, path_fluxes, resolve_jump,
                             run_hysteresis, run_schedule)
@@ -173,7 +174,7 @@ def test_branch_solve_ends_on_the_canonical_float(beta, k, level, start):
     c = c_lo + level * (c_hi - c_lo)
     a, b = stable_branch_interval(k, beta)
     g = _branch_residual(p, c)
-    got = [sweep._solve_on_branch(p, k, c, x0)
+    got = [fixed_points._branch_root(c, k, p, x0)  # phi_fe = 0: the drive is c
            for x0 in (0.5 * (a + b), a, b, float(k), a + start * (b - a))]
     for x in got:
         # an end of an adjacent-float sign-change bracket, the one with the
@@ -191,7 +192,8 @@ def test_branch_solve_ends_on_the_canonical_float(beta, k, level, start):
 
 
 def test_continuation_solve_takes_a_handful_of_evaluations():
-    # a branch solve started from the previous sample, counted outside the
+    # a branch solve started from the previous sample, on its segment
+    # clipped to the root window and with the slope g', counted outside the
     # two segment ends it always evaluates; restarting as bisection once
     # Newton had converged cost about 20
     rng = random.Random(3)
@@ -204,6 +206,8 @@ def test_continuation_solve_takes_a_handful_of_evaluations():
                 continue
             c = cur.phi_ext + p.phi_fe
             a, b = stable_branch_interval(cur.branch_id, p.beta)
+            lo, hi = c - p.lam - WINDOW_MARGIN, c + p.lam + WINDOW_MARGIN
+            a, b = (lo if a - lo <= 1e-12 else a), min(b, hi)
             g = _branch_residual(p, c)
             fa, fb = g(a), g(b)
             if not (fa < -1e-12 and fb > 1e-12):
@@ -215,7 +219,7 @@ def test_continuation_solve_takes_a_handful_of_evaluations():
                 return g(x)
 
             x, _ = fixed_points._bracketed_newton(
-                f, lambda x: 1.0 + p.beta * math.cos(TWO_PI * x), a, b, fa, fb, prev.phi)
+                f, lambda x: residual_derivative(x, p), a, b, fa, fb, prev.phi)
             assert x == cur.phi
             solves += 1
     assert solves > 1000

@@ -17,12 +17,14 @@ Sign note: c_1 < 0 puts the free-energy minima at integer flux quanta
 (I_0 < 0), c_1 > 0 at half-integers; the junction critical current in
 either case is I_J = 2*pi*|c_1|/Phi0.
 
-numpy is imported inside the functions that build arrays, so that importing
-ringflux, and the CLI commands that never reach this module, do not load it.
+numpy is imported inside the functions that build arrays or find critical
+points, so that importing ringflux, and the CLI commands that never reach
+this module, do not load it; the relation itself evaluates with `math`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -133,44 +135,44 @@ def finite_difference_current_error(model: FreeEnergyModel,
     return float(np.max(np.abs(fd - I))) / scale
 
 
-def reduced_cpr(model: FreeEnergyModel) -> tuple[Callable[[float], float],
-                                                 Callable[[float], float],
-                                                 float]:
-    """Reduced relation (i, di/dphi, I_J) for feeding the fixed-point solver.
-
-    i(phi) = I(phi*Phi0)/I_J with I_J = max|I| over a period, so |i| <= 1 as
-    the solver's window arithmetic requires.  For a single harmonic,
-    I_J = |I_0| and i(phi) = sign(c_1)*sin(2*pi*phi).
-    """
-    if len(model.coeffs) == 0:
-        raise ValueError("model has no harmonics (K = 0)")
-    if len(model.coeffs) == 1:
-        i_j = abs(fundamental_harmonic(model))
-        sign = math.copysign(1.0, model.coeffs[0])
-
-        def i_fun(phi: float) -> float:
-            return sign * math.sin(TWO_PI * phi)
-
-        def di_fun(phi: float) -> float:
-            return sign * TWO_PI * math.cos(TWO_PI * phi)
-
-        return i_fun, di_fun, i_j
-
+def _cosine_zeros(d0: float, d: list[float]) -> list[float]:
+    """Ascending zeros in [0, 1) of d0 + sum_k d_k*cos(2*pi*k*phi): the roots
+    within 1e-6 of the unit circle (a double zero splits by about sqrt(eps))
+    of d0*z**K + sum_k d_k*(z**(K+k) + z**(K-k))/2, z = exp(2*pi*i*phi).  Top
+    harmonics under 1e-13 of the largest coefficient are dropped, since they
+    push the computed unit roots off the circle (by 1.5e-6 at 4e-15)."""
     import numpy as np
 
-    grid = np.linspace(0.0, 1.0, 4096 * len(model.coeffs), endpoint=False)
-    i_j = float(np.max(np.abs(current(model, grid * model.Phi0))))
-    if i_j == 0.0:
-        raise ValueError("model carries no current (all harmonics zero)")
+    while d and abs(d[-1]) <= 1e-13 * max(abs(d0), *map(abs, d)):
+        d = d[:-1]
+    half = [0.5 * x for x in reversed(d)]
+    return sorted(math.atan2(z.imag, z.real) / TWO_PI % 1.0
+                  for z in np.roots(half + [d0] + half[::-1]) if abs(abs(z) - 1.0) <= 1e-6)
 
-    def i_fun(phi: float) -> float:
-        return float(current(model, phi * model.Phi0)) / i_j
 
-    def di_fun(phi: float) -> float:
-        x = TWO_PI * phi
-        total = 0.0
-        for k, c in enumerate(model.coeffs, start=1):
-            total += c * (TWO_PI * k / model.Phi0) * (TWO_PI * k) * math.cos(k * x)
-        return total / i_j
+def _series(fn: Callable[[float], float], w: list[float], phi: float) -> float:
+    """sum_k w_k*fn(2*pi*k*phi), k = 1..K."""
+    x = TWO_PI * phi
+    return sum(a * fn(k * x) for k, a in enumerate(w, start=1))
 
-    return i_fun, di_fun, i_j
+
+def reduced_cpr(model: FreeEnergyModel) -> tuple[Callable[[float], float],
+                                                 Callable[[float], float], float]:
+    """Reduced relation (i, di/dphi, I_J) for feeding the fixed-point solver.
+
+    i(phi) = I(phi*Phi0)/I_J with I_J = max|I|, taken at the zeros of I', so
+    |i| <= 1 to rounding as the solver's window arithmetic requires; for a
+    single harmonic, I_J = |I_0| and i(phi) = sign(c_1)*sin(2*pi*phi) bit for
+    bit.  i and i' are pure `math`.  i.critical_points(lam) gives the zeros of
+    g' = 1 + lam*i' in [0, 1), where find_fixed_points splits the window.
+    """
+    amps = [TWO_PI * k * c / model.Phi0 for k, c in enumerate(model.coeffs, start=1)]
+    peaks = _cosine_zeros(0.0, [k * a for k, a in enumerate(amps, start=1)])
+    i_j = max((abs(_series(math.sin, amps, t)) for t in peaks), default=0.0)
+    if not 0.0 < i_j < math.inf:
+        raise ValueError("model current must be nonzero and finite")
+    b = [a / i_j for a in amps]
+    slope = [TWO_PI * k * bk for k, bk in enumerate(b, start=1)]
+    i_fun = functools.partial(_series, math.sin, b)
+    i_fun.critical_points = lambda lam: _cosine_zeros(1.0, [lam * s for s in slope])
+    return i_fun, functools.partial(_series, math.cos, slope), i_j

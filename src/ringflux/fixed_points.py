@@ -170,7 +170,7 @@ def _bracketed_newton(f: Callable[[float], float], df: Callable[[float], float],
     toward the other end.  Unless f rounds to 0 first, the solve ends on two
     adjacent floats and returns the one with the smaller |f| (ties: a).
     """
-    x = min(max(x0, a), b)
+    x = a if x0 < a else b if x0 > b else x0
     while True:
         fx = f(x)
         if fx == 0.0:
@@ -252,17 +252,23 @@ def _branch_root(phi_ext: float, k: int, p: ReducedParams, x0: float | None = No
     return _accept(x, fx, p.beta)
 
 
-def _scan_boundaries(c: float, p: ReducedParams) -> list[float]:
-    """Ascending segment boundaries inside the root window: window edges plus
-    every critical point of g (analytic for the sinusoid)."""
+def _scan_boundaries(c: float, p: ReducedParams,
+                     cpr: Callable[[float], float] | None = None) -> list[float]:
+    """Ascending segment boundaries in the root window: its edges and every
+    critical point of g, k + 1/2 -/+ phi_a or k + t, t in cpr.critical_points(lam)."""
     lo = c - p.lam - WINDOW_MARGIN
     hi = c + p.lam + WINDOW_MARGIN
-    if p.beta <= 1.0:
+    if cpr is not None:  # t ascending in [0, 1)
+        mid, offsets = 0.0, cpr.critical_points(p.lam)  # type: ignore[attr-defined]
+    elif p.beta <= 1.0:
         return [lo, hi]
-    phi_a = tangency_offset(p.beta)
+    else:  # k + 0.5 - phi_a as k + 0.5 + (-phi_a), the same float
+        phi_a = tangency_offset(p.beta)
+        mid, offsets = 0.5, (-phi_a, phi_a)
     pts = [lo]
     for k in range(math.floor(lo), math.ceil(hi) + 1):
-        for cp in (k + 0.5 - phi_a, k + 0.5 + phi_a):
+        for t in offsets:
+            cp = k + mid + t
             if lo < cp < hi:
                 pts.append(cp)
     pts.append(hi)
@@ -274,20 +280,9 @@ def _scan_boundaries(c: float, p: ReducedParams) -> list[float]:
     return out
 
 
-def _grid_boundaries(c: float, p: ReducedParams, slope_bound: float) -> list[float]:
-    """Uniform bracket grid for a non-sinusoidal relation: step fine enough
-    (h <= 1/(8*(1 + lambda*max|i'|))) that no root pair hides in one cell."""
-    lo = c - p.lam - WINDOW_MARGIN
-    hi = c + p.lam + WINDOW_MARGIN
-    h = 1.0 / (8.0 * (1.0 + p.lam * slope_bound))
-    n = max(2, int(math.ceil((hi - lo) / h)))
-    return [lo + (hi - lo) * j / n for j in range(n + 1)]
-
-
 def find_fixed_points(phi_ext: float, p: ReducedParams,
                       cpr: Callable[[float], float] | None = None,
-                      cpr_prime: Callable[[float], float] | None = None,
-                      cpr_slope_bound: float = TWO_PI) -> list[FixedPoint]:
+                      cpr_prime: Callable[[float], float] | None = None) -> list[FixedPoint]:
     """All flux states at a given applied flux, sorted ascending in phi.
 
     Each sign-changing segment of the partition is solved by bracketed
@@ -304,13 +299,13 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
         Applied flux in units of Phi0.
     p : ReducedParams
         Ring parameters.
-    cpr, cpr_prime, cpr_slope_bound :
-        Optional reduced current-phase relation (|i| <= 1), its derivative,
-        and a bound on max|i'|, replacing the sinusoid.  `cpr` and
-        `cpr_prime` go together, since stability is classified with the
-        slope, and `cpr_prime` also gives the Newton steps.  With a custom
-        relation the roots are bracketed by a uniform scan at the contract
-        step instead of the analytic monotone partition.
+    cpr, cpr_prime :
+        Optional reduced current-phase relation (|i| <= 1) and its
+        derivative replacing the sinusoid, as `bloch_cpr.reduced_cpr` gives
+        them: together, since stability is classified with the slope, and
+        `cpr_prime` also gives the Newton steps.  `cpr.critical_points(lam)`,
+        the zeros of g' in one period, split the window as the sinusoid's
+        analytic points do; a `cpr` without it raises ValueError.
 
     Returns
     -------
@@ -324,9 +319,10 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
     _require_finite("phi_ext", phi_ext)
     if (cpr is None) != (cpr_prime is None):
         raise ValueError("cpr and cpr_prime must be given together")
+    if cpr is not None and not hasattr(cpr, "critical_points"):
+        raise ValueError("cpr must carry its critical_points(lam), as reduced_cpr's does")
     c = phi_ext + p.phi_fe
-    bounds = (_scan_boundaries(c, p) if cpr is None
-              else _grid_boundaries(c, p, cpr_slope_bound))
+    bounds = _scan_boundaries(c, p, cpr)
 
     def f(x: float) -> float:
         return residual(x, phi_ext, p, cpr)
@@ -334,8 +330,8 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
     vals = [f(x) for x in bounds]
     roots: list[tuple[float, float]] = []
 
-    def push(root: float, r: float) -> None:
-        if not roots or root - roots[-1][0] > 1e-12 * max(1.0, abs(root)):
+    def push(root: float, r: float) -> None:  # segments ascend; a shared end comes twice
+        if not roots or root > roots[-1][0]:
             roots.append((root, r))
 
     for (a, b), (fa, fb) in zip(zip(bounds, bounds[1:]), zip(vals, vals[1:])):

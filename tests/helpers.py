@@ -29,18 +29,19 @@ def residual_slope(phi, beta):
     return 1.0 + beta * math.cos(TWO_PI * phi)
 
 
-def brute_force_roots(phi_ext, beta, phi_fe=0.0, step=1e-5, refine=True):
+def brute_force_roots(phi_ext, beta, phi_fe=0.0, step=1e-5, refine=True, cpr=None):
     """All roots of g in the analytic window, by dense sign-change scan.
 
     Brackets are refined by plain bisection so the expected positions are
     good to ~1e-12 (without refinement they are only good to `step`).
+    `cpr`, a relation |i| <= 1 evaluated on arrays, replaces the sinusoid.
     """
     lam = beta / TWO_PI
     c = phi_ext + phi_fe
     lo, hi = c - lam - 1e-9, c + lam + 1e-9
     n = int(math.ceil((hi - lo) / step))
     x = np.linspace(lo, hi, n + 1)
-    y = residual_formula(x, phi_ext, beta, phi_fe)
+    y = residual_formula(x, phi_ext, beta, phi_fe, cpr)
 
     def refine_bracket(a, b, fa, fb):
         if not refine:
@@ -49,7 +50,7 @@ def brute_force_roots(phi_ext, beta, phi_fe=0.0, step=1e-5, refine=True):
             m = 0.5 * (a + b)
             if m <= a or m >= b:
                 break
-            fm = float(residual_formula(m, phi_ext, beta, phi_fe))
+            fm = float(residual_formula(m, phi_ext, beta, phi_fe, cpr))
             if fm == 0.0:
                 return m
             if (fa < 0.0) == (fm < 0.0):

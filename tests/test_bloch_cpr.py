@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import central_difference, residual_formula
+from helpers import brute_force_roots, central_difference, residual_formula
 from ringflux.bloch_cpr import (
     FreeEnergyModel,
     current,
@@ -25,6 +26,14 @@ PHI0 = FLUX_QUANTUM
 def _random_model(seed, k=5, scale=1e-21):
     rng = np.random.default_rng(seed)
     return FreeEnergyModel(tuple(float(c) for c in rng.uniform(-scale, scale, k)), PHI0)
+
+
+def _dense_roots(model, i_j, phi_ext, beta):
+    """Roots of g for the model's relation by a 400,001-point sign-change scan
+    (bisection refined), the relation evaluated from the series with numpy."""
+    step = (beta / TWO_PI + 1e-9) / 200000.0
+    return brute_force_roots(phi_ext, beta, step=step,
+                             cpr=lambda x: np.asarray(current(model, x * model.Phi0)) / i_j)
 
 
 class TestFreeEnergy:
@@ -193,11 +202,49 @@ class TestFixedPointIntegration:
     def test_two_harmonic_model_roots_satisfy_residual(self):
         model = FreeEnergyModel((2e-21, 4e-22), PHI0)
         i_fun, di_fun, i_j = reduced_cpr(model)
-        lam_slope = max(abs(float(di_fun(x))) for x in np.linspace(0, 1, 2001))
         p = ReducedParams(beta=4.0)
-        roots = find_fixed_points(0.3, p, cpr=i_fun, cpr_prime=di_fun,
-                                  cpr_slope_bound=lam_slope)
+        roots = find_fixed_points(0.3, p, cpr=i_fun, cpr_prime=di_fun)
         assert roots
         for r in roots:
             g = residual_formula(r.phi, 0.3, p.beta, cpr=i_fun)
             assert abs(g) <= 1e-12
+
+    def test_model_with_a_root_pair_near_a_steep_slope(self):
+        # i' reaches about 1.9*2*pi here; a bracket grid sized for 2*pi lost
+        # the pair near 0.6, which the split at the zeros of g' keeps
+        model = FreeEnergyModel((1.8e-22, -3.2e-22), PHI0)
+        i_fun, di_fun, i_j = reduced_cpr(model)
+        roots = find_fixed_points(0.183, ReducedParams(beta=2.8), cpr=i_fun, cpr_prime=di_fun)
+        dense = _dense_roots(model, i_j, 0.183, 2.8)
+        assert len(roots) == len(dense) == 5
+        for r, d in zip(roots, dense):
+            assert abs(residual_formula(r.phi, 0.183, 2.8, cpr=i_fun)) <= 1e-12
+            assert r.phi == pytest.approx(d, abs=1e-9)
+
+    def test_relation_without_critical_points_is_rejected(self):
+        p = ReducedParams(beta=5.0)
+        with pytest.raises(ValueError, match="critical_points"):
+            find_fixed_points(0.0, p, cpr=lambda phi: math.sin(TWO_PI * phi),
+                              cpr_prime=lambda phi: TWO_PI * math.cos(TWO_PI * phi))
+
+    def test_reduced_relation_stays_within_unit_amplitude(self):
+        # I_J is |I| at the zeros of I'; the maximum over a 12,288-point grid
+        # fell 1.8e-7 short, so |i(0.596561)| was 1 + 1.8e-7, past the 1e-9
+        # margin the solver's root window allows
+        i_fun, _, _ = reduced_cpr(FreeEnergyModel((1e-21, -1e-21, 1e-21), PHI0))
+        assert abs(i_fun(0.596561)) <= 1.0 + 1e-12
+        assert max(abs(i_fun(float(x))) for x in np.linspace(0.0, 1.0, 100001)) <= 1.0 + 1e-12
+
+
+@given(coeffs=st.integers(min_value=2, max_value=4).flatmap(
+           lambda k: st.lists(st.floats(min_value=-5e-22, max_value=5e-22),
+                              min_size=k, max_size=k)),
+       beta=st.floats(min_value=0.1, max_value=30.0),
+       phi_ext=st.floats(min_value=-2.0, max_value=2.0))
+@example(coeffs=[1.8e-22, -3.2e-22], beta=2.8, phi_ext=0.183)
+def test_relation_root_count_matches_a_dense_scan(coeffs, beta, phi_ext):
+    assume(any(coeffs))
+    model = FreeEnergyModel(tuple(coeffs), PHI0)
+    i_fun, di_fun, i_j = reduced_cpr(model)
+    roots = find_fixed_points(phi_ext, ReducedParams(beta=beta), cpr=i_fun, cpr_prime=di_fun)
+    assert len(roots) == len(_dense_roots(model, i_j, phi_ext, beta))

@@ -154,6 +154,18 @@ class TestFindFixedPoints:
             # measured up to 3.4e-15 * |phi|
             assert abs(residual(r.phi, phi_ext, p)) <= 1e-14 * abs(r.phi)
 
+    @pytest.mark.parametrize("n, beta", [(10**12, 5.0), (10**13, 40.0)])
+    def test_very_far_drive_keeps_every_root(self, n, beta):
+        # past |c| ~ 2e11 the root spacing is below 1e-12*|phi|, so only a
+        # segment end met twice may be dropped, never a nearby root; the
+        # roots are those at c = 0.3 shifted by n, each to about ulp(c)
+        p = ReducedParams(beta=beta)
+        far = find_fixed_points(n + 0.3, p)
+        near = find_fixed_points(0.3, p)
+        assert [r.stability for r in far] == [r.stability for r in near]
+        for r, q in zip(far, near):
+            assert abs(r.phi - (q.phi + n)) <= 2 * math.ulp(n + 0.3)
+
     @pytest.mark.parametrize("phi_ext", [math.inf, -math.inf, math.nan])
     def test_non_finite_drive_rejected(self, phi_ext):
         with pytest.raises(ValueError, match="phi_ext must be finite"):

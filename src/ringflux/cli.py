@@ -8,9 +8,11 @@ wide-ring      inner/outer current table over an applied-field grid
 bloch-check    symmetry and finite-difference checks of a free-energy model
 fit            least-squares parameter fit against an observation CSV
 
-Configuration values come from (in increasing precedence) built-in
-defaults, a `key = value` config file, and command-line flags.  The config
-file path defaults to the RINGFLUX_CONFIG environment variable.  All reals
+Configuration keys are those of `_CONFIG_PARSERS`, each also a flag `--key`.
+Values come from (in increasing precedence) `_CLI_DEFAULTS` (h_points 11,
+kind remnant; any other unset key is None, and the library default applies),
+a `key = value` config file (default path: $RINGFLUX_CONFIG), and flags.
+Config and observation files may start with a UTF-8 byte-order mark.  Reals
 in emitted CSVs carry 17 significant digits, so re-parsing reproduces them
 bit for bit; identical configs produce byte-identical files.
 
@@ -24,7 +26,6 @@ import csv
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -53,6 +54,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _summary(*pairs: tuple[str, object]) -> None:
+    """Print each (key, value) pair to stdout as a `key = value` line."""
+    for key, value in pairs:
+        print(f"{key} = {_fmt(value)}")
+
+
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
@@ -64,39 +71,6 @@ def _parse_coeffs(text: str) -> tuple[float, ...]:
         raise ValueError(f"expected comma-separated reals, got {text!r}") from exc
 
 
-@dataclass
-class RunConfig:
-    """Every tunable the commands understand; None means 'not given', and
-    the library default then applies."""
-
-    L: float | None = None
-    I_J: float | None = None
-    Phi0: float | None = None
-    Phi_Fe: float | None = None
-    area_A: float | None = None
-    beta: float | None = None
-    phi_fe: float | None = None
-    phi_ext: float | None = None
-    amplitude: float | None = None
-    step: float | None = None
-    n: int | None = None
-    h_points: int = 11
-    grid_size: int | None = None
-    coeffs: tuple[float, ...] | None = None
-    data: str | None = None
-    kind: str = "remnant"
-    beta_min: float | None = None
-    beta_max: float | None = None
-    phi_fe_min: float | None = None
-    phi_fe_max: float | None = None
-    restarts: int | None = None
-    out: str | None = None
-
-    def validate(self) -> None:
-        if self.kind not in ("remnant", "current"):
-            raise UsageError(f"kind must be 'remnant' or 'current', got {self.kind!r}")
-
-
 _CONFIG_PARSERS = {
     "L": float, "I_J": float, "Phi0": float, "Phi_Fe": float, "area_A": float,
     "beta": float, "phi_fe": float, "phi_ext": float, "amplitude": float,
@@ -105,12 +79,14 @@ _CONFIG_PARSERS = {
     "beta_min": float, "beta_max": float, "phi_fe_min": float, "phi_fe_max": float,
 }
 
+_CLI_DEFAULTS = {"h_points": 11, "kind": "remnant"}
+
 
 def parse_config_file(path: Path) -> dict:
     """Read a line-oriented `key = value` file; unknown keys are rejected."""
     values: dict = {}
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -130,28 +106,27 @@ def parse_config_file(path: Path) -> dict:
     return values
 
 
-def parse_config(args: argparse.Namespace) -> RunConfig:
-    """Layer defaults < config file < flags into a validated RunConfig."""
-    config = RunConfig()
+def parse_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Every key of _CONFIG_PARSERS, layered None < _CLI_DEFAULTS < config
+    file < flags."""
+    config = {**dict.fromkeys(_CONFIG_PARSERS), **_CLI_DEFAULTS}
     path = args.config if args.config is not None else os.environ.get(ENV_CONFIG)
     if path:
-        for key, value in parse_config_file(Path(path)).items():
-            setattr(config, key, value)
-    for f in fields(RunConfig):
-        flag = getattr(args, f.name, None)
-        if flag is not None:
-            setattr(config, f.name, flag)
-    config.validate()
-    return config
+        config.update(parse_config_file(Path(path)))
+    flags = {key: getattr(args, key, None) for key in _CONFIG_PARSERS}
+    config.update((key, value) for key, value in flags.items() if value is not None)
+    if config["kind"] not in ("remnant", "current"):
+        raise UsageError(f"kind must be 'remnant' or 'current', got {config['kind']!r}")
+    return argparse.Namespace(**config)
 
 
-def _given(config: RunConfig, *keys: str) -> dict:
+def _given(config: argparse.Namespace, *keys: str) -> dict:
     """The named values that were given, for passing on as keywords so that
     the library's defaults apply to the rest."""
     return {k: getattr(config, k) for k in keys if getattr(config, k) is not None}
 
 
-def _reduced(config: RunConfig) -> ring_model.ReducedParams:
+def _reduced(config: argparse.Namespace) -> ring_model.ReducedParams:
     """Reduced parameters from either beta or the SI pair (L, I_J)."""
     phi0 = config.Phi0 if config.Phi0 is not None else ring_model.FLUX_QUANTUM
     if config.beta is not None:
@@ -169,14 +144,14 @@ def _reduced(config: RunConfig) -> ring_model.ReducedParams:
     return ring_model.ReducedParams(beta=beta, phi_fe=phi_fe)
 
 
-def _si_scales(config: RunConfig) -> dict:
+def _si_scales(config: argparse.Namespace) -> dict:
     """I_J, Phi0 and area_A as given.  I_J falls back to 1 A: it sets only
     the current scale, on which no reported field or wide-ring current
     depends."""
     return {"I_J": 1.0, **_given(config, "I_J", "Phi0", "area_A")}
 
 
-def _ring(config: RunConfig, p: ring_model.ReducedParams) -> ring_model.RingParams:
+def _ring(config: argparse.Namespace, p: ring_model.ReducedParams) -> ring_model.RingParams:
     return ring_model.unreduce(p, **_si_scales(config))
 
 
@@ -224,7 +199,7 @@ def emit_csv(result, path: str | None, *, p: ring_model.ReducedParams | None = N
 def read_observations_csv(path: Path, kind: fit_mod.ObservationKind) -> list[fit_mod.Observation]:
     """Ingest a `phi_ext,observable` CSV, rejecting bad rows by number."""
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise UsageError(f"cannot read data file {path}: {exc}") from exc
     reader = csv.reader(text.splitlines())
@@ -251,7 +226,7 @@ def read_observations_csv(path: Path, kind: fit_mod.ObservationKind) -> list[fit
 # Commands
 # ---------------------------------------------------------------------------
 
-def _cmd_fixed_points(config: RunConfig) -> int:
+def _cmd_fixed_points(config: argparse.Namespace) -> int:
     if config.phi_ext is None:
         raise UsageError("missing parameter: phi_ext")
     p = _reduced(config)
@@ -260,26 +235,21 @@ def _cmd_fixed_points(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_sweep(config: RunConfig) -> int:
+def _cmd_sweep(config: argparse.Namespace) -> int:
     if config.amplitude is None or config.step is None:
         raise UsageError("missing parameters: amplitude and step")
     p = _reduced(config)
     loop = sweep.run_hysteresis(p, config.amplitude, config.step)
     emit_csv(loop, config.out, p=p)
     report = sweep.remnant_report(loop, _ring(config, p))
-    for key, value in (("remnant_phi_down", report.phi_down),
-                       ("remnant_phi_up", report.phi_up),
-                       ("n_down", report.n_down),
-                       ("n_up", report.n_up),
-                       ("B_remnant_down", report.B_remnant_down),
-                       ("B_remnant_up", report.B_remnant_up),
-                       ("loop_area", loop.loop_area),
-                       ("jumps", len(loop.cycle.events))):
-        print(f"{key} = {_fmt(value)}")
+    _summary(("remnant_phi_down", report.phi_down), ("remnant_phi_up", report.phi_up),
+             ("n_down", report.n_down), ("n_up", report.n_up),
+             ("B_remnant_down", report.B_remnant_down), ("B_remnant_up", report.B_remnant_up),
+             ("loop_area", loop.loop_area), ("jumps", len(loop.cycle.events)))
     return 0
 
 
-def _cmd_wide_ring(config: RunConfig) -> int:
+def _cmd_wide_ring(config: argparse.Namespace) -> int:
     if config.n is None:
         raise UsageError("missing parameter: n (trapped flux integer)")
     if config.L is None:
@@ -297,23 +267,18 @@ def _cmd_wide_ring(config: RunConfig) -> int:
     return 0
 
 
-def _cmd_bloch_check(config: RunConfig) -> int:
+def _cmd_bloch_check(config: argparse.Namespace) -> int:
     if config.coeffs is None:
         raise UsageError("missing parameter: coeffs (comma-separated joules)")
     model = bloch_cpr.FreeEnergyModel(config.coeffs, **_given(config, "Phi0"))
     report = bloch_cpr.validate_symmetries(model, **_given(config, "grid_size"))
     fd_error = bloch_cpr.finite_difference_current_error(model)
-    print(f"current_periodicity = {_fmt(report.current_periodicity)}")
-    print(f"current_oddness = {_fmt(report.current_oddness)}")
-    print(f"energy_periodicity = {_fmt(report.energy_periodicity)}")
-    print(f"energy_evenness = {_fmt(report.energy_evenness)}")
-    print(f"finite_difference_error = {_fmt(fd_error)}")
     ok = report.passed(1e-12) and fd_error <= 1e-6
-    print(f"passed = {_fmt(ok)}")
+    _summary(*report._asdict().items(), ("finite_difference_error", fd_error), ("passed", ok))
     return 0 if ok else 2
 
 
-def _cmd_fit(config: RunConfig) -> int:
+def _cmd_fit(config: argparse.Namespace) -> int:
     if config.data is None:
         raise UsageError("missing parameter: data (observations CSV)")
     if config.beta is None:
@@ -325,16 +290,12 @@ def _cmd_fit(config: RunConfig) -> int:
     initial = ring_model.ReducedParams(beta=config.beta, **_given(config, "phi_fe"))
     options = {} if config.restarts is None else {"n_restarts": config.restarts}
     result = fit_mod.fit_parameters(observations, initial, bounds, **options)
-    print(f"beta = {_fmt(result.params.beta)}")
-    print(f"phi_fe = {_fmt(result.params.phi_fe)}")
-    print(f"objective = {_fmt(result.objective_value)}")
-    print(f"iterations = {_fmt(result.iterations)}")
-    print(f"converged = {_fmt(result.converged)}")
-    print(f"flat_objective = {_fmt(result.flat_objective)}")
+    _summary(("beta", result.params.beta), ("phi_fe", result.params.phi_fe),
+             ("objective", result.objective_value), ("iterations", result.iterations),
+             ("converged", result.converged), ("flat_objective", result.flat_objective))
     if config.I_J is not None:
         ring = _ring(config, result.params)
-        print(f"L = {_fmt(ring.L)}")
-        print(f"Phi_Fe = {_fmt(ring.Phi_Fe)}")
+        _summary(("L", ring.L), ("Phi_Fe", ring.Phi_Fe))
     return 0
 
 

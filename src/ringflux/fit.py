@@ -186,8 +186,6 @@ def fit_parameters(data: list[Observation], initial: ReducedParams,
     """
     import numpy as np
 
-    if len(data) == 0:
-        raise ValueError("no observations given")
     if len(data) < 3:
         raise ValueError(f"need at least 3 observations, got {len(data)}")
     kinds = {o.kind for o in data}
@@ -224,9 +222,8 @@ def fit_parameters(data: list[Observation], initial: ReducedParams,
         if best.fun <= OBJECTIVE_FLOOR:
             break
 
-    if best is None or not math.isfinite(best.fun):
-        raise NumericsError(
-            f"objective never reached a finite value; last iterate {best.x if best is not None else None}")
+    if not math.isfinite(best.fun):
+        raise NumericsError(f"objective never reached a finite value; last iterate {best.x}")
     beta, phi_fe = bounds.clip(float(best.x[0]), float(best.x[1]))
     return FitResult(
         params=ReducedParams(beta=beta, phi_fe=phi_fe),

@@ -38,6 +38,12 @@ DEFAULT_ROOT_TOL = 1e-12
 #: |g'| band classified as Marginal (fold tangency vs roundoff).
 MARGINAL_TOL = 1e-9
 
+#: Most segments, hence most roots, that find_fixed_points takes in one root
+#: window: the sinusoid's window holds about 4*lambda = 2*beta/pi, so beta up
+#: to about 7.9e6.  A root costs about 375 bytes; the cap equals the sample
+#: count sweep.MAX_SUBSTEPS allows a sweep.
+MAX_ROOTS = 5_000_000
+
 
 class NumericsError(RuntimeError):
     """A solver failed to meet its numerical contract."""
@@ -255,7 +261,8 @@ def _branch_root(phi_ext: float, k: int, p: ReducedParams, x0: float | None = No
 def _scan_boundaries(c: float, p: ReducedParams,
                      cpr: Callable[[float], float] | None = None) -> list[float]:
     """Ascending segment boundaries in the root window: its edges and every
-    critical point of g, k + 1/2 -/+ phi_a or k + t, t in cpr.critical_points(lam)."""
+    critical point of g, k + 1/2 -/+ phi_a or k + t, t in cpr.critical_points(lam).
+    A window of more than MAX_ROOTS segments raises ValueError up front."""
     lo = c - p.lam - WINDOW_MARGIN
     hi = c + p.lam + WINDOW_MARGIN
     if cpr is not None:  # t ascending in [0, 1)
@@ -265,6 +272,10 @@ def _scan_boundaries(c: float, p: ReducedParams,
     else:  # k + 0.5 - phi_a as k + 0.5 + (-phi_a), the same float
         phi_a = tangency_offset(p.beta)
         mid, offsets = 0.5, (-phi_a, phi_a)
+    segments = len(offsets) * (hi - lo)
+    if segments > MAX_ROOTS:
+        raise ValueError(f"beta={p.beta!r} gives about {segments:.3g} roots, "
+                         f"more than MAX_ROOTS={MAX_ROOTS}")
     pts = [lo]
     for k in range(math.floor(lo), math.ceil(hi) + 1):
         for t in offsets:
@@ -314,7 +325,9 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
         c = phi_ext + phi_fe.  Never empty, since g(lo) < 0 < g(hi) by
         |i| <= 1; where the rounding of c leaves no root resolved (|c| >~
         1e16 at beta 5), NumericsError is raised instead.  A non-finite
-        phi_ext raises ValueError.
+        phi_ext, or a window of more than MAX_ROOTS segments (beta above
+        about 7.9e6 for the sinusoid), raises ValueError before any root is
+        solved.
     """
     _require_finite("phi_ext", phi_ext)
     if (cpr is None) != (cpr_prime is None):

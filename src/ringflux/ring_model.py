@@ -156,8 +156,6 @@ def fluxoid(state: FluxoidState) -> float:
     In the thick-ring limit kappa -> 0 and the fluxoid reduces to the bare
     enclosed flux.
     """
-    if state.q == 0.0:
-        raise ValueError("q must be nonzero")
     return state.Phi + (state.m / state.q) * state.kappa
 
 

@@ -294,8 +294,6 @@ def run_hysteresis(p: ReducedParams, amplitude: float, step: float) -> Hysteresi
     """
     if not (amplitude > 0.0 and math.isfinite(amplitude)):
         raise ValueError(f"amplitude must be positive and finite, got {amplitude}")
-    if not (step > 0.0 and math.isfinite(step)):
-        raise ValueError(f"step must be positive and finite, got {step}")
 
     schedule = SweepSchedule((0.0, amplitude, 0.0, -amplitude, 0.0), step)
     traj = run_schedule(p, schedule)

@@ -94,6 +94,34 @@ class TestConfigParsing:
                            "--phi_ext", "0") == 1
             assert f"unknown key {key!r}" in capsys.readouterr().err
 
+    def test_file_with_byte_order_mark_is_read(self, tmp_path):
+        cfg = tmp_path / "marked.cfg"
+        cfg.write_text("\ufeffbeta = 5\nstep = 0.25\n", encoding="utf-8")
+        args = cli._build_parser().parse_args(["sweep", "--config", str(cfg)])
+        config = cli.parse_config(args)
+        assert (config.beta, config.step) == (5.0, 0.25)
+
+
+#: two values of each key, as text: one for the config file, one for the flag
+_KEY_VALUES = {float: ("0.25", "-1e-3"), int: ("3", "7"), str: ("a.csv", "b.csv"),
+               cli._parse_coeffs: ("1e-22,0", "-2e-22")}
+
+
+@pytest.mark.parametrize("key", list(cli._CONFIG_PARSERS))
+def test_every_key_layers_default_file_and_flag(key, tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.ENV_CONFIG, raising=False)
+    parser = cli._CONFIG_PARSERS[key]
+    in_file, in_flag = ("current", "remnant") if key == "kind" else _KEY_VALUES[parser]
+    build = cli._build_parser().parse_args
+    unset = cli.parse_config(build(["sweep"]))
+    assert getattr(unset, key) == {"h_points": 11, "kind": "remnant"}.get(key)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {in_file}\n")
+    from_file = cli.parse_config(build(["sweep", "--config", str(cfg)]))
+    assert getattr(from_file, key) == parser(in_file)
+    flagged = cli.parse_config(build(["sweep", "--config", str(cfg), f"--{key}", in_flag]))
+    assert getattr(flagged, key) == parser(in_flag) != parser(in_file)
+
 
 class TestCsvEmission:
     def test_empty_trajectory_header_only(self, tmp_path):
@@ -216,6 +244,18 @@ class TestFitCommand:
         assert run_cli("fit", "--data", str(data), "--beta", "4") == 1
         assert "phi_ext,observable" in capsys.readouterr().err
 
+    def test_byte_order_mark_fits_like_plain_file(self, tmp_path, capsys):
+        # spreadsheets export CSV with a leading U+FEFF
+        text = "phi_ext,observable\n2,0.78\n-2,-0.78\n3,0.8\n-3,-0.8\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text("\ufeff" + text, encoding="utf-8")
+        argv = ("--beta", "5", "--beta_min", "2", "--beta_max", "12", "--restarts", "0")
+        assert run_cli("fit", "--data", str(plain), *argv) == 0
+        expected = capsys.readouterr().out
+        assert run_cli("fit", "--data", str(marked), *argv) == 0
+        assert capsys.readouterr().out == expected
+
 
 class TestExitCodes:
     def test_success_is_zero(self, tmp_path):
@@ -256,6 +296,12 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "no root resolved" in captured.err and "Traceback" not in captured.err
+
+    def test_root_window_past_the_cap_is_one(self, capsys):
+        # about 6.4e8 roots at beta 1e9: refused before any is allocated
+        assert run_cli("fixed-points", "--beta", "1e9", "--phi_ext", "0") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "MAX_ROOTS" in captured.err
 
     def test_beta_past_the_overflow_of_beta_squared_is_zero(self, capsys):
         assert run_cli("sweep", "--beta", "1e200", "--amplitude", "1", "--step", "0.5") == 0
@@ -317,6 +363,8 @@ FROZEN_STDOUT = {
         "557cb283270efb7e4274273d1b1dfd2e93eaa99035d8e1cc79123f734ad2dd71",
     ("fixed-points", "--beta", "40", "--phi_ext", "0.183"):
         "9146a403cdf5e5a53ce16e7c3ee75c3abae12c23b2190ec251f5ec31b8e931f0",
+    ("wide-ring", "--n", "3", "--L", "1e-10", "--Phi0", "2.07e-15"):
+        "e177fd4e68ce8d0b623a072274119500034c9f942e7cb9c568812d8c5e31ddf7",
 }
 
 
@@ -332,6 +380,28 @@ def test_stdout_bytes_are_frozen(argv, capsys):
     assert run_cli(*argv) == 0
     out = capsys.readouterr().out.encode()
     assert hashlib.sha256(out).hexdigest() == FROZEN_STDOUT[argv]
+
+
+FIT_SUMMARY_KEYS = ["beta", "phi_fe", "objective", "iterations", "converged",
+                    "flat_objective"]
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (("fit", "--beta", "4.5", "--phi_fe", "0.2", "--restarts", "0"), FIT_SUMMARY_KEYS),
+    (("fit", "--beta", "4.5", "--phi_fe", "0.2", "--restarts", "0", "--I_J", "1e-5"),
+     FIT_SUMMARY_KEYS + ["L", "Phi_Fe"]),
+    (("bloch-check", "--coeffs", "3.2e-22,0,1e-23"),
+     ["current_periodicity", "current_oddness", "energy_periodicity", "energy_evenness",
+      "finite_difference_error", "passed"]),
+], ids=["fit", "fit-si", "bloch-check"])
+def test_summary_key_order(argv, keys, tmp_path, capsys):
+    # the values depend on the numpy and scipy builds, the keys do not;
+    # bloch-check ignores --data
+    data = tmp_path / "obs.csv"
+    data.write_text("phi_ext,observable\n2,0.78\n-2,-0.78\n3,0.8\n-3,-0.8\n")
+    assert run_cli(*argv, "--data", str(data)) == 0
+    out = capsys.readouterr().out
+    assert [line.split(" = ")[0] for line in out.splitlines()] == keys
 
 
 def test_cli_process_matches_main_and_starts_without_numpy_or_scipy(capsys):

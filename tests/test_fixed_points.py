@@ -190,6 +190,12 @@ class TestFindFixedPoints:
         assert all(a is not b for a, b in zip(kinds, kinds[1:]))
         assert Stability.MARGINAL not in kinds
 
+    @pytest.mark.parametrize("beta", [1e9, 1e200])
+    def test_root_window_past_the_cap_raises_up_front(self, beta):
+        # beta 1e9 puts about 6.4e8 roots in the window, some 240 GB of records
+        with pytest.raises(ValueError, match="MAX_ROOTS"):
+            find_fixed_points(0.0, ReducedParams(beta=beta))
+
     def test_residual_calls_per_root(self, monkeypatch):
         # each segment is solved by bracketed Newton from its midpoint, which
         # takes about 7.5 calls per root here (segment ends included);

@@ -35,13 +35,9 @@ from .fixed_points import (
     residual_derivative,
 )
 from .ring_model import (
-    COOPER_PAIR_CHARGE,
-    COOPER_PAIR_MASS,
     FLUX_QUANTUM,
-    FluxoidState,
     ReducedParams,
     RingParams,
-    fluxoid,
     quantization_index,
     reduce,
     unreduce,

@@ -16,6 +16,11 @@ stable when g'(phi) > 0 (the line crosses the sinusoid from above);
 g'(phi) < 0 is the runaway case.  For beta <= 1, g is nondecreasing and the
 root is unique; for beta > 1 stable and unstable roots alternate and
 coalesce pairwise at fold (tangency) points where g = g' = 0.
+
+The sinusoid is integer-periodic: g(j + u) at drive c equals g(u) at the
+cell drive d = c - j.  Every solve therefore works in a unit cell, on u,
+and reports the root j + u with the current i(u), so a far drive keeps the
+fraction of its roots that sin(2*pi*(j + u)) would lose.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ MARGINAL_TOL = 1e-9
 
 #: Most segments, hence most roots, that find_fixed_points takes in one root
 #: window: the sinusoid's window holds about 4*lambda = 2*beta/pi, so beta up
-#: to about 7.9e6.  A root costs about 375 bytes; the cap equals the sample
+#: to about 7.9e6.  A root costs about 180 bytes; the cap equals the sample
 #: count sweep.MAX_SUBSTEPS allows a sweep.
 MAX_ROOTS = 5_000_000
 
@@ -196,53 +201,38 @@ def _bracketed_newton(f: Callable[[float], float], df: Callable[[float], float],
         x = xn
 
 
-def _segment_root(f: Callable[[float], float], df: Callable[[float], float],
-                  a: float, b: float, fa: float, fb: float) -> tuple[float, float] | None:
-    """(x, f(x)) at the root of f on a monotone segment [a, b]: a zero at a, or
-    bracketed Newton from the midpoint on a sign change; else None."""
-    if fa == 0.0:
-        return a, fa
-    if fb != 0.0 and (fa < 0.0) != (fb < 0.0):  # a zero at b is the next segment's
-        return _bracketed_newton(f, df, a, b, fa, fb, 0.5 * (a + b))
-    return None
-
-
-def _accept(root: float, r: float, beta: float) -> float:
-    """root, if its residual r passes the acceptance rule of every solve, else raise."""
-    # |r| <= DEFAULT_ROOT_TOL * max(1, |root|), else the rounding of g at |g'|
-    # <= 1 + beta (large beta); each bound is computed only where those before fail
-    if (abs(r) > DEFAULT_ROOT_TOL and abs(r) > DEFAULT_ROOT_TOL * abs(root)
-            and abs(r) > 2.0 * (1.0 + beta) * math.ulp(root)):
-        raise NumericsError(
-            f"root at phi={root!r} has residual {r:.3e} > max({DEFAULT_ROOT_TOL:.0e} * "
-            f"max(1, |phi|), 2*(1 + beta)*ulp(phi))")
-    return root
-
-
-def _fixed_point(root: float, r: float, p: ReducedParams, cpr: Callable[[float], float] | None,
-                 cpr_prime: Callable[[float], float] | None) -> FixedPoint:
-    """Accept a solved root with residual r and classify it, or raise."""
-    i = math.sin(TWO_PI * root) if cpr is None else cpr(root)
-    return FixedPoint(_accept(root, r, p.beta), i, classify_stability(root, p, cpr_prime))
+def _accept(u: float, r: float, beta: float) -> float:
+    """u, if its cell residual r passes the acceptance rule of every solve, else raise."""
+    # |r| <= DEFAULT_ROOT_TOL, else the rounding of g at |g'| <= 1 + beta (large
+    # beta): |u| < 2 in its cell, but d and lam*sin round at about lam*ulp(1)
+    if abs(r) > DEFAULT_ROOT_TOL and abs(r) > 2.0 * (1.0 + beta) * math.ulp(1.0):
+        raise NumericsError(f"root at u={u!r} of its cell has residual {r:.3e} > "
+                            f"max({DEFAULT_ROOT_TOL:.0e}, 2*(1 + beta)*ulp(1))")
+    return u
 
 
 def _branch_root(phi_ext: float, k: int, p: ReducedParams, x0: float | None = None) -> float | None:
-    """The root on stable segment k (the root window for beta <= 1), or None.
+    """u, the root k + u of stable segment k solved in its cell, or None.
 
-    The segment is clipped to the root window as _scan_boundaries clips it.
-    An end with g within DEFAULT_ROOT_TOL of 0 on the branch's side is the
-    tangency of a fold level, which rounding may leave unbracketed (absolute:
-    the root of a drive inside the band lies about sqrt(band) from the end).
-    Else bracketed Newton with residual_derivative's slope runs from x0 (by
-    default the midpoint: find_fixed_points' root) and _accept checks it."""
-    c, lam = phi_ext + p.phi_fe, p.lam
-    a, b = lo, hi = c - lam - WINDOW_MARGIN, c + lam + WINDOW_MARGIN
+    This is find_fixed_points' stable segment of period k: [-e, e],
+    e = 1/2 - phi_a, at the cell drive d = c - k, clipped to the cell's root
+    window [d - lam - eps, d + lam + eps]; for beta <= 1 the whole window,
+    with k = round(c) from the caller.  An end with g within DEFAULT_ROOT_TOL
+    of 0 on the branch's side is the tangency of a fold level, which
+    rounding may leave unbracketed (absolute: the root of a drive inside the
+    band lies about sqrt(band) from the end).  Else bracketed Newton with
+    residual_derivative's slope runs from the cell coordinate x0 (by
+    default, and always for beta <= 1, the midpoint) and _accept checks it."""
+    d, lam = phi_ext + p.phi_fe - k, p.lam
+    a, b = lo, hi = d - lam - WINDOW_MARGIN, d + lam + WINDOW_MARGIN
     if p.beta > 1.0:
-        a, b = stable_branch_interval(k, p.beta)
-        a, b = (lo if a - lo <= 1e-12 else a), (b if b < hi else hi)
+        e = 0.5 - _fold_geometry(p.beta)[0]
+        a, b = (-e if -e > lo else lo), (e if e < hi else hi)
+    else:
+        x0 = None
 
-    def f(x: float) -> float:  # residual(x, phi_ext, p), with c and lam hoisted
-        return x - c + lam * math.sin(TWO_PI * x)
+    def f(x: float) -> float:  # residual(x, d, ReducedParams(p.beta)), inlined
+        return x - d + lam * math.sin(TWO_PI * x)
 
     if not a < b:
         return None
@@ -258,51 +248,24 @@ def _branch_root(phi_ext: float, k: int, p: ReducedParams, x0: float | None = No
     return _accept(x, fx, p.beta)
 
 
-def _scan_boundaries(c: float, p: ReducedParams,
-                     cpr: Callable[[float], float] | None = None) -> list[float]:
-    """Ascending segment boundaries in the root window: its edges and every
-    critical point of g, k + 1/2 -/+ phi_a or k + t, t in cpr.critical_points(lam).
-    A window of more than MAX_ROOTS segments raises ValueError up front."""
-    lo = c - p.lam - WINDOW_MARGIN
-    hi = c + p.lam + WINDOW_MARGIN
-    if cpr is not None:  # t ascending in [0, 1)
-        mid, offsets = 0.0, cpr.critical_points(p.lam)  # type: ignore[attr-defined]
-    elif p.beta <= 1.0:
-        return [lo, hi]
-    else:  # k + 0.5 - phi_a as k + 0.5 + (-phi_a), the same float
-        phi_a = tangency_offset(p.beta)
-        mid, offsets = 0.5, (-phi_a, phi_a)
-    segments = len(offsets) * (hi - lo)
-    if segments > MAX_ROOTS:
-        raise ValueError(f"beta={p.beta!r} gives about {segments:.3g} roots, "
-                         f"more than MAX_ROOTS={MAX_ROOTS}")
-    pts = [lo]
-    for k in range(math.floor(lo), math.ceil(hi) + 1):
-        for t in offsets:
-            cp = k + mid + t
-            if lo < cp < hi:
-                pts.append(cp)
-    pts.append(hi)
-    # collapse near-degenerate boundaries (phi_a -> 0 or 1/4 limits)
-    out = [pts[0]]
-    for x in pts[1:]:
-        if x - out[-1] > 1e-12:
-            out.append(x)
-    return out
-
-
 def find_fixed_points(phi_ext: float, p: ReducedParams,
                       cpr: Callable[[float], float] | None = None,
                       cpr_prime: Callable[[float], float] | None = None) -> list[FixedPoint]:
     """All flux states at a given applied flux, sorted ascending in phi.
 
-    Each sign-changing segment of the partition is solved by bracketed
-    Newton from its midpoint (with g' from residual_derivative) down to two
-    adjacent floats, about 7.5 calls of `residual` per root.  A root is
-    accepted at |g| <= DEFAULT_ROOT_TOL * max(1, |phi|), relative because
-    near |phi| ~ 1e4 one ulp of phi alone exceeds an absolute 1e-12, or at
-    |g| <= 2*(1 + beta)*ulp(phi), the rounding of g where its slope |g'|
-    reaches 1 + beta (beta >~ 1e4).
+    The root window is split period by period.  Period j is solved in its
+    unit cell at the drive d = c - j (exact by Sterbenz wherever j is within
+    a factor 2 of c), on its monotone segments: for the sinusoid the stable
+    [-e, e] and the unstable [e, 1 - e], e = 1/2 - phi_a, or those between
+    consecutive `cpr.critical_points(lam)`; for beta <= 1 the one window
+    segment in round(c)'s cell.  Each, clipped to the cell's root window, is
+    solved on a sign change by bracketed Newton from its midpoint (slope
+    from residual_derivative) down to two adjacent floats, about 7.5 calls
+    of `residual` per root; a stable segment gives _branch_root's root bit
+    for bit.  A cell root u is reported as j + u, with i(u) and the class of
+    g'(u), so the current keeps the fraction at any drive.  It is accepted at
+    |g| <= DEFAULT_ROOT_TOL, or at |g| <= 2*(1 + beta)*ulp(1), the rounding
+    of g in the cell where its slope reaches 1 + beta (beta >~ 1e3).
 
     Parameters
     ----------
@@ -314,20 +277,20 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
         Optional reduced current-phase relation (|i| <= 1) and its
         derivative replacing the sinusoid, as `bloch_cpr.reduced_cpr` gives
         them: together, since stability is classified with the slope, and
-        `cpr_prime` also gives the Newton steps.  `cpr.critical_points(lam)`,
-        the zeros of g' in one period, split the window as the sinusoid's
-        analytic points do; a `cpr` without it raises ValueError.
+        `cpr_prime` also gives the Newton steps.  A `cpr` without
+        `critical_points(lam)`, the zeros of g' in one period, raises
+        ValueError.
 
     Returns
     -------
     list[FixedPoint]
         Every root in the window [c - lambda - eps, c + lambda + eps] with
-        c = phi_ext + phi_fe.  Never empty, since g(lo) < 0 < g(hi) by
-        |i| <= 1; where the rounding of c leaves no root resolved (|c| >~
-        1e16 at beta 5), NumericsError is raised instead.  A non-finite
-        phi_ext, or a window of more than MAX_ROOTS segments (beta above
-        about 7.9e6 for the sinusoid), raises ValueError before any root is
-        solved.
+        c = phi_ext + phi_fe; never empty, since g(lo) < 0 < g(hi) by
+        |i| <= 1.  Where two roots j + u round to one float, closer than
+        ulp(c) (from |c| of about 1e13 near a fold; every root from about
+        1e16 at beta 5), NumericsError ("no root resolved") is raised.  A
+        non-finite phi_ext or c, or a window of more than MAX_ROOTS segments
+        (beta above about 7.9e6 for the sinusoid), raises ValueError first.
     """
     _require_finite("phi_ext", phi_ext)
     if (cpr is None) != (cpr_prime is None):
@@ -335,25 +298,57 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
     if cpr is not None and not hasattr(cpr, "critical_points"):
         raise ValueError("cpr must carry its critical_points(lam), as reduced_cpr's does")
     c = phi_ext + p.phi_fe
-    bounds = _scan_boundaries(c, p, cpr)
+    _require_finite("phi_ext + phi_fe", c)
+    lam, n = p.lam, round(c)
+    if cpr is not None:  # t ascending in [0, 1)
+        ts = cpr.critical_points(lam)  # type: ignore[attr-defined]
+    else:  # -e as phi_a - 1/2, the same float
+        ts = [(phi_a := tangency_offset(p.beta)) - 0.5, 0.5 - phi_a] if p.beta > 1.0 else []
+    if ts:
+        segments = len(ts) * 2.0 * (lam + WINDOW_MARGIN)
+        if segments > MAX_ROOTS:
+            raise ValueError(f"beta={p.beta!r} gives about {segments:.3g} roots, "
+                             f"more than MAX_ROOTS={MAX_ROOTS}")
+        cuts, dn = [*ts, ts[0] + 1.0], c - n
+        periods = range(n + math.floor(dn - lam - ts[0]) - 1, n + math.ceil(dn + lam - ts[0]) + 1)
+    else:  # the one window segment in round(c)'s cell
+        cuts, periods = [-math.inf, math.inf], range(n, n + 1)
+    q = ReducedParams(p.beta)  # phi_fe 0: residual(u, d, q) is g in the cell of drive d
 
-    def f(x: float) -> float:
-        return residual(x, phi_ext, p, cpr)
+    def f(u: float) -> float:
+        return residual(u, d, q, cpr)
 
-    vals = [f(x) for x in bounds]
-    roots: list[tuple[float, float]] = []
+    def df(u: float) -> float:
+        return residual_derivative(u, p, cpr_prime)
 
-    def push(root: float, r: float) -> None:  # segments ascend; a shared end comes twice
-        if not roots or root > roots[-1][0]:
-            roots.append((root, r))
-
-    for (a, b), (fa, fb) in zip(zip(bounds, bounds[1:]), zip(vals, vals[1:])):
-        hit = _segment_root(f, lambda x: residual_derivative(x, p, cpr_prime), a, b, fa, fb)
-        if hit is not None:
-            push(*hit)
-    if vals[-1] == 0.0:
-        push(bounds[-1], 0.0)
-    if not roots:  # the window rounds away about c
-        raise NumericsError(f"no root resolved at phi_ext={phi_ext!r}: the root window "
-                            f"about c={c!r} is below float resolution")
-    return [_fixed_point(root, r, p, cpr, cpr_prime) for root, r in roots]
+    first, rest = cuts[0], cuts[1:]
+    roots: list[FixedPoint] = []
+    for j in periods:
+        d = c - j
+        lo, hi = d - lam - WINDOW_MARGIN, d + lam + WINDOW_MARGIN
+        a, fa = (first if first > lo else lo), None
+        for t in rest:  # period j's segments [a, b] in its window, ascending
+            if t <= a:
+                continue
+            b = t if t < hi else hi
+            if not a < b:
+                break
+            fa, fb = (f(a) if fa is None else fa), f(b)
+            if fa == 0.0 or fb == 0.0:  # a zero at b is the next segment's, or the window top's
+                hit = (a, fa) if fa == 0.0 else (b, fb) if b == hi else None
+            elif (fa < 0.0) != (fb < 0.0):
+                hit = _bracketed_newton(f, df, a, b, fa, fb, 0.5 * (a + b))
+            else:
+                hit = None
+            if hit:
+                u, r = hit
+                phi = j + u
+                if roots and phi <= roots[-1].phi:
+                    raise NumericsError(f"no root resolved at phi_ext={phi_ext!r}: two roots "
+                                        f"round to phi={phi!r}, below the resolution of c={c!r}")
+                roots.append(FixedPoint(phi, math.sin(TWO_PI * u) if cpr is None else cpr(u),
+                                        classify_stability(_accept(u, r, p.beta), p, cpr_prime)))
+            if b == hi:
+                break
+            a, fa = b, fb
+    return roots

@@ -1,4 +1,4 @@
-"""Lumped parameters of the ring system, unit reduction, and fluxoid arithmetic.
+"""Lumped parameters of the ring system, unit reduction, and quantization indexing.
 
 Units:
 - all RingParams fields are SI (henry, ampere, weber, square meter);
@@ -27,11 +27,6 @@ ELECTRON_MASS: float = 9.1093837139e-31  # [kg]
 #: Magnetic flux quantum h/(2e) [Wb].  This is the package default; rounded
 #: literature values (e.g. 2.07e-15) are accepted as explicit inputs.
 FLUX_QUANTUM: float = PLANCK_H / (2.0 * ELEMENTARY_CHARGE)
-
-#: Cooper-pair carrier defaults: charge 2e, mass 2 m_e.  Overridable per
-#: FluxoidState.
-COOPER_PAIR_CHARGE: float = 2.0 * ELEMENTARY_CHARGE
-COOPER_PAIR_MASS: float = 2.0 * ELECTRON_MASS
 
 
 def _require_positive(name: str, value: float) -> None:
@@ -126,37 +121,6 @@ def unreduce(
         Phi_Fe=p.phi_fe * Phi0,
         area_A=area_A,
     )
-
-
-@dataclass(frozen=True)
-class FluxoidState:
-    """Enclosed flux plus superfluid circulation around the ring contour.
-
-    kappa is the line integral of the superfluid velocity [m^2/s]; it is an
-    input here, not derived from geometry (the velocity profile inside the
-    material is not modelled).  m and q default to Cooper-pair values.
-    """
-
-    Phi: float
-    kappa: float
-    m: float = COOPER_PAIR_MASS
-    q: float = COOPER_PAIR_CHARGE
-
-    def __post_init__(self) -> None:
-        _require_finite("Phi", self.Phi)
-        _require_finite("kappa", self.kappa)
-        _require_finite("m", self.m)
-        if self.q == 0.0 or not math.isfinite(self.q):
-            raise ValueError(f"q must be nonzero and finite, got {self.q}")
-
-
-def fluxoid(state: FluxoidState) -> float:
-    """Gauge-invariant fluxoid Phi + (m/q)*kappa [Wb].
-
-    In the thick-ring limit kappa -> 0 and the fluxoid reduces to the bare
-    enclosed flux.
-    """
-    return state.Phi + (state.m / state.q) * state.kappa
 
 
 class QuantizationIndex(NamedTuple):

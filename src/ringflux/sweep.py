@@ -36,7 +36,7 @@ from .fixed_points import (
     find_fixed_points,  # the start's fallback, called by name: the benchmark's tracer wraps it
     stable_branch_interval,
 )
-from .ring_model import TWO_PI, ReducedParams, RingParams
+from .ring_model import TWO_PI, ReducedParams, RingParams, _require_finite
 
 _MAX_JUMPS_PER_STEP = 64
 
@@ -135,19 +135,22 @@ class RemnantReport(NamedTuple):
 # Single-branch continuation
 # ---------------------------------------------------------------------------
 
-def _on_branch(p: ReducedParams, k: int, phi_ext: float, x0: float) -> float:
-    """Branch k's root at phi_ext from x0, where the caller found branch k."""
-    if (phi := _branch_root(phi_ext, k, p, x0)) is None:
+def _on_branch(p: ReducedParams, k: int, phi_ext: float, x0: float) -> tuple[float, float]:
+    """(k + u, u): branch k's root at phi_ext from the flux x0, where the caller
+    found branch k; for beta <= 1 the window's root in round(c)'s cell."""
+    if p.beta <= 1.0:
+        k = round(phi_ext + p.phi_fe)
+    if (u := _branch_root(phi_ext, k, p, x0 - k)) is None:
         raise NumericsError(f"branch {k} does not bracket c={phi_ext + p.phi_fe!r}")
-    return phi
+    return k + u, u
 
 
 def _stable_root(phi_ext: float, k: int, p: ReducedParams) -> FixedPoint | None:
     """_branch_root's root on stable segment k as a FixedPoint if STABLE, else None."""
-    phi = _branch_root(phi_ext, k, p)
-    if phi is None or classify_stability(phi, p) is not Stability.STABLE:
+    u = _branch_root(phi_ext, k, p)
+    if u is None or classify_stability(u, p) is not Stability.STABLE:
         return None
-    return FixedPoint(phi, math.sin(TWO_PI * phi), Stability.STABLE)
+    return FixedPoint(k + u, math.sin(TWO_PI * u), Stability.STABLE)
 
 
 def continue_branch(state: BranchState, phi_ext_next: float, p: ReducedParams) -> BranchState:
@@ -156,8 +159,8 @@ def continue_branch(state: BranchState, phi_ext_next: float, p: ReducedParams) -
     (every flux for beta <= 1); at the state's own drive, the state itself."""
     if phi_ext_next == state.phi_ext:
         return state
-    phi = _on_branch(p, state.branch_id, phi_ext_next, state.phi)
-    return BranchState(phi_ext_next, phi, math.sin(TWO_PI * phi), state.branch_id)
+    phi, u = _on_branch(p, state.branch_id, phi_ext_next, state.phi)
+    return BranchState(phi_ext_next, phi, math.sin(TWO_PI * u), state.branch_id)
 
 
 def resolve_jump(p: ReducedParams, k: int, ascending: bool) -> tuple[float, float, FixedPoint]:
@@ -228,6 +231,8 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
     if not math.isfinite(init_phi_hint):
         raise ValueError(f"init_phi_hint must be finite, got {init_phi_hint}")
     w = schedule.waypoints
+    for x in w:  # every sub-step's c lies between two waypoints'
+        _require_finite("phi_ext + phi_fe", x + p.phi_fe)
     state = _initial_state(p, w[0], init_phi_hint)
     samples = [state]
     events: list[JumpEvent] = []
@@ -245,9 +250,10 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
                 c_lo, c_hi = branch_flux_range(state.branch_id, p.beta)
                 if c_lo <= c <= c_hi:
                     break
-                at, before, landing = resolve_jump(p, state.branch_id, c > c_hi)
+                up = c > c_hi
+                at, before, landing = resolve_jump(p, state.branch_id, up)
                 state = BranchState(at, landing.phi, landing.i,
-                                    branch_index(landing.phi, p.beta))
+                                    state.branch_id + (1 if up else -1))
                 samples.append(state)
                 events.append(JumpEvent(at, before, landing.phi, len(samples) - 1))
             else:
@@ -355,13 +361,14 @@ def hysteresis_remnants(p: ReducedParams,
     for amp in amplitudes:
         if not (amp > 0.0 and math.isfinite(amp)):
             raise ValueError(f"amplitude must be positive and finite, got {amp}")
+        _require_finite("phi_ext + phi_fe", amp + abs(p.phi_fe))  # the larger |+/-amp + phi_fe|
     virgin = _initial_state(p, 0.0, 0.0).branch_id
     out = []
     for amp in amplitudes:
         k = _walk(p, _walk(p, virgin, amp, True), 0.0, False)
-        down = _on_branch(p, k, 0.0, float(k))
+        down = _on_branch(p, k, 0.0, float(k))[0]
         k = _walk(p, _walk(p, k, -amp, False), 0.0, True)
-        out.append((down, _on_branch(p, k, 0.0, float(k))))
+        out.append((down, _on_branch(p, k, 0.0, float(k))[0]))
     return out
 
 
@@ -376,11 +383,13 @@ def path_fluxes(p: ReducedParams, waypoints: Iterable[float]) -> list[float]:
     waypoints = tuple(waypoints)
     if not all(math.isfinite(w) for w in waypoints):
         raise ValueError(f"waypoints must be finite, got {waypoints}")
+    for w in waypoints:
+        _require_finite("phi_ext + phi_fe", w + p.phi_fe)
     k = _initial_state(p, 0.0, 0.0).branch_id
     out = []
     for prev, w in zip((0.0,) + waypoints, waypoints):
         k = _walk(p, k, w, w > prev)
-        out.append(_on_branch(p, k, w, float(k)))
+        out.append(_on_branch(p, k, w, float(k))[0])
     return out
 
 

@@ -290,6 +290,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: phi_ext must be finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("fixed-points", "--beta", "5", "--phi_fe", "1.7e308", "--phi_ext", "1.7e308"),
+        ("sweep", "--beta", "5", "--phi_fe", "1e308", "--amplitude", "1e308", "--step", "1e308"),
+    ], ids=lambda argv: argv[0])
+    def test_overflowing_total_flux_is_one(self, argv, capsys):
+        # each input is finite, but c = phi_ext + phi_fe overflows to inf
+        assert run_cli(*argv) == 1
+        err = capsys.readouterr().err
+        assert "error: phi_ext + phi_fe must be finite" in err and "Traceback" not in err
+
     def test_unresolved_root_window_is_two(self, capsys):
         # c +/- lambda rounds to c: no root to print, not an empty table
         assert run_cli("fixed-points", "--beta", "5", "--phi_ext", "1e300") == 2
@@ -357,12 +367,12 @@ class TestNegativeValues:
 
 FROZEN_STDOUT = {
     ("sweep", "--beta", "5", "--phi_fe", "0.3", "--amplitude", "3", "--step", "0.01"):
-        "28b116713c013291143c6f794289d68fd93217e23e1fa513468230e4097d6972",
+        "16b3ae0e6ba6eb95ecf6898aa590b7dc8b0d21a0ddfd87883d4201fdbcf234ed",
     ("sweep", "--beta", "18.55972099975719", "--phi_fe", "-0.08016403792901305",
      "--amplitude", "3.7168673500582896", "--step", "0.05"):
-        "557cb283270efb7e4274273d1b1dfd2e93eaa99035d8e1cc79123f734ad2dd71",
+        "44864c24adb2adead1a733ab0e304616d176a91a6cd85698fd8b2afb61317d00",
     ("fixed-points", "--beta", "40", "--phi_ext", "0.183"):
-        "9146a403cdf5e5a53ce16e7c3ee75c3abae12c23b2190ec251f5ec31b8e931f0",
+        "83b4bdd53e443755c7de9ff90df2cc1a4cd59f4e4fd7cf067fce4d7aef6e9f8e",
     ("wide-ring", "--n", "3", "--L", "1e-10", "--Phi0", "2.07e-15"):
         "e177fd4e68ce8d0b623a072274119500034c9f942e7cb9c568812d8c5e31ddf7",
 }

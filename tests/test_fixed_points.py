@@ -166,6 +166,27 @@ class TestFindFixedPoints:
         for r, q in zip(far, near):
             assert abs(r.phi - (q.phi + n)) <= 2 * math.ulp(n + 0.3)
 
+    def test_far_drive_keeps_the_current(self):
+        # each root is solved in its unit cell, so the currents and classes
+        # at c are those at c - round(c) bit for bit, where sin(2*pi*phi) of
+        # the rounded far flux would be off by about 2*pi*ulp(c) = 7.7e-4
+        p = ReducedParams(beta=5.0)
+        c = 1e12 + 0.3
+        far, near = find_fixed_points(c, p), find_fixed_points(c - 1e12, p)
+        assert [(r.i, r.stability) for r in far] == [(r.i, r.stability) for r in near]
+        for r, q in zip(far, near):
+            assert abs(r.phi - (1e12 + q.phi)) <= math.ulp(r.phi)
+
+    def test_roots_closer_than_an_ulp_of_the_drive_raise(self):
+        # 25 roots at beta 40 within |phi - c| <= 6.4, some pairs closer
+        # than ulp(1e15) = 0.125: no float can tell them apart
+        with pytest.raises(fixed_points.NumericsError, match="no root resolved"):
+            find_fixed_points(1e15 + 0.3, ReducedParams(beta=40.0))
+
+    def test_overflowing_total_flux_rejected(self):
+        with pytest.raises(ValueError, match=r"phi_ext \+ phi_fe must be finite"):
+            find_fixed_points(1.7e308, ReducedParams(beta=5.0, phi_fe=1.7e308))
+
     @pytest.mark.parametrize("phi_ext", [math.inf, -math.inf, math.nan])
     def test_non_finite_drive_rejected(self, phi_ext):
         with pytest.raises(ValueError, match="phi_ext must be finite"):

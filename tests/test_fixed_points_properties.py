@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from ringflux import fixed_points
-from ringflux.fixed_points import branch_flux_range, find_fixed_points
+from ringflux.fixed_points import NumericsError, branch_flux_range, find_fixed_points
 from ringflux.ring_model import TWO_PI, ReducedParams
 
 betas = st.floats(min_value=0.1, max_value=40.0)
@@ -44,6 +44,29 @@ def test_integer_drive_shift_shifts_every_root_at_large_beta(beta, phi_fe, phi_e
     # exceeds 1e-12 once |phi| (up to about lam + 25) passes a few hundred
     _assert_shift_shifts_roots(beta, phi_fe, phi_ext, n,
                                lambda phi: 4 * math.ulp(abs(phi) + 21.0))
+
+
+@given(beta=st.floats(min_value=-1.0, max_value=2.0).map(lambda u: 10.0 ** u),
+       n=st.integers(min_value=-10**15, max_value=10**15), f=biases)
+# an absolute-coordinate solve found 4 roots here, where the shifted set has 5
+@example(beta=4.671020311769637, n=round(10**12.816782161057064), f=-0.006724811367058936)
+def test_far_drive_shifts_the_near_roots(beta, n, f):
+    # every root is solved in its unit cell, so the roots at c are round(c)
+    # plus those at c - round(c), with the same currents and classes bit for
+    # bit; only roots within 2*ulp(c) of each other, which round to one
+    # float, make the far call raise
+    p = ReducedParams(beta=beta)
+    c = n + f
+    m = round(c)
+    near = find_fixed_points(c - m, p)
+    try:
+        far = find_fixed_points(c, p)
+    except NumericsError:
+        assert any(b.phi - a.phi <= 2 * math.ulp(c) for a, b in zip(near, near[1:]))
+        return
+    assert [(r.i, r.stability) for r in far] == [(r.i, r.stability) for r in near]
+    for r, q in zip(far, near):
+        assert abs(r.phi - (m + q.phi)) <= math.ulp(r.phi)
 
 
 @given(beta=betas, phi_fe=biases, phi_ext=drives)

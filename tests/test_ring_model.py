@@ -1,4 +1,4 @@
-"""Parameter reduction, the sinusoidal relation, and fluxoid arithmetic."""
+"""Parameter reduction, the sinusoidal relation, and quantization indexing."""
 
 import math
 
@@ -8,17 +8,13 @@ from numpy.testing import assert_allclose
 
 from ringflux.bloch_cpr import FreeEnergyModel, reduced_cpr
 from ringflux.ring_model import (
-    COOPER_PAIR_CHARGE,
-    COOPER_PAIR_MASS,
     ELECTRON_MASS,
     ELEMENTARY_CHARGE,
     FLUX_QUANTUM,
     PLANCK_H,
     TWO_PI,
-    FluxoidState,
     ReducedParams,
     RingParams,
-    fluxoid,
     quantization_index,
     reduce,
     unreduce,
@@ -102,31 +98,6 @@ class TestJosephsonCurrent:
     def test_bounded_by_one(self):
         phi = np.linspace(-10.0, 10.0, 100003)
         assert np.max(np.abs(josephson_current(phi))) <= 1.0 + 1e-15
-
-
-class TestFluxoid:
-    def test_thick_ring_limit_is_bare_flux(self):
-        assert fluxoid(FluxoidState(Phi=3 * FLUX_QUANTUM, kappa=0.0)) == 3 * FLUX_QUANTUM
-
-    def test_zero_state(self):
-        assert fluxoid(FluxoidState(Phi=0.0, kappa=0.0)) == 0.0
-
-    def test_circulation_contribution(self):
-        # kappa = q*Phi0/m makes the circulation term worth exactly one quantum:
-        # independent evaluation of Phi + (m/q)*kappa
-        state = FluxoidState(Phi=FLUX_QUANTUM,
-                             kappa=COOPER_PAIR_CHARGE * FLUX_QUANTUM / COOPER_PAIR_MASS)
-        expected = state.Phi + (state.m / state.q) * state.kappa
-        assert expected == pytest.approx(2 * FLUX_QUANTUM, rel=1e-15)
-        assert fluxoid(state) == expected
-
-    def test_custom_carriers(self):
-        state = FluxoidState(Phi=1e-15, kappa=2e-4, m=9.1e-31, q=-1.6e-19)
-        assert fluxoid(state) == pytest.approx(1e-15 + (9.1e-31 / -1.6e-19) * 2e-4, rel=1e-15)
-
-    def test_zero_charge_rejected(self):
-        with pytest.raises(ValueError):
-            FluxoidState(Phi=0.0, kappa=0.0, q=0.0)
 
 
 class TestQuantizationIndex:

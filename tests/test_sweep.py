@@ -517,6 +517,16 @@ class TestRunSchedule:
         traj = run_schedule(p, SweepSchedule((0.0, 0.1), 0.05), init_phi_hint=1.0)
         assert traj.samples[0].phi == pytest.approx(0.7808611255265885, abs=1e-12)
 
+    def test_overflowing_total_flux_is_rejected_at_every_entry_point(self):
+        # the drives and the bias are finite, their sum c is not
+        p = ReducedParams(beta=5.0, phi_fe=1e308)
+        for call in (lambda: run_schedule(p, SweepSchedule((0.0, 1e308), 1e308)),
+                     lambda: hysteresis_remnants(p, [1e308]),
+                     lambda: hysteresis_remnants(ReducedParams(5.0, -1e308), [1e308]),
+                     lambda: path_fluxes(p, [1.0, 1e308])):
+            with pytest.raises(ValueError, match=r"phi_ext \+ phi_fe must be finite"):
+                call()
+
     def test_rejects_non_finite_hint(self):
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="init_phi_hint"):
@@ -549,7 +559,7 @@ class TestRunSchedule:
 
 # sha256 of _schedule_bits(); a deliberate change of any sample, event or
 # raise message updates it, with a ledger of what moved in CHANGES.md
-FROZEN_SCHEDULE_BITS = "0016bc0f050692202551556bb9728a2f3c12805e4dc9d760622cb4de7af73573"
+FROZEN_SCHEDULE_BITS = "a1dbc1ec8c6cccaffb0ff4e1c78d082cb932c7b29ae49ff1b5fd330e4dee3498"
 
 
 def _schedule_bits(n=200, seed=11):

@@ -84,6 +84,9 @@ def test_kernel_remnants_match_the_sweep(beta, phi_fe, amplitude):
 @given(beta=st.one_of(hysteretic_betas, st.floats(min_value=0.1, max_value=1.0)),
        phi_fe=st.floats(min_value=-0.5, max_value=0.5),
        waypoints=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=3, max_size=9))
+# a cubic-flat root at beta 1, where the float a solve ends on depends on its
+# start: every beta <= 1 solve starts from its window's midpoint
+@example(beta=1.0, phi_fe=0.0, waypoints=[0.5, 0.0, 1.0])
 def test_path_fluxes_match_the_sweep(beta, phi_fe, waypoints):
     # the same walk as the remnant kernel, read at every waypoint of a path
     drives = (0.0, *waypoints)
@@ -159,9 +162,9 @@ def test_virgin_state_is_the_scan_pick(beta, phi_fe, drive, snap, hint, offset):
         drive, want.phi, want.i, branch_index(want.phi, beta))
 
 
-def _branch_residual(p, c):
-    """g on a stable branch, evaluated as the branch solve evaluates it."""
-    return lambda x: x - c + p.lam * math.sin(TWO_PI * x)
+def _branch_residual(p, d):
+    """g in the unit cell of drive d, evaluated as the branch solve evaluates it."""
+    return lambda u: u - d + p.lam * math.sin(TWO_PI * u)
 
 
 @given(beta=hysteretic_betas, k=st.integers(min_value=-20, max_value=20),
@@ -169,16 +172,18 @@ def _branch_residual(p, c):
        start=st.floats(min_value=0.0, max_value=1.0))
 @example(beta=1.0000024137087573, k=0, level=0.01, start=0.5)
 def test_branch_solve_ends_on_the_canonical_float(beta, k, level, start):
+    # branch k is solved in its cell at d = c - k, on [-e, e] = branch 0's
+    # segment, and returns the cell root u; starts are cell coordinates
     p = ReducedParams(beta=beta)
     c_lo, c_hi = branch_flux_range(k, beta)
     c = c_lo + level * (c_hi - c_lo)
-    a, b = stable_branch_interval(k, beta)
-    g = _branch_residual(p, c)
+    a, b = stable_branch_interval(0, beta)
+    g = _branch_residual(p, c - k)
     got = [fixed_points._branch_root(c, k, p, x0)  # phi_fe = 0: the drive is c
-           for x0 in (0.5 * (a + b), a, b, float(k), a + start * (b - a))]
+           for x0 in (0.5 * (a + b), a, b, 0.0, a + start * (b - a))]
     for x in got:
         # an end of an adjacent-float sign-change bracket, the one with the
-        # smaller |g| (ties go to the smaller phi)
+        # smaller |g| (ties go to the smaller u)
         gx = g(x)
         brackets = [sorted((x, y))
                     for y in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf))
@@ -186,16 +191,16 @@ def test_branch_solve_ends_on_the_canonical_float(beta, k, level, start):
         assert gx == 0.0 or any(
             x == (lo if abs(g(lo)) <= abs(g(hi)) else hi) for lo, hi in brackets)
     # where g' is small the sign of g flips at rounding level over a few
-    # floats, so starts may end on different brackets (2 ulps apart at most
-    # over 20k drawn solves)
+    # floats, so starts may end on different brackets (5 ulps of u apart at
+    # most over 20k drawn solves)
     assert max(got) - min(got) <= 8 * math.ulp(max(abs(x) for x in got))
 
 
 def test_continuation_solve_takes_a_handful_of_evaluations():
-    # a branch solve started from the previous sample, on its segment
-    # clipped to the root window and with the slope g', counted outside the
-    # two segment ends it always evaluates; restarting as bisection once
-    # Newton had converged cost about 20
+    # a branch solve started from the previous sample, on its segment in
+    # its cell clipped to the root window and with the slope g', counted
+    # outside the two segment ends it always evaluates; restarting as
+    # bisection once Newton had converged cost about 20
     rng = random.Random(3)
     evals = solves = 0
     for _ in range(4):
@@ -204,11 +209,12 @@ def test_continuation_solve_takes_a_handful_of_evaluations():
         for prev, cur in zip(samples, samples[1:]):
             if cur.branch_id != prev.branch_id or cur.phi_ext == prev.phi_ext:
                 continue
-            c = cur.phi_ext + p.phi_fe
-            a, b = stable_branch_interval(cur.branch_id, p.beta)
-            lo, hi = c - p.lam - WINDOW_MARGIN, c + p.lam + WINDOW_MARGIN
-            a, b = (lo if a - lo <= 1e-12 else a), min(b, hi)
-            g = _branch_residual(p, c)
+            k = cur.branch_id
+            d = cur.phi_ext + p.phi_fe - k
+            a, b = stable_branch_interval(0, p.beta)
+            lo, hi = d - p.lam - WINDOW_MARGIN, d + p.lam + WINDOW_MARGIN
+            a, b = max(a, lo), min(b, hi)
+            g = _branch_residual(p, d)
             fa, fb = g(a), g(b)
             if not (fa < -1e-12 and fb > 1e-12):
                 continue  # a drive on the fold level returns the segment end
@@ -219,8 +225,8 @@ def test_continuation_solve_takes_a_handful_of_evaluations():
                 return g(x)
 
             x, _ = fixed_points._bracketed_newton(
-                f, lambda x: residual_derivative(x, p), a, b, fa, fb, prev.phi)
-            assert x == cur.phi
+                f, lambda x: residual_derivative(x, p), a, b, fa, fb, prev.phi - k)
+            assert k + x == cur.phi
             solves += 1
     assert solves > 1000
     assert evals <= 6 * solves

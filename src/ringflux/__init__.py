@@ -38,7 +38,6 @@ from .ring_model import (
     FLUX_QUANTUM,
     ReducedParams,
     RingParams,
-    quantization_index,
     reduce,
     unreduce,
 )

@@ -8,10 +8,13 @@ wide-ring      inner/outer current table over an applied-field grid
 bloch-check    symmetry and finite-difference checks of a free-energy model
 fit            least-squares parameter fit against an observation CSV
 
-Configuration keys are those of `_CONFIG_PARSERS`, each also a flag `--key`.
-Values come from (in increasing precedence) `_CLI_DEFAULTS` (h_points 11,
-kind remnant; any other unset key is None, and the library default applies),
-a `key = value` config file (default path: $RINGFLUX_CONFIG), and flags.
+Configuration keys are those of `_CONFIG_PARSERS`.  A command takes as a
+flag `--key` only a key of its `_COMMAND_KEYS` entry, one its output can
+depend on; a config file may hold any key, since one file may serve every
+command.  Values come from (in increasing precedence) `_CLI_DEFAULTS`
+(h_points 11, kind remnant; any other unset key is None, and the library
+default applies), a `key = value` config file (default path:
+$RINGFLUX_CONFIG), and flags.
 Config and observation files may start with a UTF-8 byte-order mark.  Reals
 in emitted CSVs carry 17 significant digits, so re-parsing reproduces them
 bit for bit; identical configs produce byte-identical files.
@@ -77,6 +80,17 @@ _CONFIG_PARSERS = {
     "step": float, "n": int, "h_points": int, "grid_size": int, "restarts": int,
     "coeffs": _parse_coeffs, "data": str, "kind": str, "out": str,
     "beta_min": float, "beta_max": float, "phi_fe_min": float, "phi_fe_max": float,
+}
+
+_REDUCED_KEYS = ("beta", "phi_fe", "L", "I_J", "Phi0", "Phi_Fe")  # those _reduced reads
+
+_COMMAND_KEYS = {
+    "fixed-points": (*_REDUCED_KEYS, "phi_ext", "out"),
+    "sweep": (*_REDUCED_KEYS, "area_A", "amplitude", "step", "out"),
+    "wide-ring": ("L", "Phi0", "area_A", "n", "h_points", "out"),
+    "bloch-check": ("coeffs", "Phi0", "grid_size"),
+    "fit": ("data", "kind", "beta", "phi_fe", "beta_min", "beta_max", "phi_fe_min",
+            "phi_fe_max", "restarts", "I_J", "Phi0"),
 }
 
 _CLI_DEFAULTS = {"h_points": 11, "kind": "remnant"}
@@ -342,6 +356,10 @@ def _build_parser() -> _Parser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        unread = [f"--{key}" for key in _CONFIG_PARSERS
+                  if getattr(args, key) is not None and key not in _COMMAND_KEYS[args.command]]
+        if unread:
+            raise UsageError(f"{args.command} does not read {', '.join(unread)}")
         config = parse_config(args)
         return _COMMANDS[args.command](config)
     except (UsageError, ValueError) as exc:

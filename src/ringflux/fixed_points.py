@@ -102,57 +102,33 @@ def classify_stability(phi_star: float, p: ReducedParams,
 
 
 # ---------------------------------------------------------------------------
-# Branch geometry of the sinusoidal relation.
+# Branch geometry of the sinusoidal relation, in the unit cell.
 #
-# g'(phi) = 1 + beta*cos(2*pi*phi) vanishes at phi = k + 1/2 +/- phi_a where
+# g'(u) = 1 + beta*cos(2*pi*u) vanishes at u = 1/2 +/- phi_a where
 # cos(2*pi*phi_a) = 1/beta (beta > 1 only).  Between consecutive critical
 # points g is strictly monotone, so each such segment holds at most one root.
-# The increasing segments [k - 1/2 + phi_a, k + 1/2 - phi_a], centred on the
-# integer fluxoid k, carry the stable roots; segment k exists for
-# c = phi_ext + phi_fe in [k + c_lo, k + c_hi].
+# The increasing segment [-e, e], e = 1/2 - phi_a, carries the stable root of
+# the cell; shifted by the integer fluxoid k it is stable branch k.  Its ends
+# are folds at the cell drives d = -/+(1/2 + w), so branch k lives while
+# |c - k| <= 1/2 + w, c = phi_ext + phi_fe: every fold is decided on the
+# exact cell drive c - k, never on a level k +/- (1/2 + w) rounded at ulp(k).
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=64)  # a sweep asks for the folds at every sub-step
+@functools.lru_cache(maxsize=64)  # a sweep asks for the folds at every jump
 def _fold_geometry(beta: float) -> tuple[float, float]:
-    """(phi_a, w) from t = tan(2*pi*phi_a) = sqrt(beta**2 - 1), beta > 1:
-    phi_a = atan(t)/(2*pi) and the window half-width w = (t - atan t)/(2*pi),
-    summed as t**3/3 - t**5/5 + ... for t < 0.7, where t - atan t cancels."""
+    """(phi_a, w), beta > 1: the cell's stable segment [-e, e], e = 1/2 - phi_a,
+    and its fold drives d = -/+(1/2 + w).  From t = tan(2*pi*phi_a) =
+    sqrt(beta**2 - 1), phi_a = atan(t)/(2*pi) and w = (t - atan t)/(2*pi),
+    summed as t**3/3 - t**5/5 + ... for t < 0.7, where t - atan t cancels.
+    w is not added to 1/2 here, so it keeps its digits near beta = 1."""
     if beta <= 1.0:
-        raise ValueError(f"tangency offset requires beta > 1, got {beta}")
+        raise ValueError(f"fold geometry requires beta > 1, got {beta}")
     t2 = (beta - 1.0) * (beta + 1.0)
     t = math.sqrt(t2) if t2 < math.inf else beta  # sqrt rounds to beta beyond ~1.34e154
     atan_t = math.atan(t)
     w = (t - atan_t if t >= 0.7 else
          math.fsum((-t * t) ** n * t ** 3 / (2 * n + 3) for n in range(60)))
     return atan_t / TWO_PI, w / TWO_PI
-
-
-def tangency_offset(beta: float) -> float:
-    """phi_a in (0, 1/4): distance from a half-integer flux to the nearest
-    fold tangency, which sits at k + 1/2 +/- phi_a.
-
-    Defined by cos(2*pi*phi_a) = 1/beta; requires beta > 1.
-    """
-    return _fold_geometry(beta)[0]
-
-
-def stable_branch_interval(k: int, beta: float) -> tuple[float, float]:
-    """Flux interval [k - 1/2 + phi_a, k + 1/2 - phi_a] of stable branch k,
-    centred on the integer fluxoid k (beta > 1)."""
-    phi_a = tangency_offset(beta)
-    return k - 0.5 + phi_a, k + 0.5 - phi_a
-
-
-def branch_flux_range(k: int, beta: float) -> tuple[float, float]:
-    """Total-flux levels c = phi_ext + phi_fe over which stable branch k exists.
-
-    The endpoints are the fold levels c = phi + lambda*sin(2*pi*phi) at the
-    segment ends: the branch dies at k - (1/2 + w) on a descending sweep and
-    at k + 1/2 + w on an ascending one, w = lambda*sin(2*pi*phi_a) - phi_a.
-    Below beta - 1 of about 1e-10, w is under the rounding of k + 1/2.
-    """
-    half = 0.5 + _fold_geometry(beta)[1]
-    return k - half, k + half
 
 
 def branch_index(phi: float, beta: float) -> int:
@@ -164,7 +140,7 @@ def branch_index(phi: float, beta: float) -> int:
     """
     if beta <= 1.0:
         return 0
-    return int(math.floor(phi + 0.5 - tangency_offset(beta)))
+    return int(math.floor(phi + 0.5 - _fold_geometry(beta)[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +279,7 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
     if cpr is not None:  # t ascending in [0, 1)
         ts = cpr.critical_points(lam)  # type: ignore[attr-defined]
     else:  # -e as phi_a - 1/2, the same float
-        ts = [(phi_a := tangency_offset(p.beta)) - 0.5, 0.5 - phi_a] if p.beta > 1.0 else []
+        ts = [(phi_a := _fold_geometry(p.beta)[0]) - 0.5, 0.5 - phi_a] if p.beta > 1.0 else []
     if ts:
         segments = len(ts) * 2.0 * (lam + WINDOW_MARGIN)
         if segments > MAX_ROOTS:

@@ -1,4 +1,4 @@
-"""Lumped parameters of the ring system, unit reduction, and quantization indexing.
+"""Lumped parameters of the ring system and unit reduction.
 
 Units:
 - all RingParams fields are SI (henry, ampere, weber, square meter);
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 TWO_PI = 2.0 * math.pi
 
@@ -121,20 +120,3 @@ def unreduce(
         Phi_Fe=p.phi_fe * Phi0,
         area_A=area_A,
     )
-
-
-class QuantizationIndex(NamedTuple):
-    n: int
-    deviation: float
-
-
-def quantization_index(fluxoid_value: float, Phi0: float) -> QuantizationIndex:
-    """Nearest flux-quantum index and the dimensionless deviation from it.
-
-    Returns (n, |fluxoid/Phi0 - n|) with n the nearest integer (halves round
-    to even); whether the deviation is acceptable is the caller's decision.
-    """
-    _require_positive("Phi0", Phi0)
-    ratio = fluxoid_value / Phi0
-    n = round(ratio)
-    return QuantizationIndex(n, abs(ratio - n))

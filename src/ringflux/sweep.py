@@ -30,11 +30,10 @@ from .fixed_points import (
     NumericsError,
     Stability,
     _branch_root,
-    branch_flux_range,
+    _fold_geometry,
     branch_index,
     classify_stability,
     find_fixed_points,  # the start's fallback, called by name: the benchmark's tracer wraps it
-    stable_branch_interval,
 )
 from .ring_model import TWO_PI, ReducedParams, RingParams, _require_finite
 
@@ -166,24 +165,24 @@ def continue_branch(state: BranchState, phi_ext_next: float, p: ReducedParams) -
 def resolve_jump(p: ReducedParams, k: int, ascending: bool) -> tuple[float, float, FixedPoint]:
     """(drive, departing flux, landing root) of the jump off a fold of branch k.
 
-    Branch k dies at its fold level in the drive's direction
-    (branch_flux_range), at that end of stable_branch_interval, so remnants
-    do not depend on the sweep step.  One flux quantum is admitted: the
-    state lands on branch k + 1 ascending and k - 1 descending, the nearest
+    Branch k dies where its cell drive c - k reaches s*(1/2 + w), s = +1
+    ascending and -1 descending, at its cell end u = s*(1/2 - phi_a)
+    (_fold_geometry), so remnants do not depend on the sweep step.  One flux
+    quantum is admitted: the state lands on branch k + s, the nearest
     surviving stable root (README, numerical notes), solved on that one
     segment as find_fixed_points solves it.  Its slope g' is about
     3*(beta - 1): Marginal below beta - 1 of about 3e-10, which
     NumericsError names as the window below rounding.
     """
-    end = 1 if ascending else 0
-    phi_ext = branch_flux_range(k, p.beta)[end] - p.phi_fe
-    landing = _stable_root(phi_ext, k + (1 if ascending else -1), p)
+    (phi_a, w), s = _fold_geometry(p.beta), 1 if ascending else -1
+    phi_ext = k + s * (0.5 + w) - p.phi_fe
+    landing = _stable_root(phi_ext, k + s, p)
     if landing is None:
         raise NumericsError(
             f"no stable root survives the fold at phi_ext={phi_ext!r}: "
             f"hysteretic window below rounding at beta={p.beta!r} (the landing "
             f"slope 3*(beta - 1) is under MARGINAL_TOL)")
-    return phi_ext, stable_branch_interval(k, p.beta)[end], landing
+    return phi_ext, k + s * 0.5 - s * phi_a, landing
 
 
 # unused: only the benchmark's tracer reads this name, which it still wraps
@@ -205,7 +204,7 @@ def _initial_state(p: ReducedParams, phi_ext: float, phi_hint: float) -> BranchS
     """
     stable = []
     if p.beta > 1.0:  # branch k exists for |c - k| <= half
-        c, half = phi_ext + p.phi_fe, branch_flux_range(0, p.beta)[1]
+        c, half = phi_ext + p.phi_fe, 0.5 + _fold_geometry(p.beta)[1]
         m = round(min(max(phi_hint, math.ceil(c - half)), math.floor(c + half)))
         stable = [r for k in (m - 1, m, m + 1) if (r := _stable_root(phi_ext, k, p))]
     if not stable:
@@ -223,10 +222,11 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
     """Sweep the applied flux through the schedule, recording every sub-step.
 
     The sweep starts on the stable root nearest `init_phi_hint` at the first
-    waypoint (the virgin state for hysteresis runs).  While a sub-step's
-    total flux c is past a fold level of the occupied branch, resolve_jump
-    moves the state to the next branch; then it continues along its branch.
-    Every sub-step and every jump landing is a sample, a stable fixed point.
+    waypoint (the virgin state for hysteresis runs).  The occupied branch k
+    lives while a sub-step's total flux c has |c - k| <= 1/2 + w in its cell;
+    past that, _walk names the branch where c lands and resolve_jump crosses
+    each fold on the way (at most _MAX_JUMPS_PER_STEP).  Every sub-step and
+    every jump landing is a sample, a stable fixed point.
     """
     if not math.isfinite(init_phi_hint):
         raise ValueError(f"init_phi_hint must be finite, got {init_phi_hint}")
@@ -234,6 +234,7 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
     for x in w:  # every sub-step's c lies between two waypoints'
         _require_finite("phi_ext + phi_fe", x + p.phi_fe)
     state = _initial_state(p, w[0], init_phi_hint)
+    half = 0.5 + _fold_geometry(p.beta)[1] if p.beta > 1.0 else math.inf
     samples = [state]
     events: list[JumpEvent] = []
     waypoint_indices = [0]
@@ -243,23 +244,20 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
         delta = (w1 - w0) / nsub
         for j in range(1, nsub + 1):
             pe = w1 if j == nsub else w0 + j * delta
-            c = pe + p.phi_fe
-            for _ in range(_MAX_JUMPS_PER_STEP):
-                if pe == state.phi_ext or p.beta <= 1.0:
-                    break
-                c_lo, c_hi = branch_flux_range(state.branch_id, p.beta)
-                if c_lo <= c <= c_hi:
-                    break
-                up = c > c_hi
-                at, before, landing = resolve_jump(p, state.branch_id, up)
-                state = BranchState(at, landing.phi, landing.i,
-                                    state.branch_id + (1 if up else -1))
-                samples.append(state)
-                events.append(JumpEvent(at, before, landing.phi, len(samples) - 1))
-            else:
-                raise NumericsError(
-                    f"more than {_MAX_JUMPS_PER_STEP} folds inside one sub-step; "
-                    f"step {schedule.step} is too coarse")
+            c, k = pe + p.phi_fe, state.branch_id
+            if not abs(c - k) <= half and pe != state.phi_ext:
+                up = c > k
+                folds = abs(_walk(p, k, pe, up) - k)
+                if folds > _MAX_JUMPS_PER_STEP:
+                    raise NumericsError(
+                        f"more than {_MAX_JUMPS_PER_STEP} folds inside one sub-step; "
+                        f"step {schedule.step} is too coarse")
+                for _ in range(folds):
+                    at, before, landing = resolve_jump(p, state.branch_id, up)
+                    state = BranchState(at, landing.phi, landing.i,
+                                        state.branch_id + (1 if up else -1))
+                    samples.append(state)
+                    events.append(JumpEvent(at, before, landing.phi, len(samples) - 1))
             nxt = continue_branch(state, pe, p)
             if nxt is not state:  # else a jump landed exactly on this drive
                 state = nxt
@@ -320,28 +318,28 @@ def run_hysteresis(p: ReducedParams, amplitude: float, step: float) -> Hysteresi
 @functools.lru_cache(maxsize=64)
 def _check_landing(p: ReducedParams) -> None:
     """Resolve the jump off branch 0's fold, which stands for all folds, at p's own drive
-    (its rounding decides a Marginal landing), so a walk raises where a sweep would."""
+    (its rounding decides a Marginal landing), so a kernel raises where a sweep would."""
     resolve_jump(p, 0, True)
 
 
 def _walk(p: ReducedParams, k: int, w: float, ascending: bool) -> int:
     """Branch occupied once the drive has moved monotonically from branch k
-    to w, without a sweep.
+    to w, the one fold rule of the sweep and both kernels.
 
     Each fold crossed moves the branch by one in the drive's direction
-    (resolve_jump), so the walk ends on the first branch from k whose fold
-    level c = w + phi_fe does not pass: about ceil(c - 1/2 - w_fold), then
-    settled by run_schedule's comparison with branch_flux_range.  The
-    model is odd, so a descending walk is an ascending one in -c.
+    (resolve_jump), so the walk ends on the first branch j from k that lives
+    at c = w + phi_fe, decided in j's cell: s*c - j <= 1/2 + w_fold, exact by
+    Sterbenz wherever j is within a factor 2 of s*c.  The model is odd, so a
+    descending walk is an ascending one in -c; it starts near
+    ceil(c - 1/2 - w_fold).  The caller resolves a landing when the walk moves.
     """
     if p.beta <= 1.0:
         return k
     c, s = w + p.phi_fe, 1 if ascending else -1  # c rounded as run_schedule rounds it
-    j = max(s * k, math.ceil(s * c - branch_flux_range(0, p.beta)[1]) - 1)
-    while s * c > branch_flux_range(j, p.beta)[1]:
+    half = 0.5 + _fold_geometry(p.beta)[1]
+    j = max(s * k, math.ceil(s * c - half) - 1)
+    while s * c - j > half:
         j += 1
-    if j != s * k:
-        _check_landing(p)
     return s * j
 
 
@@ -365,10 +363,14 @@ def hysteresis_remnants(p: ReducedParams,
     virgin = _initial_state(p, 0.0, 0.0).branch_id
     out = []
     for amp in amplitudes:
-        k = _walk(p, _walk(p, virgin, amp, True), 0.0, False)
-        down = _on_branch(p, k, 0.0, float(k))[0]
-        k = _walk(p, _walk(p, k, -amp, False), 0.0, True)
-        out.append((down, _on_branch(p, k, 0.0, float(k))[0]))
+        k, remnants = virgin, []
+        for w, ascending in ((amp, True), (0.0, False), (-amp, False), (0.0, True)):
+            j, k = k, _walk(p, k, w, ascending)
+            if k != j:
+                _check_landing(p)
+            if w == 0.0:
+                remnants.append(_on_branch(p, k, 0.0, float(k))[0])
+        out.append(tuple(remnants))
     return out
 
 
@@ -388,7 +390,9 @@ def path_fluxes(p: ReducedParams, waypoints: Iterable[float]) -> list[float]:
     k = _initial_state(p, 0.0, 0.0).branch_id
     out = []
     for prev, w in zip((0.0,) + waypoints, waypoints):
-        k = _walk(p, k, w, w > prev)
+        j, k = k, _walk(p, k, w, w > prev)
+        if k != j:
+            _check_landing(p)
         out.append(_on_branch(p, k, w, float(k))[0])
     return out
 

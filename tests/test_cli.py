@@ -94,6 +94,13 @@ class TestConfigParsing:
                            "--phi_ext", "0") == 1
             assert f"unknown key {key!r}" in capsys.readouterr().err
 
+    def test_file_may_hold_keys_its_command_does_not_read(self, tmp_path, capsys):
+        # one config file may serve every command
+        cfg = tmp_path / "all.cfg"
+        cfg.write_text("beta = 5\nphi_ext = 0.2\ndata = obs.csv\ncoeffs = 1e-22\nn = 3\n")
+        assert run_cli("sweep", "--config", str(cfg), "--amplitude", "2", "--step", "0.5") == 0
+        assert run_cli("fixed-points", "--config", str(cfg)) == 0
+
     def test_file_with_byte_order_mark_is_read(self, tmp_path):
         cfg = tmp_path / "marked.cfg"
         cfg.write_text("\ufeffbeta = 5\nstep = 0.25\n", encoding="utf-8")
@@ -121,6 +128,28 @@ def test_every_key_layers_default_file_and_flag(key, tmp_path, monkeypatch):
     assert getattr(from_file, key) == parser(in_file)
     flagged = cli.parse_config(build(["sweep", "--config", str(cfg), f"--{key}", in_flag]))
     assert getattr(flagged, key) == parser(in_flag) != parser(in_file)
+
+
+def test_every_key_has_a_reader():
+    assert set(cli._COMMAND_KEYS) == set(cli._COMMANDS)
+    read = [key for keys in cli._COMMAND_KEYS.values() for key in keys]
+    assert set(read) == set(cli._CONFIG_PARSERS)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("fixed-points", "--beta", "5", "--phi_ext", "0.2", "--step", "0.1"), "--step"),
+    (("sweep", "--beta", "5", "--amplitude", "3", "--step", "0.5", "--phi_ext", "0.2"),
+     "--phi_ext"),
+    (("wide-ring", "--n", "3", "--L", "1e-10", "--I_J", "1e-5"), "--I_J"),
+    (("bloch-check", "--coeffs", "3.2e-22,0,1e-23", "--data", "obs.csv"), "--data"),
+    (("fit", "--data", "obs.csv", "--beta", "4", "--area_A", "1e-6"), "--area_A"),
+], ids=["fixed-points", "sweep", "wide-ring", "bloch-check", "fit"])
+def test_flag_its_command_does_not_read_is_one(argv, flag, capsys):
+    # a flag with no effect on the output is named, not silently dropped
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {argv[0]} does not read {flag}" in captured.err
 
 
 class TestCsvEmission:
@@ -340,6 +369,11 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out and captured.err == ""
 
+    def test_more_than_64_folds_in_one_sub_step_is_two(self, capsys):
+        assert run_cli("sweep", "--beta", "5", "--amplitude", "100", "--step", "100") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "more than 64 folds inside one sub-step" in captured.err
+
     def test_bloch_check_passes_for_cosine_series(self, capsys):
         assert run_cli("bloch-check", "--coeffs", "3.2e-22,0,1e-23") == 0
         out = capsys.readouterr().out
@@ -405,11 +439,10 @@ FIT_SUMMARY_KEYS = ["beta", "phi_fe", "objective", "iterations", "converged",
       "finite_difference_error", "passed"]),
 ], ids=["fit", "fit-si", "bloch-check"])
 def test_summary_key_order(argv, keys, tmp_path, capsys):
-    # the values depend on the numpy and scipy builds, the keys do not;
-    # bloch-check ignores --data
+    # the values depend on the numpy and scipy builds, the keys do not
     data = tmp_path / "obs.csv"
     data.write_text("phi_ext,observable\n2,0.78\n-2,-0.78\n3,0.8\n-3,-0.8\n")
-    assert run_cli(*argv, "--data", str(data)) == 0
+    assert run_cli(*argv, *(("--data", str(data)) if argv[0] == "fit" else ())) == 0
     out = capsys.readouterr().out
     assert [line.split(" = ")[0] for line in out.splitlines()] == keys
 

@@ -11,13 +11,10 @@ from ringflux import fixed_points
 from ringflux.fixed_points import (
     FixedPoint,
     Stability,
-    branch_flux_range,
     classify_stability,
     find_fixed_points,
     residual,
     residual_derivative,
-    stable_branch_interval,
-    tangency_offset,
 )
 from ringflux.ring_model import ReducedParams
 
@@ -256,8 +253,9 @@ class TestClassifyStability:
 def _folds(p):
     """The two folds (phi, phi_ext) of the flux period [0, 1): the end of
     branch 0 and the start of branch 1."""
-    phi_lo, phi_hi = stable_branch_interval(0, p.beta)
-    c_lo, c_hi = branch_flux_range(0, p.beta)
+    phi_a, w = fixed_points._fold_geometry(p.beta)
+    phi_lo, phi_hi = -0.5 + phi_a, 0.5 - phi_a
+    c_lo, c_hi = -(0.5 + w), 0.5 + w
     return [(phi_hi, c_hi - p.phi_fe), (1 + phi_lo, 1 + c_lo - p.phi_fe)]
 
 
@@ -265,9 +263,7 @@ class TestFoldLocations:
     @pytest.mark.parametrize("beta", [0.3, 0.9999, 1.0])
     def test_no_folds_at_or_below_unity(self, beta):
         with pytest.raises(ValueError):
-            stable_branch_interval(0, beta)
-        with pytest.raises(ValueError):
-            branch_flux_range(0, beta)
+            fixed_points._fold_geometry(beta)
 
     def test_beta2_sixths(self):
         # cos(2*pi*phi) = -1/2 at phi = 1/3 and 2/3
@@ -290,16 +286,16 @@ class TestFoldLocations:
 
     def test_tangency_offset_range(self):
         for beta in (1.01, 2.0, 50.0):
-            assert 0.0 < tangency_offset(beta) < 0.25
+            assert 0.0 < fixed_points._fold_geometry(beta)[0] < 0.25
         with pytest.raises(ValueError):
-            tangency_offset(1.0)
+            fixed_points._fold_geometry(1.0)
 
     @pytest.mark.parametrize("beta", [1.35e154, 1e200, 1e300])
     def test_fold_geometry_past_the_overflow_of_beta_squared(self, beta):
         # beta**2 - 1 overflows, while sqrt(beta**2 - 1) rounds to beta
-        phi_a = tangency_offset(beta)
+        phi_a, w = fixed_points._fold_geometry(beta)
         assert phi_a == 0.25
-        c_lo, c_hi = branch_flux_range(0, beta)
+        c_lo, c_hi = -(0.5 + w), 0.5 + w
         assert c_hi == -c_lo == pytest.approx(beta / TWO_PI, rel=1e-15)
 
 

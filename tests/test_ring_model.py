@@ -1,4 +1,4 @@
-"""Parameter reduction, the sinusoidal relation, and quantization indexing."""
+"""Parameter reduction, the sinusoidal relation, and the physical constants."""
 
 import math
 
@@ -15,7 +15,6 @@ from ringflux.ring_model import (
     TWO_PI,
     ReducedParams,
     RingParams,
-    quantization_index,
     reduce,
     unreduce,
 )
@@ -98,38 +97,6 @@ class TestJosephsonCurrent:
     def test_bounded_by_one(self):
         phi = np.linspace(-10.0, 10.0, 100003)
         assert np.max(np.abs(josephson_current(phi))) <= 1.0 + 1e-15
-
-
-class TestQuantizationIndex:
-    def test_exact_multiple(self):
-        assert quantization_index(5 * FLUX_QUANTUM, FLUX_QUANTUM) == (5, 0.0)
-
-    def test_zero(self):
-        assert quantization_index(0.0, FLUX_QUANTUM) == (0, 0.0)
-
-    def test_rounding_definition(self):
-        n, dev = quantization_index(5.4 * FLUX_QUANTUM, FLUX_QUANTUM)
-        assert n == 5
-        assert dev == pytest.approx(0.4, abs=1e-12)
-
-    def test_deviation_below_half_away_from_midpoints(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            x = float(rng.uniform(-50, 50))
-            if abs(x - math.floor(x) - 0.5) < 1e-9:
-                continue
-            n, dev = quantization_index(x * FLUX_QUANTUM, FLUX_QUANTUM)
-            assert dev < 0.5
-            assert abs(x - n) <= 0.5 + 1e-12
-
-    @pytest.mark.parametrize("k", range(-6, 7))
-    def test_integers_have_zero_deviation(self, k):
-        n, dev = quantization_index(float(k), 1.0)
-        assert (n, dev) == (k, 0.0)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
-            quantization_index(1.0, 0.0)
 
 
 def test_flux_quantum_matches_codata_catalog():

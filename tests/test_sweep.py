@@ -11,13 +11,10 @@ from helpers import TWO_PI, brute_force_roots, brute_stability, residual_slope
 from ringflux.fixed_points import (
     NumericsError,
     Stability,
-    branch_flux_range,
     branch_index,
     classify_stability,
     find_fixed_points,
     residual,
-    stable_branch_interval,
-    tangency_offset,
 )
 from ringflux import fixed_points, sweep
 from ringflux.ring_model import ReducedParams, RingParams
@@ -121,7 +118,7 @@ class TestContinueBranch:
         # from the origin, branch 0, one sub-step past its fold level jumps
         # there, and one that ends on the level stays on the branch
         p = ReducedParams(beta=5.0)
-        _, c_hi = branch_flux_range(0, p.beta)
+        c_hi = 0.5 + fixed_points._fold_geometry(p.beta)[1]
         traj = run_schedule(p, SweepSchedule((0.0, c_hi + 0.01), 2.0))
         [event] = traj.events
         assert event.phi_ext_at_jump == c_hi
@@ -136,7 +133,8 @@ class TestContinueBranch:
         for j in range(400):
             p = ReducedParams(beta=1.5 + 0.05 * j)
             state = _state_at(p, 0.0, 0.0)
-            for c in branch_flux_range(0, p.beta):
+            half = 0.5 + fixed_points._fold_geometry(p.beta)[1]
+            for c in (-half, half):
                 nxt = continue_branch(state, c, p)
                 assert isinstance(nxt, BranchState)
                 assert nxt.branch_id == 0
@@ -146,9 +144,8 @@ class TestContinueBranch:
         # branch 0 dies at c_hi = 1/2 - phi_a + lambda*sin(2*pi*phi_a) ~ 1.062
         p = ReducedParams(beta=5.0)
         at, before, _ = resolve_jump(p, 0, True)
-        _, c_hi = branch_flux_range(0, p.beta)
-        _, phi_hi = stable_branch_interval(0, p.beta)
-        assert (at, before) == (c_hi, phi_hi)
+        phi_a, w = fixed_points._fold_geometry(p.beta)
+        assert (at, before) == (0.5 + w, 0.5 - phi_a)
         # the departing state is a tangency: g and g' both vanish there
         assert abs(residual(before, at, p)) < 1e-9
         assert abs(residual_slope(before, p.beta)) < 1e-9
@@ -488,6 +485,10 @@ class TestRemnantReport:
         assert report.n_down == 1
 
 
+#: (base, step) of the far-drive sweeps; from 1e12 on the step is a multiple of ulp(base)
+FAR_DRIVES = [(1e4, 0.01), (1e6, 0.01), (1e12, 0.01), (1e14, 0.0625), (1e15, 0.25)]
+
+
 class TestRunSchedule:
     def test_waypoint_indices_land_on_waypoints(self):
         p = ReducedParams(beta=3.0)
@@ -500,7 +501,7 @@ class TestRunSchedule:
         # here c_hi - phi_fe, added back to phi_fe, rounds past c_hi: the last
         # sub-step's drive is past the fold level, and the jump lands on it
         p = ReducedParams(beta=5.0, phi_fe=-1.88)
-        _, c_hi = branch_flux_range(0, p.beta)
+        c_hi = 0.5 + fixed_points._fold_geometry(p.beta)[1]
         w = c_hi - p.phi_fe
         assert w + p.phi_fe > c_hi
         traj = run_schedule(p, SweepSchedule((1.88, w), 0.1))
@@ -540,21 +541,47 @@ class TestRunSchedule:
         traj = run_schedule(p, SweepSchedule((0.5, 0.6), 0.05), init_phi_hint=0.5)
         assert traj.samples[0].phi == pytest.approx(0.25, abs=1e-12)
 
-    @pytest.mark.parametrize("base", [1e4, 1e6])
-    def test_far_drive_matches_unit_scale(self, base):
+    @pytest.mark.parametrize("base, step", FAR_DRIVES, ids=[str(b) for b, _ in FAR_DRIVES])
+    def test_far_drive_matches_unit_scale(self, base, step):
         # one ulp of phi near 1e4 already exceeds 1e-12, so the branch solve
         # accepts |g| relative to max(1, |phi|); the model is periodic in
-        # the drive, so the sweep must repeat the one near zero
+        # the drive, so the sweep must repeat the one near zero.  Above 1e12
+        # the step is a multiple of ulp(base), so no two sub-step drives collide
         p = ReducedParams(beta=5.0, phi_fe=0.1)
-        far = run_schedule(p, SweepSchedule((base, base + 2, base - 2, base), 0.01),
+        far = run_schedule(p, SweepSchedule((base, base + 2, base - 2, base), step),
                            init_phi_hint=base)
-        near = run_schedule(p, SweepSchedule((0.0, 2.0, -2.0, 0.0), 0.01))
+        near = run_schedule(p, SweepSchedule((0.0, 2.0, -2.0, 0.0), step))
         assert len(far.samples) == len(near.samples)
         assert ([e.landing_index for e in far.events]
                 == [e.landing_index for e in near.events])
         for a, b in zip(far.samples, near.samples):
             assert a.branch_id == b.branch_id + int(base)
             assert abs(a.phi - base - b.phi) <= 8 * math.ulp(base)
+
+    def test_far_drive_decides_folds_in_the_cell(self):
+        # at 1e14 the level k + 1/2 + w rounds 1/64 from its true value; the
+        # cell drive c - k is exact, so the sweep keeps each branch until its
+        # own fold and jumps where the near sweep jumps, shifted by 1e14
+        p, base = ReducedParams(beta=5.0, phi_fe=0.1), 1e14
+        far = run_schedule(p, SweepSchedule((base, base + 2, base - 2, base), 0.01),
+                           init_phi_hint=base)
+        near = run_schedule(p, SweepSchedule((0.0, 2.0, -2.0, 0.0), 0.01))
+        assert len(far.events) == len(near.events) == 6
+        for a, b in zip(far.events, near.events):
+            assert (far.samples[a.landing_index].branch_id
+                    == near.samples[b.landing_index].branch_id + int(base))
+            for x, y in ((a.phi_ext_at_jump, b.phi_ext_at_jump),
+                         (a.phi_before, b.phi_before), (a.phi_after, b.phi_after)):
+                assert abs(x - base - y) <= math.ulp(base)
+
+    def test_fold_cap_counts_the_folds_of_one_sub_step(self):
+        # one sub-step from 0 to 64.5 at beta 5 crosses exactly 64 folds
+        p = ReducedParams(beta=5.0)
+        traj = run_schedule(p, SweepSchedule((0.0, 64.5), 64.5))
+        assert len(traj.events) == sweep._MAX_JUMPS_PER_STEP == 64
+        assert traj.samples[-1].branch_id == 64
+        with pytest.raises(NumericsError, match="more than 64 folds inside one sub-step"):
+            run_schedule(p, SweepSchedule((0.0, 65.5), 65.5))
 
 
 # sha256 of _schedule_bits(); a deliberate change of any sample, event or

@@ -19,9 +19,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from ringflux import fixed_points, sweep
-from ringflux.fixed_points import (WINDOW_MARGIN, NumericsError, Stability, branch_flux_range,
-                                   branch_index, find_fixed_points, residual_derivative,
-                                   stable_branch_interval)
+from ringflux.fixed_points import (WINDOW_MARGIN, NumericsError, Stability, branch_index,
+                                   find_fixed_points, residual_derivative)
 from ringflux.ring_model import TWO_PI, ReducedParams
 from ringflux.sweep import (SweepSchedule, hysteresis_remnants, path_fluxes, resolve_jump,
                             run_hysteresis, run_schedule)
@@ -110,9 +109,9 @@ def test_jump_lands_on_the_neighbouring_branch(beta, phi_fe, k, ascending):
     # is the root of branch k +/- 1, solved alone bit for bit
     p = ReducedParams(beta=beta, phi_fe=phi_fe)
     at, before, landing = resolve_jump(p, k, ascending)
-    end = 1 if ascending else 0
-    assert at == branch_flux_range(k, beta)[end] - phi_fe
-    assert before == stable_branch_interval(k, beta)[end]
+    phi_a, w = fixed_points._fold_geometry(beta)
+    assert at == (k + (0.5 + w) if ascending else k - (0.5 + w)) - phi_fe
+    assert before == (k + 0.5 - phi_a if ascending else k - 0.5 + phi_a)
     nearest = min((r for r in find_fixed_points(at, p)
                    if r.stability is Stability.STABLE and branch_index(r.phi, beta) != k),
                   key=lambda r: (abs(r.phi - before), abs(r.i), r.phi))
@@ -175,9 +174,10 @@ def test_branch_solve_ends_on_the_canonical_float(beta, k, level, start):
     # branch k is solved in its cell at d = c - k, on [-e, e] = branch 0's
     # segment, and returns the cell root u; starts are cell coordinates
     p = ReducedParams(beta=beta)
-    c_lo, c_hi = branch_flux_range(k, beta)
+    phi_a, w = fixed_points._fold_geometry(beta)
+    c_lo, c_hi = k - (0.5 + w), k + (0.5 + w)
     c = c_lo + level * (c_hi - c_lo)
-    a, b = stable_branch_interval(0, beta)
+    a, b = -0.5 + phi_a, 0.5 - phi_a
     g = _branch_residual(p, c - k)
     got = [fixed_points._branch_root(c, k, p, x0)  # phi_fe = 0: the drive is c
            for x0 in (0.5 * (a + b), a, b, 0.0, a + start * (b - a))]
@@ -211,7 +211,8 @@ def test_continuation_solve_takes_a_handful_of_evaluations():
                 continue
             k = cur.branch_id
             d = cur.phi_ext + p.phi_fe - k
-            a, b = stable_branch_interval(0, p.beta)
+            phi_a = fixed_points._fold_geometry(p.beta)[0]
+            a, b = -0.5 + phi_a, 0.5 - phi_a
             lo, hi = d - p.lam - WINDOW_MARGIN, d + p.lam + WINDOW_MARGIN
             a, b = max(a, lo), min(b, hi)
             g = _branch_residual(p, d)

@@ -10,14 +10,23 @@ visits the keys in order.  The fold-to-fold kernel of ringflux.sweep
 (hysteresis_remnants, path_fluxes) predicts both, one branch solve per
 observation and no sweep, so the fit has no sub-step.
 
-The forward map has jump discontinuities in parameter space wherever a
-fold cascade reconfigures, so the objective is only piecewise smooth;
-fitting therefore uses a bounded Nelder-Mead simplex with deterministic
-random restarts rather than a gradient method.  Restarts stop early once
-the objective reaches the machine floor.
+Remnant data are first inverted in closed form.  Every remnant r is a
+root of the flux balance at zero drive, r - phi_fe + (beta/(2*pi))*sin(2*pi*r)
+= 0, whatever branch it sits on, and that equation is linear in
+(beta, phi_fe); a 2x2 least-squares solve gives both parameters, and one
+forward evaluation checks that the branches the sweeps reach reproduce the
+data.  When it does (exact data above the trapping threshold), the fit is
+done without a simplex.
 
-numpy and scipy.optimize are imported inside the functions that use them,
-so that importing ringflux, and every CLI command but `fit`, loads neither.
+Otherwise the fit minimizes the squared residuals.  The forward map has jump
+discontinuities in parameter space wherever a fold cascade reconfigures, so
+the objective is only piecewise smooth; fitting therefore uses a bounded
+Nelder-Mead simplex (`minimize`) with deterministic random restarts rather
+than a gradient method.  Restarts stop early once the objective reaches the
+machine floor.
+
+numpy is imported inside the functions that use it, so that importing
+ringflux, and every CLI command but `fit` and `bloch-check`, loads none.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .fixed_points import NumericsError
 from .ring_model import TWO_PI, ReducedParams, RingParams, unreduce
@@ -44,14 +53,90 @@ _FLAT_PROBES = 5
 
 _RESTART_SEED = 1729
 
+#: Each simplex stops at this position and objective tolerance, or after
+#: this many iterations.
+_SIMPLEX_TOL = 1e-10
+_SIMPLEX_MAXITER = 400
 
-# a module attribute, not an import inside fit_parameters: the benchmark's
-# tracer wraps fit.minimize
-def minimize(fun, x0, **kwargs):
-    """scipy.optimize.minimize, imported on first use."""
-    from scipy.optimize import minimize as scipy_minimize
 
-    return scipy_minimize(fun, x0, **kwargs)
+class _Minimum(NamedTuple):
+    x: tuple[float, float]
+    fun: float
+    nit: int
+    success: bool
+
+
+def _clip(v: float, lo: float, hi: float) -> float:
+    # numpy.clip's order of comparisons, so that a signed zero comes out alike
+    v = v if v > lo else lo
+    return v if v < hi else hi
+
+
+# a module attribute called by name: the benchmark's tracer wraps fit.minimize
+def minimize(fun, x0: Sequence[float], bounds: Sequence[tuple[float, float]]) -> _Minimum:
+    """Bounded Nelder-Mead (Nelder & Mead, 1965) over two parameters.
+
+    A port of scipy.optimize.minimize(method="Nelder-Mead", bounds=...) as
+    of scipy 1.17.1, step for step: the initial simplex moves each
+    coordinate by 5% (0.00025 when it is zero) and reflects vertices that
+    leave the box back into it; reflection, expansion, contraction and
+    shrink use the coefficients 1, 2, 1/2 and 1/2; every trial point is
+    clipped to the box; the vertices are kept in a stable order of their
+    values.  The run stops when every vertex lies within _SIMPLEX_TOL of the
+    best in each coordinate and in value (success; scipy's xatol and fatol),
+    or after _SIMPLEX_MAXITER iterations, counted from 1 as scipy counts
+    them (no success).  `fun` takes a pair of floats and returns a float
+    that is never NaN.
+    """
+    (lo0, hi0), (lo1, hi1) = bounds
+
+    def clip(p):
+        return (_clip(p[0], lo0, hi0), _clip(p[1], lo1, hi1))
+
+    start = clip(x0)
+    sim = [start]
+    for k in range(2):
+        y = list(start)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        # a vertex past an upper bound is reflected back into the box
+        sim.append(clip([2 * hi - v if v > hi else v for v, hi in zip(y, (hi0, hi1))]))
+    fsim = [fun(p) for p in sim]
+
+    def order():
+        idx = sorted(range(3), key=fsim.__getitem__)
+        return [sim[i] for i in idx], [fsim[i] for i in idx]
+
+    def trial(t):
+        # (1 + t)*xbar - t*worst: reflection t = 1, expansion 2, contractions +-1/2
+        p = clip([(1 + t) * xbar[i] - t * worst[i] for i in range(2)])
+        return p, fun(p)
+
+    sim, fsim = order()
+    iterations = 1
+    while iterations < _SIMPLEX_MAXITER:
+        best, worst = sim[0], sim[2]
+        if (all(abs(p[i] - best[i]) <= _SIMPLEX_TOL for p in sim[1:] for i in range(2))
+                and all(abs(fsim[0] - f) <= _SIMPLEX_TOL for f in fsim[1:])):
+            break
+        xbar = [(best[i] + sim[1][i]) / 2 for i in range(2)]
+        xr, fxr = trial(1)
+        if fxr < fsim[0]:
+            xe, fxe = trial(2)
+            sim[2], fsim[2] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[1]:
+            sim[2], fsim[2] = xr, fxr
+        else:
+            outside = fxr < fsim[2]
+            xc, fxc = trial(0.5 if outside else -0.5)
+            if (fxc <= fxr) if outside else (fxc < fsim[2]):
+                sim[2], fsim[2] = xc, fxc
+            else:
+                for j in (1, 2):
+                    sim[j] = clip([best[i] + 0.5 * (sim[j][i] - best[i]) for i in range(2)])
+                    fsim[j] = fun(sim[j])
+        iterations += 1
+        sim, fsim = order()
+    return _Minimum(sim[0], fsim[0], iterations, iterations < _SIMPLEX_MAXITER)
 
 
 class ObservationKind(enum.Enum):
@@ -100,7 +185,9 @@ class FitBounds:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Best parameters found, with convergence diagnostics."""
+    """Best parameters found, with convergence diagnostics.  `iterations`
+    sums the simplex iterations of every start; it is 0 when the closed-form
+    remnant estimate fits the data and no simplex ran."""
 
     params: ReducedParams
     objective_value: float
@@ -155,6 +242,43 @@ def _objective(data: list[Observation]):
     return fun
 
 
+def _remnant_estimate(data: list[Observation]) -> tuple[float, float] | None:
+    """(beta, phi_fe) from remnant values alone, or None when the solve is singular.
+
+    Each remnant r_i solves phi_fe - beta*s_i = r_i with
+    s_i = sin(2*pi*r_i)/(2*pi), on whichever branch it sits; this is the
+    2x2 least-squares solve of those equations, singular (None) when fewer
+    than two distinct s_i occur.
+    """
+    r = [o.observable for o in data]
+    s = [math.sin(TWO_PI * v) / TWO_PI for v in r]
+    # measured from s_0, equal s_i make the determinant exactly 0
+    d = [v - s[0] for v in s]
+    n, sd, sr = len(r), math.fsum(d), math.fsum(r)
+    det = n * math.fsum(v * v for v in d) - sd * sd
+    if not det > 0.0:
+        return None
+    beta = (sd * sr - n * math.fsum(u * v for u, v in zip(d, r))) / det
+    return beta, (sr + beta * sd) / n + beta * s[0]
+
+
+def _exact_remnant_fit(data: list[Observation], objective,
+                       bounds: FitBounds) -> tuple[tuple[float, float], float] | None:
+    """The closed-form estimate, clipped to the box, with its objective, when
+    its forward predictions reproduce the data to OBJECTIVE_FLOOR; else None.
+    The linear solve ignores which branch each sweep reaches, so only the
+    forward check can accept it."""
+    estimate = _remnant_estimate(data)
+    if estimate is None or not all(map(math.isfinite, estimate)):
+        return None
+    x = bounds.clip(*estimate)
+    try:
+        value = objective(x)
+    except NumericsError:
+        return None
+    return (x, value) if value <= OBJECTIVE_FLOOR else None
+
+
 def _flat_directions(objective, best: Sequence[float], bounds: FitBounds) -> bool:
     """True when the objective is constant (to FLAT_OBJECTIVE_SPREAD) along
     either parameter axis across the whole search box - the data then carry
@@ -173,9 +297,13 @@ def fit_parameters(data: list[Observation], initial: ReducedParams,
                    n_restarts: int = 2) -> FitResult:
     """Least-squares fit of (beta, phi_fe) to observed hysteresis data.
 
-    Runs a bound-projected Nelder-Mead from the initial guess plus
-    `n_restarts` deterministic random restarts inside the bounds, keeping
-    the best minimum.  Each simplex runs at most 400 iterations to an
+    Remnant data are first inverted in closed form (_remnant_estimate); when
+    the estimate, clipped to the bounds, reproduces the data to
+    OBJECTIVE_FLOOR it is the result, with iterations 0 and converged true.
+    Otherwise the estimate is dropped and the fit runs a bound-projected
+    Nelder-Mead (`minimize`) from the initial guess plus `n_restarts`
+    deterministic random restarts inside the bounds, keeping the best
+    minimum.  Each simplex runs at most 400 iterations to an
     objective and position tolerance of 1e-10; convergence additionally
     requires the returned objective to be finite.  The flat_objective flag
     marks an information-free data set: the objective stays constant along
@@ -200,25 +328,30 @@ def fit_parameters(data: list[Observation], initial: ReducedParams,
             f"initial point ({initial.beta}, {initial.phi_fe}) lies outside the bounds")
 
     objective = _objective(data)
+    if data[0].kind is ObservationKind.REMNANT_FLUX:
+        exact = _exact_remnant_fit(data, objective, bounds)
+        if exact is not None:
+            x, value = exact
+            return FitResult(params=ReducedParams(beta=x[0], phi_fe=x[1]),
+                             objective_value=value, iterations=0, converged=True,
+                             flat_objective=_flat_directions(objective, x, bounds))
+
     rng = np.random.default_rng(_RESTART_SEED)
-    starts = [np.array([initial.beta, initial.phi_fe])]
+    starts = [(initial.beta, initial.phi_fe)]
     for _ in range(n_restarts):
-        starts.append(np.array([
-            rng.uniform(bounds.beta_min, bounds.beta_max),
-            rng.uniform(bounds.phi_fe_min, bounds.phi_fe_max),
-        ]))
+        starts.append((rng.uniform(bounds.beta_min, bounds.beta_max),
+                       rng.uniform(bounds.phi_fe_min, bounds.phi_fe_max)))
 
     box = [(bounds.beta_min, bounds.beta_max), (bounds.phi_fe_min, bounds.phi_fe_max)]
     best = None
     iterations = 0
     converged = False
     for x0 in starts:
-        res = minimize(objective, x0, method="Nelder-Mead", bounds=box,
-                       options={"fatol": 1e-10, "xatol": 1e-10, "maxiter": 400})
-        iterations += int(res.nit)
+        res = minimize(objective, x0, box)
+        iterations += res.nit
         if best is None or res.fun < best.fun:
             best = res
-            converged = bool(res.success) and math.isfinite(res.fun)
+            converged = res.success and math.isfinite(res.fun)
         if best.fun <= OBJECTIVE_FLOOR:
             break
 

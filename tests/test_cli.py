@@ -439,7 +439,7 @@ FIT_SUMMARY_KEYS = ["beta", "phi_fe", "objective", "iterations", "converged",
       "finite_difference_error", "passed"]),
 ], ids=["fit", "fit-si", "bloch-check"])
 def test_summary_key_order(argv, keys, tmp_path, capsys):
-    # the values depend on the numpy and scipy builds, the keys do not
+    # the values depend on the numpy build, the keys do not
     data = tmp_path / "obs.csv"
     data.write_text("phi_ext,observable\n2,0.78\n-2,-0.78\n3,0.8\n-3,-0.8\n")
     assert run_cli(*argv, *(("--data", str(data)) if argv[0] == "fit" else ())) == 0

@@ -1,6 +1,10 @@
 """Forward observable simulation and the inverse parameter fit."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -247,3 +251,109 @@ class TestFitParameters:
         assert ring.L == pytest.approx(
             result.params.beta * FLUX_QUANTUM / (2 * np.pi * 1e-5), rel=1e-12)
         assert ring.Phi_Fe == pytest.approx(result.params.phi_fe * FLUX_QUANTUM, rel=1e-12)
+
+
+def _noisy(data, seed):
+    rng = np.random.default_rng(seed)
+    return [Observation(o.phi_ext, o.observable + rng.normal(0.0, 0.01), o.kind) for o in data]
+
+
+class TestMinimize:
+    BOX = [(1.5, 15.0), (-0.5, 0.5)]
+
+    @pytest.mark.parametrize("kind", ["remnant", "current"])
+    @pytest.mark.parametrize("start", ["off-truth", "random", "on-bound", "zero-coordinate"])
+    def test_matches_scipy_nelder_mead(self, kind, start):
+        # the port repeats scipy's simplex step for step, so x, fun, nit and
+        # success agree to the bit on piecewise-smooth noisy objectives
+        from scipy.optimize import minimize as scipy_minimize
+
+        rng = np.random.default_rng([18, kind == "current"])
+        beta, phi_fe = rng.uniform(5.0, 12.0), rng.uniform(-0.4, 0.4)
+        data = (_current_data if kind == "current" else _remnant_data)(beta, phi_fe)
+        objective = fit._objective(_noisy(data, 7))
+        x0 = {"off-truth": (beta - 0.3, phi_fe - math.copysign(0.03, phi_fe)),
+              "random": (rng.uniform(1.5, 15.0), rng.uniform(-0.5, 0.5)),
+              "on-bound": (15.0, 0.5),
+              "zero-coordinate": (beta, 0.0)}[start]
+        ours = fit.minimize(objective, x0, self.BOX)
+        theirs = scipy_minimize(objective, np.array(x0), method="Nelder-Mead", bounds=self.BOX,
+                                options={"fatol": 1e-10, "xatol": 1e-10, "maxiter": 400})
+        assert ours.x == tuple(float(v) for v in theirs.x)
+        assert ours.fun == theirs.fun
+        assert ours.nit == theirs.nit
+        assert ours.success == theirs.success
+
+    def test_stops_at_maxiter_without_success(self, monkeypatch):
+        monkeypatch.setattr(fit, "_SIMPLEX_MAXITER", 5)
+        result = fit.minimize(lambda x: (x[0] - 0.3) ** 2 + (x[1] + 0.2) ** 2, (1.0, 0.0),
+                              [(-2.0, 2.0), (-2.0, 2.0)])
+        assert result.nit == 5 and not result.success
+
+
+class TestRemnantEstimate:
+    BOUNDS = FitBounds(1.5, 15.0, -0.5, 0.5)
+
+    @staticmethod
+    def _truths(n=8):
+        # above the 4.6033 trapping threshold, so the remnants sit on branches
+        # with distinct sin(2*pi*r) and fix both parameters
+        rng = np.random.default_rng(4603)
+        return [(rng.uniform(4.7, 14.0), rng.uniform(-0.45, 0.45)) for _ in range(n)]
+
+    def test_estimate_recovers_the_truth(self):
+        for beta, phi_fe in self._truths():
+            estimate = fit._remnant_estimate(_remnant_data(beta, phi_fe))
+            assert estimate == pytest.approx((beta, phi_fe), rel=0.0, abs=1e-9)
+
+    def test_exact_data_fit_without_a_simplex(self, monkeypatch):
+        def no_simplex(*args, **kwargs):
+            raise AssertionError("the fit ran a simplex")
+
+        monkeypatch.setattr(fit, "minimize", no_simplex)
+        for beta, phi_fe in self._truths():
+            result = fit_parameters(_remnant_data(beta, phi_fe),
+                                    ReducedParams(beta=beta - 0.3, phi_fe=phi_fe * 0.9),
+                                    self.BOUNDS)
+            assert result.iterations == 0
+            assert result.objective_value <= fit.OBJECTIVE_FLOOR
+            assert result.converged and not result.flat_objective
+
+    @pytest.mark.parametrize("case", ["degenerate", "noisy"])
+    def test_data_the_estimate_cannot_fit_reach_the_simplex(self, case, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return minimize(*args, **kwargs)
+
+        minimize = fit.minimize
+        monkeypatch.setattr(fit, "minimize", counted)
+        if case == "degenerate":
+            # every remnant of (3, 0) is 0: one distinct sin(2*pi*r), a singular solve
+            data = _remnant_data(3.0, 0.0)
+            assert fit._remnant_estimate(data) is None
+        else:
+            data = _noisy(_remnant_data(5.0, 0.3), 11)
+        result = fit_parameters(data, ReducedParams(beta=4.5, phi_fe=0.25), self.BOUNDS)
+        assert calls and result.iterations > 0
+
+
+def test_fits_import_no_scipy():
+    probe = (
+        "import sys\n"
+        "from ringflux.fit import (Observation, ObservationKind, fit_parameters,\n"
+        "                          simulate_observables)\n"
+        "from ringflux.ring_model import ReducedParams\n"
+        "p = ReducedParams(5.0, 0.3)\n"
+        "for keys, kind in (((2.0, -2.0, 3.0, -3.0), ObservationKind.REMNANT_FLUX),\n"
+        "                   ((0.35, 1.2, 0.6, -0.45), ObservationKind.CURRENT)):\n"
+        "    values = simulate_observables(p, keys, kind)\n"
+        "    data = [Observation(k, v + 1e-3, kind) for k, v in zip(keys, values)]\n"
+        "    fit_parameters(data, ReducedParams(4.8, 0.28), n_restarts=0)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "[]"

@@ -308,7 +308,11 @@ def fit_parameters(data: list[Observation], initial: ReducedParams,
     requires the returned objective to be finite.  The flat_objective flag
     marks an information-free data set: the objective stays constant along
     a whole parameter axis of the search box (e.g. beta on all-zero
-    remnants when beta_max < 1).  Every prediction comes from the
+    remnants when beta_max < 1).  After a simplex it is probed on five
+    points per axis; a closed-form fit reports False without a probe, since
+    it reproduces the data with two distinct sin(2*pi*r): an objective
+    constant in beta would need sin(2*pi*r) = 0 at every remnant, and
+    phi_fe moves every remnant.  Every prediction comes from the
     fold-to-fold kernel (simulate_observables), so no sweep and no sub-step
     is involved.
     """
@@ -334,7 +338,7 @@ def fit_parameters(data: list[Observation], initial: ReducedParams,
             x, value = exact
             return FitResult(params=ReducedParams(beta=x[0], phi_fe=x[1]),
                              objective_value=value, iterations=0, converged=True,
-                             flat_objective=_flat_directions(objective, x, bounds))
+                             flat_objective=False)
 
     rng = np.random.default_rng(_RESTART_SEED)
     starts = [(initial.beta, initial.phi_fe)]

@@ -147,19 +147,21 @@ def branch_index(phi: float, beta: float) -> int:
 # Root finding
 # ---------------------------------------------------------------------------
 
-def _bracketed_newton(f: Callable[[float], float], df: Callable[[float], float],
-                      a: float, b: float, fa: float, fb: float,
-                      x0: float) -> tuple[float, float]:
-    """(x, f(x)) at the root of f in the sign bracket a < b, fa*fb < 0.
+def _cell_newton(d: float, lam: float, a: float, b: float, fa: float, fb: float, x0: float,
+                 cpr: Callable[[float], float] | None = None,
+                 cpr_prime: Callable[[float], float] | None = None) -> tuple[float, float]:
+    """(u, g(u)) at the root of g(u) = u - d + lam*i(u) in the sign bracket
+    a < b, fa*fb < 0: the cell residual at drive d, with i the sinusoid or
+    `cpr` and g' = 1 + lam*i' from `cpr_prime`, both evaluated in the loop.
 
     Newton from x0; each evaluated point becomes a bracket end.  A step out
     of the bracket bisects it, and a step that rounds to x moves one float
-    toward the other end.  Unless f rounds to 0 first, the solve ends on two
-    adjacent floats and returns the one with the smaller |f| (ties: a).
+    toward the other end.  Unless g rounds to 0 first, the solve ends on two
+    adjacent floats and returns the one with the smaller |g| (ties: a).
     """
     x = a if x0 < a else b if x0 > b else x0
     while True:
-        fx = f(x)
+        fx = x - d + lam * (math.sin(TWO_PI * x) if cpr is None else cpr(x))
         if fx == 0.0:
             return x, fx
         if (fx < 0.0) == (fa < 0.0):
@@ -168,8 +170,8 @@ def _bracketed_newton(f: Callable[[float], float], df: Callable[[float], float],
             b, fb = x, fx
         if math.nextafter(a, b) == b:
             return (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-        d = df(x)
-        xn = x - fx / d if d != 0.0 else math.nan  # a flat slope bisects
+        s = 1.0 + lam * (TWO_PI * math.cos(TWO_PI * x) if cpr_prime is None else cpr_prime(x))
+        xn = x - fx / s if s != 0.0 else math.nan  # a flat slope bisects
         if xn == x:
             xn = math.nextafter(x, b if x == a else a)
         elif not a < xn < b:
@@ -196,9 +198,9 @@ def _branch_root(phi_ext: float, k: int, p: ReducedParams, x0: float | None = No
     with k = round(c) from the caller.  An end with g within DEFAULT_ROOT_TOL
     of 0 on the branch's side is the tangency of a fold level, which
     rounding may leave unbracketed (absolute: the root of a drive inside the
-    band lies about sqrt(band) from the end).  Else bracketed Newton with
-    residual_derivative's slope runs from the cell coordinate x0 (by
-    default, and always for beta <= 1, the midpoint) and _accept checks it."""
+    band lies about sqrt(band) from the end).  Else _cell_newton runs from
+    the cell coordinate x0 (by default, and always for beta <= 1, the
+    midpoint) and _accept checks it."""
     d, lam = phi_ext + p.phi_fe - k, p.lam
     a, b = lo, hi = d - lam - WINDOW_MARGIN, d + lam + WINDOW_MARGIN
     if p.beta > 1.0:
@@ -206,21 +208,16 @@ def _branch_root(phi_ext: float, k: int, p: ReducedParams, x0: float | None = No
         a, b = (-e if -e > lo else lo), (e if e < hi else hi)
     else:
         x0 = None
-
-    def f(x: float) -> float:  # residual(x, d, ReducedParams(p.beta)), inlined
-        return x - d + lam * math.sin(TWO_PI * x)
-
     if not a < b:
         return None
-    fa, fb = f(a), f(b)
+    fa, fb = a - d + lam * math.sin(TWO_PI * a), b - d + lam * math.sin(TWO_PI * b)
     if 0.0 <= fa <= DEFAULT_ROOT_TOL:
         return a
     if -DEFAULT_ROOT_TOL <= fb <= 0.0:
         return b
     if fa > 0.0 or fb < 0.0:
         return None
-    x, fx = _bracketed_newton(f, lambda x: 1.0 + lam * (TWO_PI * math.cos(TWO_PI * x)),
-                              a, b, fa, fb, 0.5 * (a + b) if x0 is None else x0)
+    x, fx = _cell_newton(d, lam, a, b, fa, fb, 0.5 * (a + b) if x0 is None else x0)
     return _accept(x, fx, p.beta)
 
 
@@ -235,11 +232,11 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
     [-e, e] and the unstable [e, 1 - e], e = 1/2 - phi_a, or those between
     consecutive `cpr.critical_points(lam)`; for beta <= 1 the one window
     segment in round(c)'s cell.  Each, clipped to the cell's root window, is
-    solved on a sign change by bracketed Newton from its midpoint (slope
-    from residual_derivative) down to two adjacent floats, about 7.5 calls
-    of `residual` per root; a stable segment gives _branch_root's root bit
-    for bit.  A cell root u is reported as j + u, with i(u) and the class of
-    g'(u), so the current keeps the fraction at any drive.  It is accepted at
+    solved on a sign change by _cell_newton from its midpoint down to two
+    adjacent floats, about 7.9 evaluations of g per root with the segment
+    ends; a stable segment gives _branch_root's root bit for bit.  A cell
+    root u is reported as j + u, with i(u) and the class of g'(u), so the
+    current keeps the fraction at any drive.  It is accepted at
     |g| <= DEFAULT_ROOT_TOL, or at |g| <= 2*(1 + beta)*ulp(1), the rounding
     of g in the cell where its slope reaches 1 + beta (beta >~ 1e3).
 
@@ -289,14 +286,6 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
         periods = range(n + math.floor(dn - lam - ts[0]) - 1, n + math.ceil(dn + lam - ts[0]) + 1)
     else:  # the one window segment in round(c)'s cell
         cuts, periods = [-math.inf, math.inf], range(n, n + 1)
-    q = ReducedParams(p.beta)  # phi_fe 0: residual(u, d, q) is g in the cell of drive d
-
-    def f(u: float) -> float:
-        return residual(u, d, q, cpr)
-
-    def df(u: float) -> float:
-        return residual_derivative(u, p, cpr_prime)
-
     first, rest = cuts[0], cuts[1:]
     roots: list[FixedPoint] = []
     for j in periods:
@@ -309,11 +298,13 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
             b = t if t < hi else hi
             if not a < b:
                 break
-            fa, fb = (f(a) if fa is None else fa), f(b)
+            if fa is None:
+                fa = a - d + lam * (math.sin(TWO_PI * a) if cpr is None else cpr(a))
+            fb = b - d + lam * (math.sin(TWO_PI * b) if cpr is None else cpr(b))
             if fa == 0.0 or fb == 0.0:  # a zero at b is the next segment's, or the window top's
                 hit = (a, fa) if fa == 0.0 else (b, fb) if b == hi else None
             elif (fa < 0.0) != (fb < 0.0):
-                hit = _bracketed_newton(f, df, a, b, fa, fb, 0.5 * (a + b))
+                hit = _cell_newton(d, lam, a, b, fa, fb, 0.5 * (a + b), cpr, cpr_prime)
             else:
                 hit = None
             if hit:

@@ -128,6 +128,36 @@ def brute_sweep_remnants(beta, amplitude, phi_fe=0.0, step=1e-3):
     return remnant_down, refined(state)
 
 
+def bracketed_newton(f, df, a, b, fa, fb, x0):
+    """(x, f(x)) at the root of f in the sign bracket a < b, fa*fb < 0.
+
+    The package's Newton loop with f and its slope df as callables, kept as
+    the reference its inline kernel must match bit for bit.  Newton from
+    x0; each evaluated point becomes a bracket end.  A step out of the
+    bracket bisects it, and a step that rounds to x moves one float toward
+    the other end.  Unless f rounds to 0 first, the solve ends on two
+    adjacent floats and returns the one with the smaller |f| (ties: a).
+    """
+    x = a if x0 < a else b if x0 > b else x0
+    while True:
+        fx = f(x)
+        if fx == 0.0:
+            return x, fx
+        if (fx < 0.0) == (fa < 0.0):
+            a, fa = x, fx
+        else:
+            b, fb = x, fx
+        if math.nextafter(a, b) == b:
+            return (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+        d = df(x)
+        xn = x - fx / d if d != 0.0 else math.nan  # a flat slope bisects
+        if xn == x:
+            xn = math.nextafter(x, b if x == a else a)
+        elif not a < xn < b:
+            xn = 0.5 * (a + b)
+        x = xn
+
+
 def central_difference(f, x, h):
     """Plain symmetric difference quotient."""
     return (f(x + h) - f(x - h)) / (2.0 * h)

@@ -319,6 +319,31 @@ class TestRemnantEstimate:
             assert result.objective_value <= fit.OBJECTIVE_FLOOR
             assert result.converged and not result.flat_objective
 
+    def test_exact_fit_evaluates_the_objective_once(self, monkeypatch):
+        # the forward check is the only evaluation: data reproduced to
+        # OBJECTIVE_FLOOR with two distinct sin(2*pi*r) fix both parameters,
+        # so no flat-direction probe runs
+        calls = []
+        objective = fit._objective
+
+        def counting(data):
+            fun = objective(data)
+
+            def counted(x):
+                calls.append(x)
+                return fun(x)
+
+            return counted
+
+        monkeypatch.setattr(fit, "_objective", counting)
+        for beta, phi_fe in self._truths(4):
+            calls.clear()
+            result = fit_parameters(_remnant_data(beta, phi_fe),
+                                    ReducedParams(beta=beta - 0.3, phi_fe=phi_fe * 0.9),
+                                    self.BOUNDS)
+            assert result.iterations == 0 and not result.flat_objective
+            assert len(calls) == 1
+
     @pytest.mark.parametrize("case", ["degenerate", "noisy"])
     def test_data_the_estimate_cannot_fit_reach_the_simplex(self, case, monkeypatch):
         calls = []

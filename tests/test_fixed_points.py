@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from helpers import TWO_PI, brute_force_roots, brute_stability, residual_formula
 from ringflux import fixed_points
+from ringflux.bloch_cpr import FreeEnergyModel, reduced_cpr
 from ringflux.fixed_points import (
     FixedPoint,
     Stability,
@@ -214,24 +215,32 @@ class TestFindFixedPoints:
         with pytest.raises(ValueError, match="MAX_ROOTS"):
             find_fixed_points(0.0, ReducedParams(beta=beta))
 
-    def test_residual_calls_per_root(self, monkeypatch):
+    def test_residual_calls_per_root(self):
         # each segment is solved by bracketed Newton from its midpoint, which
-        # takes about 7.5 calls per root here (segment ends included);
-        # bisection to machine width took about 52
+        # takes about 7.9 evaluations of g per root here (segment ends
+        # included), plus the one i(u) a root reports; bisection to machine
+        # width took about 52.  The single-harmonic relation is the sinusoid
+        # bit for bit, and cut at the sinusoid's segment ends it is the same
+        # scan, so it counts the evaluations the inline sinusoid makes
+        i, di, _ = reduced_cpr(FreeEnergyModel((1e-21,)))
         calls = []
 
-        def counting(*args, **kwargs):
+        def counting(u):
             calls.append(None)
-            return residual(*args, **kwargs)
+            return i(u)
 
-        monkeypatch.setattr(fixed_points, "residual", counting)
         rng = np.random.default_rng(8)
         n_roots = 0
         for _ in range(200):
             p = ReducedParams(beta=float(10.0 ** rng.uniform(math.log10(1.05), 2.0)),
                               phi_fe=float(rng.uniform(-0.5, 0.5)))
-            n_roots += len(find_fixed_points(float(rng.uniform(-3.0, 3.0)), p))
-        assert len(calls) <= 12 * n_roots
+            phi_a = fixed_points._fold_geometry(p.beta)[0]
+            counting.critical_points = lambda lam: [phi_a - 0.5, 0.5 - phi_a]
+            phi_ext = float(rng.uniform(-3.0, 3.0))
+            roots = find_fixed_points(phi_ext, p, counting, di)
+            assert roots == find_fixed_points(phi_ext, p)
+            n_roots += len(roots)
+        assert 0 < len(calls) <= 12 * n_roots
 
 
 class TestClassifyStability:

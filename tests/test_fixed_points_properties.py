@@ -11,10 +11,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from helpers import bracketed_newton
 from ringflux import fixed_points
-from ringflux.fixed_points import NumericsError, find_fixed_points
+from ringflux.bloch_cpr import FreeEnergyModel, reduced_cpr
+from ringflux.fixed_points import WINDOW_MARGIN, NumericsError, find_fixed_points
 from ringflux.ring_model import TWO_PI, ReducedParams
 
 betas = st.floats(min_value=0.1, max_value=40.0)
@@ -114,3 +116,52 @@ def test_fold_window_keeps_its_digits_near_unity(u, k):
     c_hi = k + (0.5 + w)
     assert abs(Fraction(c_hi) - k - Fraction(1, 2) - ref) <= (
         Fraction(1, 10 ** 15) * ref + Fraction(math.ulp(c_hi)))
+
+
+SINUSOID = (lambda u: math.sin(TWO_PI * u), lambda u: TWO_PI * math.cos(TWO_PI * u))
+K2_RELATION = reduced_cpr(FreeEnergyModel((1.8e-22, -3.2e-22)))[:2]
+
+
+@settings(max_examples=300)
+@given(beta=st.one_of(st.floats(min_value=-12.0, max_value=-3.0).map(lambda u: 1.0 + 10.0 ** u),
+                      st.floats(min_value=0.2, max_value=1.0),
+                      st.floats(min_value=0.0, max_value=4.0).map(lambda u: 10.0 ** u)),
+       relation=st.booleans(), d=st.floats(min_value=-1.0, max_value=1.0),
+       cut=st.floats(min_value=0.0, max_value=1.0),
+       start=st.floats(min_value=-0.25, max_value=1.25))
+def test_cell_newton_matches_the_callable_reference(beta, relation, d, cut, start):
+    # the inline kernel against the same loop through g and g' as callables:
+    # a bracket cut from the root window at a drawn point, a start drawn
+    # across it and beyond its ends.  Through a relation both visit the
+    # same points; the inline sinusoid ends where the relation's copy of it
+    # ends
+    i, di = K2_RELATION if relation else SINUSOID
+    lam = ReducedParams(beta=beta).lam
+    visited = {"reference": [], "kernel": []}
+
+    def visiting(key):
+        def i_visit(u):
+            visited[key].append(u)
+            return i(u)
+        return i_visit
+
+    def g(u):
+        return u - d + lam * i(u)
+
+    lo, hi = d - lam - WINDOW_MARGIN, d + lam + WINDOW_MARGIN
+    m = lo + cut * (hi - lo)
+    gm = g(m)
+    assume(lo < m < hi and gm != 0.0)
+    a, b = (lo, m) if gm > 0.0 else (m, hi)
+    fa, fb = g(a), g(b)
+    assume(fa < 0.0 < fb)
+    x0 = a + start * (b - a)
+    i_ref = visiting("reference")
+    want = bracketed_newton(lambda u: u - d + lam * i_ref(u), lambda u: 1.0 + lam * di(u),
+                            a, b, fa, fb, x0)
+    got = fixed_points._cell_newton(d, lam, a, b, fa, fb, x0, visiting("kernel"), di)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert visited["kernel"] == visited["reference"]
+    if not relation:
+        inline = fixed_points._cell_newton(d, lam, a, b, fa, fb, x0)
+        assert [v.hex() for v in inline] == [v.hex() for v in want]

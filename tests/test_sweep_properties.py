@@ -20,7 +20,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from ringflux import fixed_points, sweep
 from ringflux.fixed_points import (WINDOW_MARGIN, NumericsError, Stability, branch_index,
-                                   find_fixed_points, residual_derivative)
+                                   find_fixed_points)
 from ringflux.ring_model import TWO_PI, ReducedParams
 from ringflux.sweep import (SweepSchedule, hysteresis_remnants, path_fluxes, resolve_jump,
                             run_hysteresis, run_schedule)
@@ -220,13 +220,13 @@ def test_continuation_solve_takes_a_handful_of_evaluations():
             if not (fa < -1e-12 and fb > 1e-12):
                 continue  # a drive on the fold level returns the segment end
 
-            def f(x):
+            def counted_sin(x):
                 nonlocal evals
                 evals += 1
-                return g(x)
+                return math.sin(TWO_PI * x)
 
-            x, _ = fixed_points._bracketed_newton(
-                f, lambda x: residual_derivative(x, p), a, b, fa, fb, prev.phi - k)
+            x, _ = fixed_points._cell_newton(d, p.lam, a, b, fa, fb, prev.phi - k, counted_sin,
+                                             lambda x: TWO_PI * math.cos(TWO_PI * x))
             assert k + x == cur.phi
             solves += 1
     assert solves > 1000

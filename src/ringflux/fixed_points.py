@@ -179,8 +179,25 @@ def _cell_newton(d: float, lam: float, a: float, b: float, fa: float, fb: float,
         x = xn
 
 
-def _accept(u: float, r: float, beta: float) -> float:
-    """u, if its cell residual r passes the acceptance rule of every solve, else raise."""
+def _segment_root(d: float, lam: float, a: float, b: float, fa: float, fb: float, x0: float | None,
+                  beta: float, rising: bool = True, cpr: Callable[[float], float] | None = None,
+                  cpr_prime: Callable[[float], float] | None = None) -> float | None:
+    """u, the root of the cell residual g at drive d on its monotone segment
+    [a, b], fa = g(a) and fb = g(b), or None: the one rule of every solve.
+    A rising segment (g' > 0) owns the tangencies at its ends: an end with g
+    within DEFAULT_ROOT_TOL of 0 on the side away from the segment, 0 <= fa
+    or fb <= 0, is the root, which rounding may leave unbracketed (absolute:
+    the root of a drive inside the band lies about sqrt(band) from the end;
+    a window end has |g| of WINDOW_MARGIN or more).  Else _cell_newton
+    solves a strict sign change from x0 (None: the midpoint), and the root
+    is accepted or raises."""
+    if rising and 0.0 <= fa <= DEFAULT_ROOT_TOL:
+        return a
+    if rising and -DEFAULT_ROOT_TOL <= fb <= 0.0:
+        return b
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):
+        return None
+    u, r = _cell_newton(d, lam, a, b, fa, fb, 0.5 * (a + b) if x0 is None else x0, cpr, cpr_prime)
     # |r| <= DEFAULT_ROOT_TOL, else the rounding of g at |g'| <= 1 + beta (large
     # beta): |u| < 2 in its cell, but d and lam*sin round at about lam*ulp(1)
     if abs(r) > DEFAULT_ROOT_TOL and abs(r) > 2.0 * (1.0 + beta) * math.ulp(1.0):
@@ -190,35 +207,20 @@ def _accept(u: float, r: float, beta: float) -> float:
 
 
 def _branch_root(phi_ext: float, k: int, p: ReducedParams, x0: float | None = None) -> float | None:
-    """u, the root k + u of stable segment k solved in its cell, or None.
-
-    This is find_fixed_points' stable segment of period k: [-e, e],
-    e = 1/2 - phi_a, at the cell drive d = c - k, clipped to the cell's root
-    window [d - lam - eps, d + lam + eps]; for beta <= 1 the whole window,
-    with k = round(c) from the caller.  An end with g within DEFAULT_ROOT_TOL
-    of 0 on the branch's side is the tangency of a fold level, which
-    rounding may leave unbracketed (absolute: the root of a drive inside the
-    band lies about sqrt(band) from the end).  Else _cell_newton runs from
-    the cell coordinate x0 (by default, and always for beta <= 1, the
-    midpoint) and _accept checks it."""
+    """u, the root k + u of find_fixed_points' stable segment [-e, e] of
+    period k, e = 1/2 - phi_a, at the cell drive d = c - k in the cell's root
+    window (for beta <= 1 the whole window, k = round(c) from the caller), or
+    None, decided by _segment_root from the cell coordinate x0 (by default,
+    and always for beta <= 1, the midpoint)."""
     d, lam = phi_ext + p.phi_fe - k, p.lam
     a, b = lo, hi = d - lam - WINDOW_MARGIN, d + lam + WINDOW_MARGIN
     if p.beta > 1.0:
         e = 0.5 - _fold_geometry(p.beta)[0]
         a, b = (-e if -e > lo else lo), (e if e < hi else hi)
-    else:
-        x0 = None
     if not a < b:
         return None
     fa, fb = a - d + lam * math.sin(TWO_PI * a), b - d + lam * math.sin(TWO_PI * b)
-    if 0.0 <= fa <= DEFAULT_ROOT_TOL:
-        return a
-    if -DEFAULT_ROOT_TOL <= fb <= 0.0:
-        return b
-    if fa > 0.0 or fb < 0.0:
-        return None
-    x, fx = _cell_newton(d, lam, a, b, fa, fb, 0.5 * (a + b) if x0 is None else x0)
-    return _accept(x, fx, p.beta)
+    return _segment_root(d, lam, a, b, fa, fb, x0 if p.beta > 1.0 else None, p.beta)
 
 
 def find_fixed_points(phi_ext: float, p: ReducedParams,
@@ -231,14 +233,15 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
     a factor 2 of c), on its monotone segments: for the sinusoid the stable
     [-e, e] and the unstable [e, 1 - e], e = 1/2 - phi_a, or those between
     consecutive `cpr.critical_points(lam)`; for beta <= 1 the one window
-    segment in round(c)'s cell.  Each, clipped to the cell's root window, is
-    solved on a sign change by _cell_newton from its midpoint down to two
-    adjacent floats, about 7.9 evaluations of g per root with the segment
-    ends; a stable segment gives _branch_root's root bit for bit.  A cell
-    root u is reported as j + u, with i(u) and the class of g'(u), so the
-    current keeps the fraction at any drive.  It is accepted at
-    |g| <= DEFAULT_ROOT_TOL, or at |g| <= 2*(1 + beta)*ulp(1), the rounding
-    of g in the cell where its slope reaches 1 + beta (beta >~ 1e3).
+    segment in round(c)'s cell.  _segment_root decides each, clipped to the
+    cell's root window: a tangency at an end of a rising segment, else a
+    sign change solved from the midpoint (about 7.9 evaluations of g per
+    root with the segment ends), so a stable segment's root is
+    _branch_root's bit for bit.  A cell root u is reported as j + u, with
+    i(u) and the class of g'(u), so the current keeps the fraction at any
+    drive.  It is accepted at |g| <= DEFAULT_ROOT_TOL, or at
+    |g| <= 2*(1 + beta)*ulp(1), the rounding of g in the cell where its
+    slope reaches 1 + beta (beta >~ 1e3).
 
     Parameters
     ----------
@@ -258,12 +261,13 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
     -------
     list[FixedPoint]
         Every root in the window [c - lambda - eps, c + lambda + eps] with
-        c = phi_ext + phi_fe; never empty, since g(lo) < 0 < g(hi) by
-        |i| <= 1.  Where two roots j + u round to one float, closer than
-        ulp(c) (from |c| of about 1e13 near a fold; every root from about
-        1e16 at beta 5), NumericsError ("no root resolved") is raised.  A
-        non-finite phi_ext or c, or a window of more than MAX_ROOTS segments
-        (beta above about 7.9e6 for the sinusoid), raises ValueError first.
+        c = phi_ext + phi_fe.  Never empty: g(lo) < 0 < g(hi) by |i| <= 1, and
+        a sign change that rounding moves onto a segment end is a tangency.
+        Two roots j + u that round to one float (closer than ulp(c): from |c|
+        of about 1e13 near a fold, every root from 1e16 at beta 5) raise
+        NumericsError ("no root resolved"), unless one is a tangency that the
+        other's solve met.  A non-finite phi_ext or c, or a window of more
+        than MAX_ROOTS segments (beta >~ 7.9e6), raises ValueError first.
     """
     _require_finite("phi_ext", phi_ext)
     if (cpr is None) != (cpr_prime is None):
@@ -283,16 +287,17 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
             raise ValueError(f"beta={p.beta!r} gives about {segments:.3g} roots, "
                              f"more than MAX_ROOTS={MAX_ROOTS}")
         cuts, dn = [*ts, ts[0] + 1.0], c - n
+        rise0 = cpr is None or residual_derivative(0.5 * (ts[0] + cuts[1]), p, cpr_prime) > 0.0
+        ends = [(t, (s % 2 == 0) == rise0) for s, t in enumerate(cuts[1:])]  # (b, rising)
         periods = range(n + math.floor(dn - lam - ts[0]) - 1, n + math.ceil(dn + lam - ts[0]) + 1)
-    else:  # the one window segment in round(c)'s cell
-        cuts, periods = [-math.inf, math.inf], range(n, n + 1)
-    first, rest = cuts[0], cuts[1:]
+    else:  # the one window segment in round(c)'s cell, rising
+        cuts, periods, ends = [-math.inf], range(n, n + 1), [(math.inf, True)]
     roots: list[FixedPoint] = []
     for j in periods:
         d = c - j
         lo, hi = d - lam - WINDOW_MARGIN, d + lam + WINDOW_MARGIN
-        a, fa = (first if first > lo else lo), None
-        for t in rest:  # period j's segments [a, b] in its window, ascending
+        a, fa, ua = (cuts[0] if cuts[0] > lo else lo), None, None
+        for t, rising in ends:  # period j's segments [a, b = t] in its window, ascending
             if t <= a:
                 continue
             b = t if t < hi else hi
@@ -301,21 +306,16 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
             if fa is None:
                 fa = a - d + lam * (math.sin(TWO_PI * a) if cpr is None else cpr(a))
             fb = b - d + lam * (math.sin(TWO_PI * b) if cpr is None else cpr(b))
-            if fa == 0.0 or fb == 0.0:  # a zero at b is the next segment's, or the window top's
-                hit = (a, fa) if fa == 0.0 else (b, fb) if b == hi else None
-            elif (fa < 0.0) != (fb < 0.0):
-                hit = _cell_newton(d, lam, a, b, fa, fb, 0.5 * (a + b), cpr, cpr_prime)
-            else:
-                hit = None
-            if hit:
-                u, r = hit
+            u = _segment_root(d, lam, a, b, fa, fb, None, p.beta, rising, cpr, cpr_prime)
+            if u is not None:
                 phi = j + u
-                if roots and phi <= roots[-1].phi:
+                if not roots or phi > roots[-1].phi:
+                    roots.append(FixedPoint(phi, math.sin(TWO_PI * u) if cpr is None else cpr(u),
+                                            classify_stability(u, p, cpr_prime)))
+                elif a not in (u, ua):  # else one tangency at a, met from both sides
                     raise NumericsError(f"no root resolved at phi_ext={phi_ext!r}: two roots "
                                         f"round to phi={phi!r}, below the resolution of c={c!r}")
-                roots.append(FixedPoint(phi, math.sin(TWO_PI * u) if cpr is None else cpr(u),
-                                        classify_stability(_accept(u, r, p.beta), p, cpr_prime)))
             if b == hi:
                 break
-            a, fa = b, fb
+            a, fa, ua = b, fb, u
     return roots

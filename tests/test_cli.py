@@ -187,16 +187,19 @@ class TestCsvEmission:
         assert len(jump_rows) == len(loop.cycle.events)
 
     def test_fixed_points_schema(self, tmp_path):
-        out = tmp_path / "roots.csv"
-        assert run_cli("fixed-points", "--beta", "5", "--phi_ext", "0.25",
-                       "--out", str(out)) == 0
-        rows = list(csv.DictReader(out.read_text().splitlines()))
-        assert list(rows[0]) == ["phi_ext", "phi", "i", "stability"]
-        assert {r["stability"] for r in rows} <= {"stable", "unstable", "marginal"}
-        for r in rows:
-            assert float(r["phi_ext"]) == 0.25
-            assert float(r["i"]) == pytest.approx(
-                math.sin(2 * math.pi * float(r["phi"])), abs=1e-14)
+        # just above beta = 1 at a half-integer drive the roots are the two
+        # fold tangencies, which rounding leaves unbracketed
+        for beta, phi_ext in (("5", "0.25"), ("1.000000000002723", "1.5")):
+            out = tmp_path / "roots.csv"
+            assert run_cli("fixed-points", "--beta", beta, "--phi_ext", phi_ext,
+                           "--out", str(out)) == 0
+            rows = list(csv.DictReader(out.read_text().splitlines()))
+            assert rows and list(rows[0]) == ["phi_ext", "phi", "i", "stability"]
+            assert {r["stability"] for r in rows} <= {"stable", "unstable", "marginal"}
+            for r in rows:
+                assert float(r["phi_ext"]) == float(phi_ext)
+                assert float(r["i"]) == pytest.approx(
+                    math.sin(2 * math.pi * float(r["phi"])), abs=1e-14)
 
     def test_wide_ring_schema_and_identities(self, tmp_path):
         out = tmp_path / "wide.csv"
@@ -307,6 +310,11 @@ class TestExitCodes:
         assert run_cli("sweep", "--beta", "1.000000000001", "--amplitude", "2",
                        "--step", "0.01") == 2
         assert "window below rounding" in capsys.readouterr().err
+        # at a half-integer bias the virgin state is a Marginal fold tangency,
+        # and the first fold crossed names the same cause
+        assert run_cli("sweep", "--beta", "1.000000000002723", "--phi_fe", "1.5",
+                       "--amplitude", "1", "--step", "0.1") == 2
+        assert "hysteretic window below rounding" in capsys.readouterr().err
 
     def test_area_below_rounding_is_two(self, capsys):
         assert run_cli("sweep", "--beta", "1.000000003", "--amplitude", "2",

@@ -1,6 +1,8 @@
 """Root finding and stability classification of the flux balance."""
 
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -215,6 +217,28 @@ class TestFindFixedPoints:
         with pytest.raises(ValueError, match="MAX_ROOTS"):
             find_fixed_points(0.0, ReducedParams(beta=beta))
 
+    @pytest.mark.parametrize("beta, phi_fe, phi_ext, relation", [
+        (1.000000000002723, 0.8846139411315503, 0.6153860588684497, False),
+        (1.000000000000429, 1.9399456070852734, 0.5600543929147266, True),
+    ], ids=["sinusoid", "single-harmonic-relation"])
+    def test_half_integer_drive_just_above_unity_finds_the_tangencies(
+            self, beta, phi_fe, phi_ext, relation):
+        # at c = 1.5 (2.5) the fold tangencies of g lie w ~ 7e-19 (1e-19)
+        # above and below 0, but rounding leaves g there at about -5e-18, so
+        # no segment changes sign; the rising segments' tangency band takes
+        # them, where the scan used to return no root at all
+        p = ReducedParams(beta=beta, phi_fe=phi_fe)
+        if relation:
+            i, di, _ = reduced_cpr(FreeEnergyModel((8.749735574598887e-23,)))
+            roots, crit = find_fixed_points(phi_ext, p, i, di), i.critical_points(p.lam)
+        else:
+            phi_a = fixed_points._fold_geometry(beta)[0]
+            roots, crit = find_fixed_points(phi_ext, p), [phi_a - 0.5, 0.5 - phi_a]
+        c = phi_ext + phi_fe
+        assert roots and all(r.stability is Stability.MARGINAL for r in roots)
+        for r in roots:
+            assert any(r.phi == j + t for j in (math.floor(c), math.ceil(c)) for t in crit)
+
     def test_residual_calls_per_root(self):
         # each segment is solved by bracketed Newton from its midpoint, which
         # takes about 7.9 evaluations of g per root here (segment ends
@@ -306,6 +330,48 @@ class TestFoldLocations:
         assert phi_a == 0.25
         c_lo, c_hi = -(0.5 + w), 0.5 + w
         assert c_hi == -c_lo == pytest.approx(beta / TWO_PI, rel=1e-15)
+
+
+# sha256 of _scan_bits(), computed on the scan before its segment rule was
+# shared with the branch solve; a deliberate change of any root, current,
+# class or raise message updates it, with a ledger of what moved in CHANGES.md
+FROZEN_SCAN_BITS = "8e1060fff0e1fbbc984de891a83373b34945e30e40b77aca258ab3bffae7f192"
+
+
+def _scan_bits(n=2000, seed=20):
+    """sha256 over n seeded find_fixed_points calls: every root's flux,
+    current and class, or the NumericsError message.
+
+    Draws: the sinusoid with beta log-uniform in [0.2, 300] (two thirds),
+    else one of eight K = 2-4 relations with beta log-uniform in [0.2, 30];
+    |phi_fe| <= 3 and |phi_ext| <= 5.
+    """
+    rng = random.Random(seed)
+    relations = []
+    for _ in range(8):
+        coeffs = [rng.uniform(-1.0, 1.0) * 1e-22 for _ in range(rng.randint(2, 4))]
+        relations.append(reduced_cpr(FreeEnergyModel(tuple(coeffs)))[:2])
+    h = hashlib.sha256()
+    for _ in range(n):
+        if rng.random() < 2 / 3:
+            beta, rel = 10.0 ** rng.uniform(math.log10(0.2), math.log10(300.0)), (None, None)
+        else:
+            beta = 10.0 ** rng.uniform(math.log10(0.2), math.log10(30.0))
+            rel = rng.choice(relations)
+        p = ReducedParams(beta, rng.uniform(-3.0, 3.0))
+        try:
+            roots = find_fixed_points(rng.uniform(-5.0, 5.0), p, *rel)
+        except fixed_points.NumericsError as exc:
+            h.update(f"raise {exc}\n".encode())
+            continue
+        for r in roots:
+            h.update(f"{r.phi!r} {r.i!r} {r.stability.value}\n".encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def test_scan_bits_are_frozen():
+    assert _scan_bits() == FROZEN_SCAN_BITS
 
 
 def test_fixed_point_record_is_frozen():

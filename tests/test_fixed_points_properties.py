@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from helpers import bracketed_newton
 from ringflux import fixed_points
 from ringflux.bloch_cpr import FreeEnergyModel, reduced_cpr
-from ringflux.fixed_points import WINDOW_MARGIN, NumericsError, find_fixed_points
+from ringflux.fixed_points import WINDOW_MARGIN, NumericsError, Stability, find_fixed_points
 from ringflux.ring_model import TWO_PI, ReducedParams
 
 betas = st.floats(min_value=0.1, max_value=40.0)
@@ -165,3 +165,39 @@ def test_cell_newton_matches_the_callable_reference(beta, relation, d, cut, star
     if not relation:
         inline = fixed_points._cell_newton(d, lam, a, b, fa, fb, x0)
         assert [v.hex() for v in inline] == [v.hex() for v in want]
+
+
+@settings(max_examples=300)
+@given(beta=st.one_of(st.floats(min_value=-16.0, max_value=-6.0).map(lambda u: 1.0 + 10.0 ** u),
+                      st.floats(min_value=0.0, max_value=3.0).map(lambda u: 10.0 ** u)),
+       k=st.integers(min_value=-50, max_value=50), level=st.sampled_from([0, 1, -1]),
+       ulps=st.integers(min_value=-4, max_value=4),
+       phi_fe=st.one_of(st.just(0.0), st.floats(min_value=-2.0, max_value=2.0)))
+@example(beta=1.000000000002723, k=1, level=0, ulps=0, phi_fe=0.8846139411315503)
+@example(beta=1.0000000000071043, k=6, level=0, ulps=0, phi_fe=0.0)  # same-cell meeting
+@example(beta=1.0000000360263337, k=-1, level=-1, ulps=0,
+         phi_fe=0.12970246442221312)  # across a period
+def test_scan_is_never_empty_and_agrees_with_the_branch_solve(beta, k, level, ulps, phi_fe):
+    # drives at half-integers, where rounding leaves both fold tangencies of
+    # a near-unity beta unbracketed, and at fold levels k +/- (1/2 + w), each
+    # moved by a few ulps: the scan returns roots, ascending, so no tangency
+    # is reported twice, and the root of every stable segment is the branch
+    # solve's float
+    assume(beta > 1.0)
+    w = fixed_points._fold_geometry(beta)[1]
+    c = k + 0.5 if level == 0 else k + level * (0.5 + w)
+    for _ in range(abs(ulps)):
+        c = math.nextafter(c, math.copysign(math.inf, ulps))
+    p = ReducedParams(beta=beta, phi_fe=phi_fe)
+    phi_ext = c - phi_fe
+    roots = find_fixed_points(phi_ext, p)
+    phis = [r.phi for r in roots]
+    assert roots and all(a < b for a, b in zip(phis, phis[1:]))
+    c = phi_ext + phi_fe
+    for j in range(math.floor(c - p.lam) - 1, math.ceil(c + p.lam) + 2):
+        u = fixed_points._branch_root(phi_ext, j, p)
+        assert u is None or j + u in phis
+    for r in roots:
+        if r.stability is Stability.STABLE:
+            j = fixed_points.branch_index(r.phi, beta)
+            assert r.phi == j + fixed_points._branch_root(phi_ext, j, p)

@@ -190,7 +190,7 @@ def _sweep_rows(traj: sweep.SweepTrajectory, p: ring_model.ReducedParams) -> lis
     landing = {e.landing_index for e in traj.events}
     rows = []
     for idx, s in enumerate(traj.samples):
-        stable = fixed_points.classify_stability(s.phi, p) is Stability.STABLE
+        stable = fixed_points.classify_stability(s.u, p) is Stability.STABLE
         rows.append((s.phi_ext, s.phi, s.i, s.branch_id, stable,
                      "jump" if idx in landing else ""))
     return rows

@@ -206,13 +206,13 @@ def _segment_root(d: float, lam: float, a: float, b: float, fa: float, fb: float
     return u
 
 
-def _branch_root(phi_ext: float, k: int, p: ReducedParams, x0: float | None = None) -> float | None:
+def _branch_root(d: float, p: ReducedParams, x0: float | None = None) -> float | None:
     """u, the root k + u of find_fixed_points' stable segment [-e, e] of
-    period k, e = 1/2 - phi_a, at the cell drive d = c - k in the cell's root
+    period k, e = 1/2 - phi_a, at its cell drive d = c - k in the cell's root
     window (for beta <= 1 the whole window, k = round(c) from the caller), or
     None, decided by _segment_root from the cell coordinate x0 (by default,
     and always for beta <= 1, the midpoint)."""
-    d, lam = phi_ext + p.phi_fe - k, p.lam
+    lam = p.lam
     a, b = lo, hi = d - lam - WINDOW_MARGIN, d + lam + WINDOW_MARGIN
     if p.beta > 1.0:
         e = 0.5 - _fold_geometry(p.beta)[0]

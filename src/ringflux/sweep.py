@@ -40,8 +40,8 @@ from .ring_model import TWO_PI, ReducedParams, RingParams, _require_finite
 _MAX_JUMPS_PER_STEP = 64
 
 #: Largest total sub-step count a schedule may ask for.  Every sub-step is
-#: kept as a sample (about 184 bytes each), so this bounds a sweep's memory
-#: near 0.9 GB.
+#: kept as a sample (176 bytes each, by tracemalloc over a 40,004-sample
+#: loop), so this bounds a sweep's memory near 0.9 GB.
 MAX_SUBSTEPS = 5_000_000
 
 
@@ -73,14 +73,18 @@ class SweepSchedule:
                 f"schedule needs more than {MAX_SUBSTEPS} sub-steps at step {self.step}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BranchState:
-    """Occupied stable fixed point during a sweep; also one trajectory sample."""
+    """Occupied stable fixed point during a sweep; also one trajectory sample.
+
+    phi = j + u, rounded, for the cell root u in cell j = branch_id (round(c)
+    for beta <= 1); solves, classes and loop_area read u, which phi rounds."""
 
     phi_ext: float
     phi: float
     i: float
     branch_id: int
+    u: float
 
 
 @dataclass(frozen=True)
@@ -135,21 +139,14 @@ class RemnantReport(NamedTuple):
 # ---------------------------------------------------------------------------
 
 def _on_branch(p: ReducedParams, k: int, phi_ext: float, x0: float) -> tuple[float, float]:
-    """(k + u, u): branch k's root at phi_ext from the flux x0, where the caller
-    found branch k; for beta <= 1 the window's root in round(c)'s cell."""
+    """(k + u, u): branch k's root at phi_ext from the cell coordinate x0, where
+    the caller found branch k; for beta <= 1 the window's root in round(c)'s cell."""
+    c = phi_ext + p.phi_fe
     if p.beta <= 1.0:
-        k = round(phi_ext + p.phi_fe)
-    if (u := _branch_root(phi_ext, k, p, x0 - k)) is None:
-        raise NumericsError(f"branch {k} does not bracket c={phi_ext + p.phi_fe!r}")
+        k = round(c)
+    if (u := _branch_root(c - k, p, x0)) is None:
+        raise NumericsError(f"branch {k} does not bracket c={c!r}")
     return k + u, u
-
-
-def _stable_root(phi_ext: float, k: int, p: ReducedParams) -> FixedPoint | None:
-    """_branch_root's root on stable segment k as a FixedPoint if STABLE, else None."""
-    u = _branch_root(phi_ext, k, p)
-    if u is None or classify_stability(u, p) is not Stability.STABLE:
-        return None
-    return FixedPoint(k + u, math.sin(TWO_PI * u), Stability.STABLE)
 
 
 def continue_branch(state: BranchState, phi_ext_next: float, p: ReducedParams) -> BranchState:
@@ -158,8 +155,24 @@ def continue_branch(state: BranchState, phi_ext_next: float, p: ReducedParams) -
     (every flux for beta <= 1); at the state's own drive, the state itself."""
     if phi_ext_next == state.phi_ext:
         return state
-    phi, u = _on_branch(p, state.branch_id, phi_ext_next, state.phi)
-    return BranchState(phi_ext_next, phi, math.sin(TWO_PI * u), state.branch_id)
+    phi, u = _on_branch(p, state.branch_id, phi_ext_next, state.u)
+    return BranchState(phi_ext_next, phi, math.sin(TWO_PI * u), state.branch_id, u)
+
+
+@functools.lru_cache(maxsize=64)
+def _landing(beta: float) -> float:
+    """u, the cell root of every ascending landing (descending: -u, the model is odd).
+
+    Off the fold of branch k at c - k = s*(1/2 + w), branch k + s has the
+    exact cell drive -s*(1/2 - w) whatever k and phi_fe: one solve serves every
+    jump.  Its slope g' is about 3*(beta - 1): Marginal below beta - 1 of
+    about 3e-10, which NumericsError names as the window below rounding."""
+    p = ReducedParams(beta)
+    u = _branch_root(-(0.5 - _fold_geometry(beta)[1]), p)
+    if u is None or classify_stability(u, p) is not Stability.STABLE:
+        raise NumericsError(f"no stable root survives a fold: hysteretic window below rounding at "
+                            f"beta={beta!r} (its slope 3*(beta - 1) is under MARGINAL_TOL)")
+    return u
 
 
 def resolve_jump(p: ReducedParams, k: int, ascending: bool) -> tuple[float, float, FixedPoint]:
@@ -169,20 +182,13 @@ def resolve_jump(p: ReducedParams, k: int, ascending: bool) -> tuple[float, floa
     ascending and -1 descending, at its cell end u = s*(1/2 - phi_a)
     (_fold_geometry), so remnants do not depend on the sweep step.  One flux
     quantum is admitted: the state lands on branch k + s, the nearest
-    surviving stable root (README, numerical notes), solved on that one
-    segment as find_fixed_points solves it.  Its slope g' is about
-    3*(beta - 1): Marginal below beta - 1 of about 3e-10, which
-    NumericsError names as the window below rounding.
+    surviving stable root (README, numerical notes), at the cell root
+    s*_landing(beta); nothing is solved here.
     """
     (phi_a, w), s = _fold_geometry(p.beta), 1 if ascending else -1
-    phi_ext = k + s * (0.5 + w) - p.phi_fe
-    landing = _stable_root(phi_ext, k + s, p)
-    if landing is None:
-        raise NumericsError(
-            f"no stable root survives the fold at phi_ext={phi_ext!r}: "
-            f"hysteretic window below rounding at beta={p.beta!r} (the landing "
-            f"slope 3*(beta - 1) is under MARGINAL_TOL)")
-    return phi_ext, k + s * 0.5 - s * phi_a, landing
+    u = s * _landing(p.beta)
+    return (k + s * (0.5 + w) - p.phi_fe, k + s * 0.5 - s * phi_a,
+            FixedPoint(k + s + u, math.sin(TWO_PI * u), Stability.STABLE))
 
 
 # unused: only the benchmark's tracer reads this name, which it still wraps
@@ -194,27 +200,31 @@ refine_fold = resolve_jump
 # ---------------------------------------------------------------------------
 
 def _initial_state(p: ReducedParams, phi_ext: float, phi_hint: float) -> BranchState:
-    """The stable root nearest phi_hint (ties: smaller |i|, then smaller phi).
-
-    For beta > 1 it is on stable branch m - 1, m or m + 1, m = round(phi_hint)
-    clamped to the branches at the drive (README, numerical notes), so three
-    branch solves find it whatever beta.  For beta <= 1, or when none of the
-    three is STABLE, find_fixed_points runs, and at the Marginal corners
-    about beta = 1 a MARGINAL root stands in for a STABLE one.
+    """The stable root nearest phi_hint (ties: smaller |i|, then smaller phi),
+    with the k and u of the solve that found it: for beta <= 1 the one root,
+    solved in round(c)'s cell.  For beta > 1 it is on stable branch m - 1, m
+    or m + 1, m = round(phi_hint) clamped to the branches at the drive
+    (README, numerical notes).  Only if none of the three is STABLE does
+    find_fixed_points run: at the Marginal corners just above beta = 1 a
+    MARGINAL root stands in, on branch_index's branch.
     """
-    stable = []
-    if p.beta > 1.0:  # branch k exists for |c - k| <= half
-        c, half = phi_ext + p.phi_fe, 0.5 + _fold_geometry(p.beta)[1]
-        m = round(min(max(phi_hint, math.ceil(c - half)), math.floor(c + half)))
-        stable = [r for k in (m - 1, m, m + 1) if (r := _stable_root(phi_ext, k, p))]
+    if p.beta <= 1.0:
+        phi, u = _on_branch(p, 0, phi_ext, 0.0)
+        return BranchState(phi_ext, phi, math.sin(TWO_PI * u), 0, u)
+    c, half = phi_ext + p.phi_fe, 0.5 + _fold_geometry(p.beta)[1]  # k lives at |c - k| <= half
+    m = round(min(max(phi_hint, math.ceil(c - half)), math.floor(c + half)))
+    stable = [(k + u, math.sin(TWO_PI * u), k, u) for k in (m - 1, m, m + 1)
+              if (u := _branch_root(c - k, p)) is not None
+              and classify_stability(u, p) is Stability.STABLE]
     if not stable:
         roots = find_fixed_points(phi_ext, p)
-        stable = ([r for r in roots if r.stability is Stability.STABLE]
-                  or [r for r in roots if r.stability is Stability.MARGINAL])
+        pool = ([r for r in roots if r.stability is Stability.STABLE]
+                or [r for r in roots if r.stability is Stability.MARGINAL])
+        stable = [(r.phi, r.i, k, r.phi - k) for r in pool for k in (branch_index(r.phi, p.beta),)]
     if not stable:
         raise NumericsError(f"no stable root at phi_ext={phi_ext!r}")
-    pick = min(stable, key=lambda r: (abs(r.phi - phi_hint), abs(r.i), r.phi))
-    return BranchState(phi_ext, pick.phi, pick.i, branch_index(pick.phi, p.beta))
+    phi, i, k, u = min(stable, key=lambda r: (abs(r[0] - phi_hint), abs(r[1]), r[0]))
+    return BranchState(phi_ext, phi, i, k, u)
 
 
 def run_schedule(p: ReducedParams, schedule: SweepSchedule,
@@ -246,16 +256,16 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
             pe = w1 if j == nsub else w0 + j * delta
             c, k = pe + p.phi_fe, state.branch_id
             if not abs(c - k) <= half and pe != state.phi_ext:
-                up = c > k
-                folds = abs(_walk(p, k, pe, up) - k)
+                s = 1 if c > k else -1
+                folds = abs(_walk(p, k, pe, s > 0) - k)
                 if folds > _MAX_JUMPS_PER_STEP:
                     raise NumericsError(
                         f"more than {_MAX_JUMPS_PER_STEP} folds inside one sub-step; "
                         f"step {schedule.step} is too coarse")
                 for _ in range(folds):
-                    at, before, landing = resolve_jump(p, state.branch_id, up)
-                    state = BranchState(at, landing.phi, landing.i,
-                                        state.branch_id + (1 if up else -1))
+                    at, before, landing = resolve_jump(p, state.branch_id, s > 0)
+                    state = BranchState(at, landing.phi, landing.i, state.branch_id + s,
+                                        s * _landing(p.beta))
                     samples.append(state)
                     events.append(JumpEvent(at, before, landing.phi, len(samples) - 1))
             nxt = continue_branch(state, pe, p)
@@ -268,20 +278,22 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
 
 
 def loop_area(traj: SweepTrajectory, p: ReducedParams) -> float:
-    """Exact integral of i d(phi_ext) along the trajectory.
+    """Exact integral of i d(phi_ext) along the trajectory, in cell coordinates.
 
     On a branch phi_ext = phi + lam*sin(2*pi*phi) - phi_fe, so
-    i d(phi_ext) = dF with F(phi) = -cos(2*pi*phi)/(2*pi) + (lam/2)*sin(2*pi*phi)**2.
+    i d(phi_ext) = dF with F(u) = -cos(2*pi*u)/(2*pi) + (lam/2)*sin(2*pi*u)**2,
+    even and 1-periodic, so it reads cell roots u, never a flux rounded at ulp(k).
     A jump is vertical (fixed drive) and adds nothing, so the area is
-    F(last) - F(first) plus F(phi_before) - F(phi_after) for every jump.
+    F(last u) - F(first u) plus F(e) - F(landing u) per jump, e = 1/2 - phi_a.
     """
-    def F(phi: float) -> float:
-        s = math.sin(TWO_PI * phi)
-        return -math.cos(TWO_PI * phi) / TWO_PI + 0.5 * p.lam * s * s
+    def F(u: float) -> float:
+        s = math.sin(TWO_PI * u)
+        return -math.cos(TWO_PI * u) / TWO_PI + 0.5 * p.lam * s * s
 
-    terms = [F(traj.samples[-1].phi), -F(traj.samples[0].phi)]
+    terms = [F(traj.samples[-1].u), -F(traj.samples[0].u)]
+    f_end = F(0.5 - _fold_geometry(p.beta)[0]) if traj.events else 0.0
     for e in traj.events:
-        terms += (F(e.phi_before), -F(e.phi_after))
+        terms += (f_end, -F(traj.samples[e.landing_index].u))
     return math.fsum(terms)
 
 
@@ -315,13 +327,6 @@ def run_hysteresis(p: ReducedParams, amplitude: float, step: float) -> Hysteresi
     )
 
 
-@functools.lru_cache(maxsize=64)
-def _check_landing(p: ReducedParams) -> None:
-    """Resolve the jump off branch 0's fold, which stands for all folds, at p's own drive
-    (its rounding decides a Marginal landing), so a kernel raises where a sweep would."""
-    resolve_jump(p, 0, True)
-
-
 def _walk(p: ReducedParams, k: int, w: float, ascending: bool) -> int:
     """Branch occupied once the drive has moved monotonically from branch k
     to w, the one fold rule of the sweep and both kernels.
@@ -349,11 +354,11 @@ def hysteresis_remnants(p: ReducedParams,
     amplitude A, without a sweep.
 
     _walk fixes the branch at the end of each leg in closed form, and a
-    remnant is one branch solve at zero drive.  The virgin state is three
-    branch solves, whatever beta; nothing scans every root.
+    remnant is one branch solve at zero drive.  The virgin state is at most
+    three branch solves, whatever beta; nothing scans every root.
     The result is run_hysteresis(p, A, step)'s for any step, up to the last
-    bits of the branch solve, which starts here from the fluxoid k instead
-    of from the previous sample.
+    bits of the branch solve, which starts here from the cell centre u = 0
+    instead of from the previous sample.
     """
     amplitudes = tuple(amplitudes)
     for amp in amplitudes:
@@ -367,9 +372,9 @@ def hysteresis_remnants(p: ReducedParams,
         for w, ascending in ((amp, True), (0.0, False), (-amp, False), (0.0, True)):
             j, k = k, _walk(p, k, w, ascending)
             if k != j:
-                _check_landing(p)
+                _landing(p.beta)  # raises where a sweep's jump would
             if w == 0.0:
-                remnants.append(_on_branch(p, k, 0.0, float(k))[0])
+                remnants.append(_on_branch(p, k, 0.0, 0.0)[0])
         out.append(tuple(remnants))
     return out
 
@@ -377,8 +382,8 @@ def hysteresis_remnants(p: ReducedParams,
 def path_fluxes(p: ReducedParams, waypoints: Iterable[float]) -> list[float]:
     """Flux at each waypoint of a drive path from the virgin state at zero
     drive, without a sweep: _walk fixes the branch at each waypoint in closed
-    form, the flux there is one branch solve, and the virgin state is three
-    branch solves, with no scan of every root.  The result is that of
+    form, the flux there is one branch solve, and the virgin state is at
+    most three branch solves, with no scan of every root.  The result is that of
     run_schedule over (0, *waypoints) at any step, on the same branch and up
     to the last bits of the solve.
     """
@@ -392,8 +397,8 @@ def path_fluxes(p: ReducedParams, waypoints: Iterable[float]) -> list[float]:
     for prev, w in zip((0.0,) + waypoints, waypoints):
         j, k = k, _walk(p, k, w, w > prev)
         if k != j:
-            _check_landing(p)
-        out.append(_on_branch(p, k, w, float(k))[0])
+            _landing(p.beta)
+        out.append(_on_branch(p, k, w, 0.0)[0])
     return out
 
 

@@ -163,28 +163,31 @@ class TestCsvEmission:
     def test_single_sample_two_lines(self, tmp_path):
         out = tmp_path / "one.csv"
         from ringflux.ring_model import ReducedParams
-        traj = SweepTrajectory((BranchState(0.0, 0.0, 0.0, 0),), (), (0,))
+        traj = SweepTrajectory((BranchState(0.0, 0.0, 0.0, 0, 0.0),), (), (0,))
         cli.emit_csv(traj, str(out), p=ReducedParams(beta=0.5))
         assert out.read_text() == (
             "phi_ext,phi,i,branch_id,stable,event\n0,0,0,0,true,\n")
 
     def test_sweep_csv_roundtrips_bit_for_bit(self, tmp_path):
-        out = tmp_path / "sweep.csv"
-        assert run_cli("sweep", "--beta", "5", "--amplitude", "2", "--step", "0.05",
-                       "--phi_fe", "0.125", "--out", str(out)) == 0
+        # at phi_fe 1e15 the flux rounds at 0.125, and a class read from it
+        # called stable roots unstable; the class is read at the cell root
         from ringflux.ring_model import ReducedParams
         from ringflux.sweep import run_hysteresis
-        loop = run_hysteresis(ReducedParams(beta=5.0, phi_fe=0.125), 2.0, 0.05)
-        rows = list(csv.DictReader(out.read_text().splitlines()))
-        assert len(rows) == len(loop.cycle.samples)
-        for row, sample in zip(rows, loop.cycle.samples):
-            assert float(row["phi_ext"]) == sample.phi_ext
-            assert float(row["phi"]) == sample.phi
-            assert float(row["i"]) == sample.i
-            assert int(row["branch_id"]) == sample.branch_id
-            assert row["stable"] == "true"
-        jump_rows = [r for r in rows if r["event"] == "jump"]
-        assert len(jump_rows) == len(loop.cycle.events)
+        for phi_fe, step in (("0.125", "0.05"), ("1e15", "0.0625")):
+            out = tmp_path / "sweep.csv"
+            assert run_cli("sweep", "--beta", "5", "--amplitude", "2", "--step", step,
+                           "--phi_fe", phi_fe, "--out", str(out)) == 0
+            loop = run_hysteresis(ReducedParams(5.0, float(phi_fe)), 2.0, float(step))
+            rows = list(csv.DictReader(out.read_text().splitlines()))
+            assert len(rows) == len(loop.cycle.samples)
+            for row, sample in zip(rows, loop.cycle.samples):
+                assert float(row["phi_ext"]) == sample.phi_ext
+                assert float(row["phi"]) == sample.phi
+                assert float(row["i"]) == sample.i
+                assert int(row["branch_id"]) == sample.branch_id
+                assert row["stable"] == "true"
+            jump_rows = [r for r in rows if r["event"] == "jump"]
+            assert len(jump_rows) == len(loop.cycle.events)
 
     def test_fixed_points_schema(self, tmp_path):
         # just above beta = 1 at a half-integer drive the roots are the two
@@ -409,10 +412,10 @@ class TestNegativeValues:
 
 FROZEN_STDOUT = {
     ("sweep", "--beta", "5", "--phi_fe", "0.3", "--amplitude", "3", "--step", "0.01"):
-        "16b3ae0e6ba6eb95ecf6898aa590b7dc8b0d21a0ddfd87883d4201fdbcf234ed",
+        "257eeb4c6257992be8f12d5302aaaa25df968efaa1d7a0e3ebbca1d50c7ee040",
     ("sweep", "--beta", "18.55972099975719", "--phi_fe", "-0.08016403792901305",
      "--amplitude", "3.7168673500582896", "--step", "0.05"):
-        "44864c24adb2adead1a733ab0e304616d176a91a6cd85698fd8b2afb61317d00",
+        "004b1271631d3530d5618686c2a23760af1b8287e62de0332603f368da948fd6",
     ("fixed-points", "--beta", "40", "--phi_ext", "0.183"):
         "83b4bdd53e443755c7de9ff90df2cc1a4cd59f4e4fd7cf067fce4d7aef6e9f8e",
     ("wide-ring", "--n", "3", "--L", "1e-10", "--Phi0", "2.07e-15"):

@@ -195,9 +195,9 @@ def test_scan_is_never_empty_and_agrees_with_the_branch_solve(beta, k, level, ul
     assert roots and all(a < b for a, b in zip(phis, phis[1:]))
     c = phi_ext + phi_fe
     for j in range(math.floor(c - p.lam) - 1, math.ceil(c + p.lam) + 2):
-        u = fixed_points._branch_root(phi_ext, j, p)
+        u = fixed_points._branch_root(c - j, p)
         assert u is None or j + u in phis
     for r in roots:
         if r.stability is Stability.STABLE:
             j = fixed_points.branch_index(r.phi, beta)
-            assert r.phi == j + fixed_points._branch_root(phi_ext, j, p)
+            assert r.phi == j + fixed_points._branch_root(c - j, p)

@@ -59,7 +59,8 @@ def _count_root_scans(monkeypatch):
 def _state_at(p, phi_ext, phi_hint):
     roots = [r for r in find_fixed_points(phi_ext, p) if r.stability is Stability.STABLE]
     pick = min(roots, key=lambda r: abs(r.phi - phi_hint))
-    return BranchState(phi_ext, pick.phi, pick.i, branch_index(pick.phi, p.beta))
+    k = branch_index(pick.phi, p.beta)
+    return BranchState(phi_ext, pick.phi, pick.i, k, pick.phi - k)
 
 
 class TestSweepSchedule:
@@ -170,7 +171,7 @@ class TestResolveJump:
         up_at, _, up = resolve_jump(p, 0, True)
         down_at, _, down = resolve_jump(p, 0, False)
         assert down_at == -up_at
-        assert down.phi == pytest.approx(-up.phi, abs=1e-11)
+        assert (down.phi, down.i) == (-up.phi, -up.i)
 
     def test_lands_in_the_drive_direction(self):
         # off branch 0's descending fold on branch -1, off its ascending one
@@ -303,6 +304,11 @@ class TestRunHysteresis:
             assert ss.phi == pytest.approx(sb.phi, abs=1e-12)
             assert ss.i == pytest.approx(sb.i, abs=1e-12)
         assert len(biased.events) == len(shifted.events)
+        # the area is summed over cell roots, so a far bias, rounded at
+        # ulp(phi_fe) up to 0.125, keeps the near loop's area bit for bit
+        areas = {run_hysteresis(ReducedParams(5.0, fe), 2.0, 0.0625).loop_area
+                 for fe in (0.1, 1e12 + 0.1, 1e14 + 0.125, 1e15 + 0.125)}
+        assert len(areas) == 1
 
     def test_biased_remnants_match_oracle(self):
         loop = run_hysteresis(ReducedParams(beta=5.0, phi_fe=0.3), 3.0, 0.01)
@@ -325,8 +331,8 @@ class TestRunHysteresis:
             assert min(abs(b - s.phi) for b in stable) < 1e-6
 
     def test_sweep_scans_no_roots(self, monkeypatch):
-        # the virgin state solves three stable branches, a jump its landing
-        # segment, whatever the number of jumps
+        # the virgin state solves three stable branches, and every jump lands
+        # on the one landing root of its beta, whatever the number of jumps
         calls = _count_root_scans(monkeypatch)
         loop = run_hysteresis(ReducedParams(5.0, 0.1), 3.0, 0.01)
         assert len(loop.cycle.events) >= 6
@@ -375,10 +381,11 @@ class TestHysteresisRemnants:
                 hysteresis_remnants(ReducedParams(beta=5.0), [2.0, bad])
 
     @pytest.mark.parametrize("beta,phi_fe", [(5.0, 0.3), (8.5, -0.3), (12.0, 0.1),
-                                             (1e4, -0.3), (1e6, 0.2)])
+                                             (1e4, -0.3), (1e6, 0.2), (0.5, 0.3)])
     def test_no_root_scan_per_call(self, monkeypatch, beta, phi_fe):
-        # the virgin state solves three stable branches, the walk's branches
-        # are closed form and a landing solves its one segment
+        # the virgin state solves three stable branches (one window for
+        # beta <= 1), the walk's branches are closed form and the landing is
+        # one segment solve per beta
         calls = _count_root_scans(monkeypatch)
         p = ReducedParams(beta=beta, phi_fe=phi_fe)
         hysteresis_remnants(p, [2.0, 3.0, 4.0])
@@ -586,12 +593,13 @@ class TestRunSchedule:
 
 # sha256 of _schedule_bits(); a deliberate change of any sample, event or
 # raise message updates it, with a ledger of what moved in CHANGES.md
-FROZEN_SCHEDULE_BITS = "a1dbc1ec8c6cccaffb0ff4e1c78d082cb932c7b29ae49ff1b5fd330e4dee3498"
+FROZEN_SCHEDULE_BITS = "53f5326b17e4f815490bf0abb31240c69dc7263c0aea7d57c8d5e9713cf98567"
 
 
 def _schedule_bits(n=200, seed=11):
-    """sha256 over n seeded run_schedule calls: every sample, every jump
-    event and the waypoint indices, or the NumericsError message.
+    """sha256 over n seeded run_schedule calls: every sample with its cell
+    root, every jump event, the waypoint indices and the loop_area, or the
+    NumericsError message.
 
     Draws: beta - 1 in [1e-13, 1e-8.5] (where landings fail), beta in
     [0.2, 1] and in [1, 100], |phi_fe| <= 3, steps log-uniform in
@@ -618,11 +626,11 @@ def _schedule_bits(n=200, seed=11):
             h.update(f"raise {exc}\n".encode())
             continue
         for s in traj.samples:
-            h.update(f"{s.phi_ext!r} {s.phi!r} {s.i!r} {s.branch_id}\n".encode())
+            h.update(f"{s.phi_ext!r} {s.phi!r} {s.i!r} {s.branch_id} {s.u!r}\n".encode())
         for e in traj.events:
             h.update(f"{e.phi_ext_at_jump!r} {e.phi_before!r} {e.phi_after!r} "
                      f"{e.landing_index}\n".encode())
-        h.update(f"{traj.waypoint_indices}\n".encode())
+        h.update(f"{traj.waypoint_indices} {loop_area(traj, p)!r}\n".encode())
     return h.hexdigest()
 
 

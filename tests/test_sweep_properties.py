@@ -70,7 +70,7 @@ def test_jump_events_do_not_depend_on_step(beta, phi_fe, amplitude):
 @given(**{**loop_params, "beta": st.one_of(hysteretic_betas, st.floats(min_value=0.1, max_value=1.0))})
 @example(beta=1.0000024137087573, phi_fe=-0.49976671809864337, amplitude=1.6050597291177118)
 def test_kernel_remnants_match_the_sweep(beta, phi_fe, amplitude):
-    # the kernel solves from the fluxoid k, the sweep from its previous
+    # the kernel solves from the cell centre, the sweep from its previous
     # sample; where g' is small (about 0.02 at the example) the float root is
     # not unique and the two differ at rounding level (1.3e-15 there)
     [kernel] = hysteresis_remnants(ReducedParams(beta=beta, phi_fe=phi_fe), [amplitude])
@@ -106,8 +106,10 @@ def test_path_fluxes_match_the_sweep(beta, phi_fe, waypoints):
        k=st.integers(min_value=-5, max_value=5), ascending=st.booleans())
 def test_jump_lands_on_the_neighbouring_branch(beta, phi_fe, k, ascending):
     # the nearest stable root off the dying branch, from a full root scan,
-    # is the root of branch k +/- 1, solved alone bit for bit
-    p = ReducedParams(beta=beta, phi_fe=phi_fe)
+    # lies on branch k + s; the landing is branch 0's scan root at the exact
+    # cell drive -(1/2 - w) of branch k + 1, negated when descending, moved
+    # to branch k + s bit for bit
+    p, s = ReducedParams(beta=beta, phi_fe=phi_fe), 1 if ascending else -1
     at, before, landing = resolve_jump(p, k, ascending)
     phi_a, w = fixed_points._fold_geometry(beta)
     assert at == (k + (0.5 + w) if ascending else k - (0.5 + w)) - phi_fe
@@ -115,9 +117,12 @@ def test_jump_lands_on_the_neighbouring_branch(beta, phi_fe, k, ascending):
     nearest = min((r for r in find_fixed_points(at, p)
                    if r.stability is Stability.STABLE and branch_index(r.phi, beta) != k),
                   key=lambda r: (abs(r.phi - before), abs(r.i), r.phi))
+    assert branch_index(nearest.phi, beta) == k + s
+    [cell] = [r for r in find_fixed_points(-(0.5 - w), ReducedParams(beta))
+              if r.stability is Stability.STABLE and branch_index(r.phi, beta) == 0]
     assert (landing.phi, landing.i, landing.stability) == (
-        nearest.phi, nearest.i, nearest.stability)
-    assert branch_index(landing.phi, beta) == k + (1 if ascending else -1)
+        k + s + s * cell.phi, s * cell.i, Stability.STABLE)
+    assert branch_index(landing.phi, beta) == k + s
 
 
 @settings(max_examples=200)
@@ -161,6 +166,30 @@ def test_virgin_state_is_the_scan_pick(beta, phi_fe, drive, snap, hint, offset):
         drive, want.phi, want.i, branch_index(want.phi, beta))
 
 
+@given(beta=st.floats(min_value=-10.5, max_value=-8.5).map(lambda u: 1.0 + 10.0 ** u),
+       phi_fe=st.floats(min_value=-3.0, max_value=3.0),
+       amplitude=st.floats(min_value=0.25, max_value=3.0))
+@example(beta=1.0 + 10.0 ** -10.5, phi_fe=0.0, amplitude=2.0)  # a Marginal landing
+@example(beta=1.0 + 10.0 ** -8.5, phi_fe=0.0, amplitude=2.0)  # a Stable one
+def test_kernels_raise_where_the_sweep_raises(beta, phi_fe, amplitude):
+    # every jump lands on the one cell root of its beta, so the sweep and
+    # both kernels fail together on a Marginal landing, or none does
+    p = ReducedParams(beta=beta, phi_fe=phi_fe)
+    path = (amplitude, 0.0, -amplitude, 0.0)
+    raised = []
+    for call in (lambda: run_schedule(p, SweepSchedule((0.0, *path), 0.05)),
+                 lambda: hysteresis_remnants(p, [amplitude]),
+                 lambda: path_fluxes(p, path)):
+        try:
+            call()
+        except NumericsError as exc:
+            assert "window below rounding" in str(exc)
+            raised.append(True)
+        else:
+            raised.append(False)
+    assert raised in ([False] * 3, [True] * 3)
+
+
 def _branch_residual(p, d):
     """g in the unit cell of drive d, evaluated as the branch solve evaluates it."""
     return lambda u: u - d + p.lam * math.sin(TWO_PI * u)
@@ -179,7 +208,7 @@ def test_branch_solve_ends_on_the_canonical_float(beta, k, level, start):
     c = c_lo + level * (c_hi - c_lo)
     a, b = -0.5 + phi_a, 0.5 - phi_a
     g = _branch_residual(p, c - k)
-    got = [fixed_points._branch_root(c, k, p, x0)  # phi_fe = 0: the drive is c
+    got = [fixed_points._branch_root(c - k, p, x0)  # phi_fe = 0: the drive is c
            for x0 in (0.5 * (a + b), a, b, 0.0, a + start * (b - a))]
     for x in got:
         # an end of an adjacent-float sign-change bracket, the one with the
@@ -225,9 +254,9 @@ def test_continuation_solve_takes_a_handful_of_evaluations():
                 evals += 1
                 return math.sin(TWO_PI * x)
 
-            x, _ = fixed_points._cell_newton(d, p.lam, a, b, fa, fb, prev.phi - k, counted_sin,
+            x, _ = fixed_points._cell_newton(d, p.lam, a, b, fa, fb, prev.u, counted_sin,
                                              lambda x: TWO_PI * math.cos(TWO_PI * x))
-            assert k + x == cur.phi
+            assert (k + x, x) == (cur.phi, cur.u)
             solves += 1
     assert solves > 1000
     assert evals <= 6 * solves

@@ -131,18 +131,6 @@ def _fold_geometry(beta: float) -> tuple[float, float]:
     return atan_t / TWO_PI, w / TWO_PI
 
 
-def branch_index(phi: float, beta: float) -> int:
-    """Index k of the stable branch containing the flux value phi.
-
-    Meaningful for stable roots (which always lie inside a stable segment,
-    so k is the fluxoid the state is nearest to); for beta <= 1 there is a
-    single global branch 0.
-    """
-    if beta <= 1.0:
-        return 0
-    return int(math.floor(phi + 0.5 - _fold_geometry(beta)[0]))
-
-
 # ---------------------------------------------------------------------------
 # Root finding
 # ---------------------------------------------------------------------------

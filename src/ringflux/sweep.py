@@ -3,7 +3,7 @@
 A sweep follows the stable root of the flux balance as the applied flux
 moves through a schedule of waypoints.  It starts on the stable root
 nearest a flux hint, found by solving the three stable branches about the
-hint rather than every root.  While the occupied stable branch exists the
+hint; no sweep scans every root.  While the occupied stable branch exists the
 state tracks it continuously; when the drive crosses a fold the branch
 vanishes and the state jumps to the neighbouring branch in the drive's
 direction ("the flux quantum is admitted").  A branch of the
@@ -31,17 +31,16 @@ from .fixed_points import (
     Stability,
     _branch_root,
     _fold_geometry,
-    branch_index,
     classify_stability,
-    find_fixed_points,  # the start's fallback, called by name: the benchmark's tracer wraps it
+    find_fixed_points,  # unused: the benchmark's tracer and a test's scan counter wrap this name
 )
 from .ring_model import TWO_PI, ReducedParams, RingParams, _require_finite
 
 _MAX_JUMPS_PER_STEP = 64
 
 #: Largest total sub-step count a schedule may ask for.  Every sub-step is
-#: kept as a sample (176 bytes each, by tracemalloc over a 40,004-sample
-#: loop), so this bounds a sweep's memory near 0.9 GB.
+#: kept as a sample (192 bytes each, by tracemalloc over a 40,004-sample
+#: loop), so this bounds a sweep's memory near 0.96 GB.
 MAX_SUBSTEPS = 5_000_000
 
 
@@ -73,8 +72,7 @@ class SweepSchedule:
                 f"schedule needs more than {MAX_SUBSTEPS} sub-steps at step {self.step}")
 
 
-@dataclass(frozen=True, slots=True)
-class BranchState:
+class BranchState(NamedTuple):
     """Occupied stable fixed point during a sweep; also one trajectory sample.
 
     phi = j + u, rounded, for the cell root u in cell j = branch_id (round(c)
@@ -204,26 +202,23 @@ def _initial_state(p: ReducedParams, phi_ext: float, phi_hint: float) -> BranchS
     with the k and u of the solve that found it: for beta <= 1 the one root,
     solved in round(c)'s cell.  For beta > 1 it is on stable branch m - 1, m
     or m + 1, m = round(phi_hint) clamped to the branches at the drive
-    (README, numerical notes).  Only if none of the three is STABLE does
-    find_fixed_points run: at the Marginal corners just above beta = 1 a
-    MARGINAL root stands in, on branch_index's branch.
+    (README, numerical notes); if none of the three roots is STABLE (the
+    Marginal corners just above beta = 1), the nearest MARGINAL one of them.
+    Nothing scans every root, so u lies on its own branch's segment,
+    |u| <= e = 1/2 - phi_a.
     """
     if p.beta <= 1.0:
         phi, u = _on_branch(p, 0, phi_ext, 0.0)
         return BranchState(phi_ext, phi, math.sin(TWO_PI * u), 0, u)
     c, half = phi_ext + p.phi_fe, 0.5 + _fold_geometry(p.beta)[1]  # k lives at |c - k| <= half
     m = round(min(max(phi_hint, math.ceil(c - half)), math.floor(c + half)))
-    stable = [(k + u, math.sin(TWO_PI * u), k, u) for k in (m - 1, m, m + 1)
-              if (u := _branch_root(c - k, p)) is not None
-              and classify_stability(u, p) is Stability.STABLE]
-    if not stable:
-        roots = find_fixed_points(phi_ext, p)
-        pool = ([r for r in roots if r.stability is Stability.STABLE]
-                or [r for r in roots if r.stability is Stability.MARGINAL])
-        stable = [(r.phi, r.i, k, r.phi - k) for r in pool for k in (branch_index(r.phi, p.beta),)]
-    if not stable:
+    roots = [(k + u, math.sin(TWO_PI * u), k, u, classify_stability(u, p))
+             for k in (m - 1, m, m + 1) if (u := _branch_root(c - k, p)) is not None]
+    pool = ([r for r in roots if r[4] is Stability.STABLE]
+            or [r for r in roots if r[4] is Stability.MARGINAL])
+    if not pool:
         raise NumericsError(f"no stable root at phi_ext={phi_ext!r}")
-    phi, i, k, u = min(stable, key=lambda r: (abs(r[0] - phi_hint), abs(r[1]), r[0]))
+    phi, i, k, u, _ = min(pool, key=lambda r: (abs(r[0] - phi_hint), abs(r[1]), r[0]))
     return BranchState(phi_ext, phi, i, k, u)
 
 
@@ -236,7 +231,10 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
     lives while a sub-step's total flux c has |c - k| <= 1/2 + w in its cell;
     past that, _walk names the branch where c lands and resolve_jump crosses
     each fold on the way (at most _MAX_JUMPS_PER_STEP).  Every sub-step and
-    every jump landing is a sample, a stable fixed point.
+    every jump landing is a sample, a stable fixed point.  A sub-step solves
+    from the previous sample and a waypoint from the cell centre, so a
+    waypoint's flux is the kernels' (hysteresis_remnants, path_fluxes) bit
+    for bit, unless a jump landed exactly on its drive.
     """
     if not math.isfinite(init_phi_hint):
         raise ValueError(f"init_phi_hint must be finite, got {init_phi_hint}")
@@ -268,10 +266,14 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
                                         s * _landing(p.beta))
                     samples.append(state)
                     events.append(JumpEvent(at, before, landing.phi, len(samples) - 1))
-            nxt = continue_branch(state, pe, p)
-            if nxt is not state:  # else a jump landed exactly on this drive
-                state = nxt
-                samples.append(state)
+            if pe == state.phi_ext:
+                continue  # a jump landed exactly on this drive
+            if j < nsub:
+                state = continue_branch(state, pe, p)
+            else:  # a waypoint, solved from the cell centre as both kernels solve it
+                phi, u = _on_branch(p, state.branch_id, pe, 0.0)
+                state = BranchState(pe, phi, math.sin(TWO_PI * u), state.branch_id, u)
+            samples.append(state)
         waypoint_indices.append(len(samples) - 1)
 
     return SweepTrajectory(tuple(samples), tuple(events), tuple(waypoint_indices))
@@ -354,11 +356,10 @@ def hysteresis_remnants(p: ReducedParams,
     amplitude A, without a sweep.
 
     _walk fixes the branch at the end of each leg in closed form, and a
-    remnant is one branch solve at zero drive.  The virgin state is at most
-    three branch solves, whatever beta; nothing scans every root.
-    The result is run_hysteresis(p, A, step)'s for any step, up to the last
-    bits of the branch solve, which starts here from the cell centre u = 0
-    instead of from the previous sample.
+    remnant is one branch solve at zero drive from the cell centre u = 0, as
+    a sweep solves its waypoints.  The virgin state is at most three branch
+    solves, whatever beta; nothing scans every root.  The result is
+    run_hysteresis(p, A, step)'s for any step, bit for bit (run_schedule).
     """
     amplitudes = tuple(amplitudes)
     for amp in amplitudes:
@@ -382,10 +383,10 @@ def hysteresis_remnants(p: ReducedParams,
 def path_fluxes(p: ReducedParams, waypoints: Iterable[float]) -> list[float]:
     """Flux at each waypoint of a drive path from the virgin state at zero
     drive, without a sweep: _walk fixes the branch at each waypoint in closed
-    form, the flux there is one branch solve, and the virgin state is at
-    most three branch solves, with no scan of every root.  The result is that of
-    run_schedule over (0, *waypoints) at any step, on the same branch and up
-    to the last bits of the solve.
+    form, the flux there is one branch solve from the cell centre, and the
+    virgin state is at most three branch solves, with no scan of every root.
+    The result is that of run_schedule over (0, *waypoints) at any step, bit
+    for bit (run_schedule).
     """
     waypoints = tuple(waypoints)
     if not all(math.isfinite(w) for w in waypoints):

@@ -29,6 +29,17 @@ def residual_slope(phi, beta):
     return 1.0 + beta * math.cos(TWO_PI * phi)
 
 
+def branch_index(phi, beta):
+    """Index k of the stable branch [k - e, k + e], e = 1/2 - phi_a, that holds
+    the flux phi: floor(phi + e), with cos(2*pi*phi_a) = 1/beta written as
+    phi_a = atan(sqrt(beta**2 - 1))/(2*pi).  Meaningful for stable roots; for
+    beta <= 1 there is a single global branch 0."""
+    if beta <= 1.0:
+        return 0
+    phi_a = math.atan(math.sqrt((beta - 1.0) * (beta + 1.0))) / TWO_PI
+    return int(math.floor(phi + 0.5 - phi_a))
+
+
 def brute_force_roots(phi_ext, beta, phi_fe=0.0, step=1e-5, refine=True, cpr=None):
     """All roots of g in the analytic window, by dense sign-change scan.
 

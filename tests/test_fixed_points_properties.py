@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import bracketed_newton
+from helpers import branch_index, bracketed_newton
 from ringflux import fixed_points
 from ringflux.bloch_cpr import FreeEnergyModel, reduced_cpr
 from ringflux.fixed_points import WINDOW_MARGIN, NumericsError, Stability, find_fixed_points
@@ -199,5 +199,5 @@ def test_scan_is_never_empty_and_agrees_with_the_branch_solve(beta, k, level, ul
         assert u is None or j + u in phis
     for r in roots:
         if r.stability is Stability.STABLE:
-            j = fixed_points.branch_index(r.phi, beta)
+            j = branch_index(r.phi, beta)
             assert r.phi == j + fixed_points._branch_root(c - j, p)

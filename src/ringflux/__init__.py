@@ -4,7 +4,7 @@ Josephson junction, self-inductance, and a shielded ferromagnetic bias flux.
 Work in reduced units (flux in quanta, current in units of the critical
 current): build a ReducedParams, find flux states with find_fixed_points,
 drive hysteresis loops with run_hysteresis, and invert measured remnants
-with fit_parameters.  SI in and out goes through RingParams / reduce /
+or currents with fit_parameters.  SI in and out goes through RingParams / reduce /
 unreduce.
 """
 

@@ -29,12 +29,27 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from .fixed_points import Relation
 from .ring_model import FLUX_QUANTUM, TWO_PI
+
+#: Largest relative symmetry deviation (SymmetryReport.passed) and
+#: finite-difference gap (finite_difference_current_error) of a sound model:
+#: a cosine series meets the symmetries to rounding, and central differences
+#: at FD_REL_STEP*Phi0 over FD_GRID_SIZE points agree to a few 1e-10.
+SYMMETRY_TOL = 1e-12
+FD_TOL = 1e-6
+FD_REL_STEP = 1e-6
+FD_GRID_SIZE = 257
+
+#: Most grid points validate_symmetries takes.  Its arrays cost about 60
+#: bytes a point: `bloch-check` peaked at 90 MB RSS at the cap with K = 10
+#: (82 MB with K = 1, 29 MB at the default 64 points), in 0.3-1.2 s.
+MAX_GRID_SIZE = 1_000_000
 
 
 @dataclass(frozen=True)
 class FreeEnergyModel:
-    """Cosine Fourier coefficients c_k [J], k = 1..K, plus the flux quantum."""
+    """Cosine Fourier coefficients c_k [J], k = 1..K, not all zero, plus the flux quantum."""
 
     coeffs: tuple[float, ...]
     Phi0: float = FLUX_QUANTUM
@@ -42,6 +57,8 @@ class FreeEnergyModel:
     def __post_init__(self) -> None:
         if not all(math.isfinite(c) for c in self.coeffs):
             raise ValueError(f"coefficients must be finite, got {self.coeffs}")
+        if not any(self.coeffs):
+            raise ValueError(f"model has no current: every coefficient is zero in {self.coeffs}")
         if not (self.Phi0 > 0.0 and math.isfinite(self.Phi0)):
             raise ValueError(f"Phi0 must be positive and finite, got {self.Phi0}")
 
@@ -75,8 +92,6 @@ def fundamental_harmonic(model: FreeEnergyModel) -> float:
     single-harmonic model this fully determines the relation and |I_0| is
     the junction critical current.
     """
-    if len(model.coeffs) == 0:
-        raise ValueError("model has no harmonics (K = 0)")
     return TWO_PI * model.coeffs[0] / model.Phi0
 
 
@@ -91,8 +106,8 @@ class SymmetryReport(NamedTuple):
     def max_deviation(self) -> float:
         return max(self)
 
-    def passed(self, tol: float = 1e-12) -> bool:
-        return self.max_deviation() <= tol
+    def passed(self) -> bool:
+        return self.max_deviation() <= SYMMETRY_TOL
 
 
 def validate_symmetries(model: FreeEnergyModel, grid_size: int = 64) -> SymmetryReport:
@@ -100,12 +115,13 @@ def validate_symmetries(model: FreeEnergyModel, grid_size: int = 64) -> Symmetry
 
     Deviations are reported relative to the largest |I| (resp. |F|) on the
     grid; a cosine series satisfies all four identities to roundoff, so
-    anything beyond ~1e-12 indicates a broken model.
+    anything beyond SYMMETRY_TOL indicates a broken model.  A grid_size
+    outside [16, MAX_GRID_SIZE] raises ValueError before any array is built.
     """
+    if not 16 <= grid_size <= MAX_GRID_SIZE:
+        raise ValueError(f"grid_size must be in [16, {MAX_GRID_SIZE}], got {grid_size}")
     import numpy as np
 
-    if grid_size < 16:
-        raise ValueError(f"grid_size must be >= 16, got {grid_size}")
     Phi = np.linspace(-model.Phi0, model.Phi0, grid_size, endpoint=False)
     I = np.asarray(current(model, Phi))
     F = np.asarray(free_energy(model, Phi))
@@ -119,15 +135,14 @@ def validate_symmetries(model: FreeEnergyModel, grid_size: int = 64) -> Symmetry
     )
 
 
-def finite_difference_current_error(model: FreeEnergyModel,
-                                    grid_size: int = 257,
-                                    rel_step: float = 1e-6) -> float:
+def finite_difference_current_error(model: FreeEnergyModel) -> float:
     """Largest relative gap between the analytic current and -dF/dPhi by
-    central differences, over a grid spanning two flux periods."""
+    central differences at step FD_REL_STEP*Phi0, over FD_GRID_SIZE points
+    spanning two flux periods."""
     import numpy as np
 
-    Phi = np.linspace(-model.Phi0, model.Phi0, grid_size)
-    h = rel_step * model.Phi0
+    Phi = np.linspace(-model.Phi0, model.Phi0, FD_GRID_SIZE)
+    h = FD_REL_STEP * model.Phi0
     fd = -(np.asarray(free_energy(model, Phi + h))
            - np.asarray(free_energy(model, Phi - h))) / (2.0 * h)
     I = np.asarray(current(model, Phi))
@@ -156,15 +171,14 @@ def _series(fn: Callable[[float], float], w: list[float], phi: float) -> float:
     return sum(a * fn(k * x) for k, a in enumerate(w, start=1))
 
 
-def reduced_cpr(model: FreeEnergyModel) -> tuple[Callable[[float], float],
-                                                 Callable[[float], float], float]:
-    """Reduced relation (i, di/dphi, I_J) for feeding the fixed-point solver.
+def reduced_cpr(model: FreeEnergyModel) -> tuple[Relation, float]:
+    """(Relation, I_J): the model's reduced relation, the solvers' `cpr`, and I_J [A].
 
     i(phi) = I(phi*Phi0)/I_J with I_J = max|I|, taken at the zeros of I', so
     |i| <= 1 to rounding as the solver's window arithmetic requires; for a
     single harmonic, I_J = |I_0| and i(phi) = sign(c_1)*sin(2*pi*phi) bit for
-    bit.  i and i' are pure `math`.  i.critical_points(lam) gives the zeros of
-    g' = 1 + lam*i' in [0, 1), where find_fixed_points splits the window.
+    bit.  i and di = i' are pure `math`; critical_points(lam) gives the zeros
+    of g' = 1 + lam*i' in [0, 1), where find_fixed_points splits the window.
     """
     amps = [TWO_PI * k * c / model.Phi0 for k, c in enumerate(model.coeffs, start=1)]
     peaks = _cosine_zeros(0.0, [k * a for k, a in enumerate(amps, start=1)])
@@ -173,6 +187,6 @@ def reduced_cpr(model: FreeEnergyModel) -> tuple[Callable[[float], float],
         raise ValueError("model current must be nonzero and finite")
     b = [a / i_j for a in amps]
     slope = [TWO_PI * k * bk for k, bk in enumerate(b, start=1)]
-    i_fun = functools.partial(_series, math.sin, b)
-    i_fun.critical_points = lambda lam: _cosine_zeros(1.0, [lam * s for s in slope])
-    return i_fun, functools.partial(_series, math.cos, slope), i_j
+    return Relation(functools.partial(_series, math.sin, b),
+                    functools.partial(_series, math.cos, slope),
+                    lambda lam: _cosine_zeros(1.0, [lam * s for s in slope])), i_j

@@ -268,8 +268,8 @@ def _cmd_wide_ring(config: argparse.Namespace) -> int:
         raise UsageError("missing parameter: n (trapped flux integer)")
     if config.L is None:
         raise UsageError("missing parameter: L")
-    if config.h_points < 2:
-        raise UsageError(f"h_points must be >= 2, got {config.h_points}")
+    if not 2 <= config.h_points <= sweep.MAX_SUBSTEPS:
+        raise UsageError(f"h_points must be in [2, {sweep.MAX_SUBSTEPS}], got {config.h_points}")
     params = ring_model.RingParams(L=config.L, **_si_scales(config))
     b_remnant = wide_ring.remnant_field(config.n, params)
     rows = []
@@ -287,7 +287,7 @@ def _cmd_bloch_check(config: argparse.Namespace) -> int:
     model = bloch_cpr.FreeEnergyModel(config.coeffs, **_given(config, "Phi0"))
     report = bloch_cpr.validate_symmetries(model, **_given(config, "grid_size"))
     fd_error = bloch_cpr.finite_difference_current_error(model)
-    ok = report.passed(1e-12) and fd_error <= 1e-6
+    ok = report.passed() and fd_error <= bloch_cpr.FD_TOL
     _summary(*report._asdict().items(), ("finite_difference_error", fd_error), ("passed", ok))
     return 0 if ok else 2
 

@@ -29,7 +29,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .ring_model import TWO_PI, ReducedParams, _require_finite
 
@@ -69,31 +69,37 @@ class FixedPoint:
     stability: Stability
 
 
-def residual(phi: float, phi_ext: float, p: ReducedParams,
-             cpr: Callable[[float], float] | None = None) -> float:
+class Relation(NamedTuple):
+    """A reduced current-phase relation |i| <= 1, the `cpr` that replaces the
+    sinusoid in every solver: i, its slope di = i', and critical_points(lam),
+    the zeros of g' = 1 + lam*i' in [0, 1), ascending (bloch_cpr.reduced_cpr)."""
+
+    i: Callable[[float], float]
+    di: Callable[[float], float]
+    critical_points: Callable[[float], list[float]]
+
+
+def residual(phi: float, phi_ext: float, p: ReducedParams, cpr: Relation | None = None) -> float:
     """g(phi) = phi - (phi_ext + phi_fe) + lambda*i(phi); roots are flux states.
 
     The drive enters only through the sum c = phi_ext + phi_fe, so a bias
     and an equal shift of the applied flux give bit-identical residuals.
-    `cpr` overrides the sinusoidal current-phase relation with any reduced
-    relation |i(phi)| <= 1 (e.g. one derived from a free-energy model).
     """
-    i = math.sin(TWO_PI * phi) if cpr is None else cpr(phi)
+    i = math.sin(TWO_PI * phi) if cpr is None else cpr.i(phi)
     return phi - (phi_ext + p.phi_fe) + p.lam * i
 
 
-def residual_derivative(phi: float, p: ReducedParams,
-                        cpr_prime: Callable[[float], float] | None = None) -> float:
+def residual_derivative(phi: float, p: ReducedParams, cpr: Relation | None = None) -> float:
     """g'(phi) = 1 + lambda*i'(phi); its sign classifies stability."""
-    di = TWO_PI * math.cos(TWO_PI * phi) if cpr_prime is None else cpr_prime(phi)
+    di = TWO_PI * math.cos(TWO_PI * phi) if cpr is None else cpr.di(phi)
     return 1.0 + p.lam * di
 
 
 def classify_stability(phi_star: float, p: ReducedParams,
-                       cpr_prime: Callable[[float], float] | None = None) -> Stability:
+                       cpr: Relation | None = None) -> Stability:
     """Stability of a root from the sign of g', with the Marginal dead band
     |g'| <= MARGINAL_TOL."""
-    s = residual_derivative(phi_star, p, cpr_prime)
+    s = residual_derivative(phi_star, p, cpr)
     if s > MARGINAL_TOL:
         return Stability.STABLE
     if s < -MARGINAL_TOL:
@@ -136,11 +142,10 @@ def _fold_geometry(beta: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 def _cell_newton(d: float, lam: float, a: float, b: float, fa: float, fb: float, x0: float,
-                 cpr: Callable[[float], float] | None = None,
-                 cpr_prime: Callable[[float], float] | None = None) -> tuple[float, float]:
+                 cpr: Relation | None = None) -> tuple[float, float]:
     """(u, g(u)) at the root of g(u) = u - d + lam*i(u) in the sign bracket
-    a < b, fa*fb < 0: the cell residual at drive d, with i the sinusoid or
-    `cpr` and g' = 1 + lam*i' from `cpr_prime`, both evaluated in the loop.
+    a < b, fa*fb < 0: the cell residual at drive d, with i and i' the
+    sinusoid's or `cpr`'s, both evaluated in the loop.
 
     Newton from x0; each evaluated point becomes a bracket end.  A step out
     of the bracket bisects it, and a step that rounds to x moves one float
@@ -149,7 +154,7 @@ def _cell_newton(d: float, lam: float, a: float, b: float, fa: float, fb: float,
     """
     x = a if x0 < a else b if x0 > b else x0
     while True:
-        fx = x - d + lam * (math.sin(TWO_PI * x) if cpr is None else cpr(x))
+        fx = x - d + lam * (math.sin(TWO_PI * x) if cpr is None else cpr.i(x))
         if fx == 0.0:
             return x, fx
         if (fx < 0.0) == (fa < 0.0):
@@ -158,7 +163,7 @@ def _cell_newton(d: float, lam: float, a: float, b: float, fa: float, fb: float,
             b, fb = x, fx
         if math.nextafter(a, b) == b:
             return (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-        s = 1.0 + lam * (TWO_PI * math.cos(TWO_PI * x) if cpr_prime is None else cpr_prime(x))
+        s = 1.0 + lam * (TWO_PI * math.cos(TWO_PI * x) if cpr is None else cpr.di(x))
         xn = x - fx / s if s != 0.0 else math.nan  # a flat slope bisects
         if xn == x:
             xn = math.nextafter(x, b if x == a else a)
@@ -168,8 +173,7 @@ def _cell_newton(d: float, lam: float, a: float, b: float, fa: float, fb: float,
 
 
 def _segment_root(d: float, lam: float, a: float, b: float, fa: float, fb: float, x0: float | None,
-                  beta: float, rising: bool = True, cpr: Callable[[float], float] | None = None,
-                  cpr_prime: Callable[[float], float] | None = None) -> float | None:
+                  beta: float, rising: bool = True, cpr: Relation | None = None) -> float | None:
     """u, the root of the cell residual g at drive d on its monotone segment
     [a, b], fa = g(a) and fb = g(b), or None: the one rule of every solve.
     A rising segment (g' > 0) owns the tangencies at its ends: an end with g
@@ -185,7 +189,7 @@ def _segment_root(d: float, lam: float, a: float, b: float, fa: float, fb: float
         return b
     if not (fa < 0.0 < fb or fb < 0.0 < fa):
         return None
-    u, r = _cell_newton(d, lam, a, b, fa, fb, 0.5 * (a + b) if x0 is None else x0, cpr, cpr_prime)
+    u, r = _cell_newton(d, lam, a, b, fa, fb, 0.5 * (a + b) if x0 is None else x0, cpr)
     # |r| <= DEFAULT_ROOT_TOL, else the rounding of g at |g'| <= 1 + beta (large
     # beta): |u| < 2 in its cell, but d and lam*sin round at about lam*ulp(1)
     if abs(r) > DEFAULT_ROOT_TOL and abs(r) > 2.0 * (1.0 + beta) * math.ulp(1.0):
@@ -212,15 +216,14 @@ def _branch_root(d: float, p: ReducedParams, x0: float | None = None) -> float |
 
 
 def find_fixed_points(phi_ext: float, p: ReducedParams,
-                      cpr: Callable[[float], float] | None = None,
-                      cpr_prime: Callable[[float], float] | None = None) -> list[FixedPoint]:
+                      cpr: Relation | None = None) -> list[FixedPoint]:
     """All flux states at a given applied flux, sorted ascending in phi.
 
     The root window is split period by period.  Period j is solved in its
     unit cell at the drive d = c - j (exact by Sterbenz wherever j is within
     a factor 2 of c), on its monotone segments: for the sinusoid the stable
     [-e, e] and the unstable [e, 1 - e], e = 1/2 - phi_a, or those between
-    consecutive `cpr.critical_points(lam)`; for beta <= 1 the one window
+    consecutive critical_points(lam) of `cpr`; for beta <= 1 the one window
     segment in round(c)'s cell.  _segment_root decides each, clipped to the
     cell's root window: a tangency at an end of a rising segment, else a
     sign change solved from the midpoint (about 7.9 evaluations of g per
@@ -237,13 +240,9 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
         Applied flux in units of Phi0.
     p : ReducedParams
         Ring parameters.
-    cpr, cpr_prime :
-        Optional reduced current-phase relation (|i| <= 1) and its
-        derivative replacing the sinusoid, as `bloch_cpr.reduced_cpr` gives
-        them: together, since stability is classified with the slope, and
-        `cpr_prime` also gives the Newton steps.  A `cpr` without
-        `critical_points(lam)`, the zeros of g' in one period, raises
-        ValueError.
+    cpr : Relation, optional
+        A reduced current-phase relation replacing the sinusoid, as
+        `bloch_cpr.reduced_cpr` gives it.  Anything else raises TypeError.
 
     Returns
     -------
@@ -258,15 +257,13 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
         than MAX_ROOTS segments (beta >~ 7.9e6), raises ValueError first.
     """
     _require_finite("phi_ext", phi_ext)
-    if (cpr is None) != (cpr_prime is None):
-        raise ValueError("cpr and cpr_prime must be given together")
-    if cpr is not None and not hasattr(cpr, "critical_points"):
-        raise ValueError("cpr must carry its critical_points(lam), as reduced_cpr's does")
+    if cpr is not None and not isinstance(cpr, Relation):
+        raise TypeError(f"cpr must be a Relation, as reduced_cpr gives, not {type(cpr).__name__}")
     c = phi_ext + p.phi_fe
     _require_finite("phi_ext + phi_fe", c)
     lam, n = p.lam, round(c)
     if cpr is not None:  # t ascending in [0, 1)
-        ts = cpr.critical_points(lam)  # type: ignore[attr-defined]
+        ts = cpr.critical_points(lam)
     else:  # -e as phi_a - 1/2, the same float
         ts = [(phi_a := _fold_geometry(p.beta)[0]) - 0.5, 0.5 - phi_a] if p.beta > 1.0 else []
     if ts:
@@ -275,7 +272,7 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
             raise ValueError(f"beta={p.beta!r} gives about {segments:.3g} roots, "
                              f"more than MAX_ROOTS={MAX_ROOTS}")
         cuts, dn = [*ts, ts[0] + 1.0], c - n
-        rise0 = cpr is None or residual_derivative(0.5 * (ts[0] + cuts[1]), p, cpr_prime) > 0.0
+        rise0 = cpr is None or residual_derivative(0.5 * (ts[0] + cuts[1]), p, cpr) > 0.0
         ends = [(t, (s % 2 == 0) == rise0) for s, t in enumerate(cuts[1:])]  # (b, rising)
         periods = range(n + math.floor(dn - lam - ts[0]) - 1, n + math.ceil(dn + lam - ts[0]) + 1)
     else:  # the one window segment in round(c)'s cell, rising
@@ -292,14 +289,14 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
             if not a < b:
                 break
             if fa is None:
-                fa = a - d + lam * (math.sin(TWO_PI * a) if cpr is None else cpr(a))
-            fb = b - d + lam * (math.sin(TWO_PI * b) if cpr is None else cpr(b))
-            u = _segment_root(d, lam, a, b, fa, fb, None, p.beta, rising, cpr, cpr_prime)
+                fa = a - d + lam * (math.sin(TWO_PI * a) if cpr is None else cpr.i(a))
+            fb = b - d + lam * (math.sin(TWO_PI * b) if cpr is None else cpr.i(b))
+            u = _segment_root(d, lam, a, b, fa, fb, None, p.beta, rising, cpr)
             if u is not None:
                 phi = j + u
                 if not roots or phi > roots[-1].phi:
-                    roots.append(FixedPoint(phi, math.sin(TWO_PI * u) if cpr is None else cpr(u),
-                                            classify_stability(u, p, cpr_prime)))
+                    roots.append(FixedPoint(phi, math.sin(TWO_PI * u) if cpr is None else cpr.i(u),
+                                            classify_stability(u, p, cpr)))
                 elif a not in (u, ua):  # else one tangency at a, met from both sides
                     raise NumericsError(f"no root resolved at phi_ext={phi_ext!r}: two roots "
                                         f"round to phi={phi!r}, below the resolution of c={c!r}")

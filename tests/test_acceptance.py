@@ -171,13 +171,13 @@ def test_criterion_7_bloch_cpr_checks():
     # K=1 model drives the fixed-point solver exactly like the sinusoid
     c1 = 2.2e-21
     single = FreeEnergyModel((c1,), FLUX_QUANTUM)
-    i_fun, di_fun, i_j = reduced_cpr(single)
+    relation, i_j = reduced_cpr(single)
     amplitude_ok = abs(i_j - TWO_PI * c1 / FLUX_QUANTUM) <= 1e-24
     p = ReducedParams(beta=5.0, phi_fe=0.1)
     roots_ok = True
     for pe in (0.0, -0.3, 0.45, 1.1, 2.4):
         direct = find_fixed_points(pe, p)
-        via_model = find_fixed_points(pe, p, cpr=i_fun, cpr_prime=di_fun)
+        via_model = find_fixed_points(pe, p, cpr=relation)
         roots_ok &= len(direct) == len(via_model)
         roots_ok &= all(abs(a.phi - b.phi) <= 1e-10 and a.stability == b.stability
                         for a, b in zip(direct, via_model))

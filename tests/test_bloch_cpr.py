@@ -57,6 +57,13 @@ class TestFreeEnergy:
         with pytest.raises(ValueError):
             FreeEnergyModel((1e-21,), 0.0)
 
+    @pytest.mark.parametrize("coeffs", [(), (0.0,), (0.0, -0.0, 0.0)])
+    def test_model_without_current_rejected(self, coeffs):
+        # with no current every relative symmetry deviation reads 0 against
+        # a scale of 1, so a check of such a model would pass vacuously
+        with pytest.raises(ValueError, match="no current"):
+            FreeEnergyModel(coeffs, PHI0)
+
 
 class TestCurrent:
     def test_zero_at_zero_flux(self):
@@ -94,7 +101,7 @@ class TestCurrent:
 class TestSymmetries:
     def test_single_harmonic(self):
         report = validate_symmetries(FreeEnergyModel((1e-21,), PHI0))
-        assert report.passed(1e-12)
+        assert report.passed()
 
     def test_random_multi_harmonic(self):
         report = validate_symmetries(_random_model(5), grid_size=128)
@@ -102,7 +109,7 @@ class TestSymmetries:
 
     def test_minimal_grid_smoke(self):
         report = validate_symmetries(_random_model(6), grid_size=16)
-        assert report.passed(1e-12)
+        assert report.passed()
 
     def test_grid_too_small(self):
         with pytest.raises(ValueError):
@@ -164,12 +171,12 @@ class TestFixedPointIntegration:
         # I_J = 2*pi*c_1/Phi0, so the fixed-point sets must coincide
         c1 = 2.4e-21
         model = FreeEnergyModel((c1,), PHI0)
-        i_fun, di_fun, i_j = reduced_cpr(model)
+        relation, i_j = reduced_cpr(model)
         assert i_j == pytest.approx(TWO_PI * c1 / PHI0, rel=1e-12)
         p = ReducedParams(beta=5.0, phi_fe=0.1)
         for pe in (0.0, -0.3, 0.45, 1.1, 2.4):
             direct = find_fixed_points(pe, p)
-            via_model = find_fixed_points(pe, p, cpr=i_fun, cpr_prime=di_fun)
+            via_model = find_fixed_points(pe, p, cpr=relation)
             assert len(direct) == len(via_model)
             for a, b in zip(direct, via_model):
                 assert b.phi == pytest.approx(a.phi, abs=1e-10)
@@ -179,59 +186,51 @@ class TestFixedPointIntegration:
         # c_1 < 0 flips the relation's sign; the root set at drive c equals
         # the positive-sign set at c + 1/2, shifted down by 1/2
         model = FreeEnergyModel((-2.4e-21,), PHI0)
-        i_fun, di_fun, _ = reduced_cpr(model)
+        relation, _ = reduced_cpr(model)
         p = ReducedParams(beta=5.0)
         for pe in (0.0, 0.6, -1.2):
             shifted = find_fixed_points(pe + 0.5, p)
-            via_model = find_fixed_points(pe, p, cpr=i_fun, cpr_prime=di_fun)
+            via_model = find_fixed_points(pe, p, cpr=relation)
             assert len(via_model) == len(shifted)
             for a, b in zip(via_model, shifted):
                 assert a.phi == pytest.approx(b.phi - 0.5, abs=1e-10)
 
-    def test_relation_without_its_slope_is_rejected(self):
-        # stability is classified with the slope, so a relation given without
-        # its derivative would silently be classified with the sinusoid's;
-        # for c_1 < 0 at beta 5 and zero drive that flips every root's class
-        i_fun, di_fun, _ = reduced_cpr(FreeEnergyModel((-2.4e-21,), PHI0))
-        p = ReducedParams(beta=5.0)
-        with pytest.raises(ValueError):
-            find_fixed_points(0.0, p, cpr=i_fun)
-        with pytest.raises(ValueError):
-            find_fixed_points(0.0, p, cpr_prime=di_fun)
-
     def test_two_harmonic_model_roots_satisfy_residual(self):
         model = FreeEnergyModel((2e-21, 4e-22), PHI0)
-        i_fun, di_fun, i_j = reduced_cpr(model)
+        relation, _ = reduced_cpr(model)
         p = ReducedParams(beta=4.0)
-        roots = find_fixed_points(0.3, p, cpr=i_fun, cpr_prime=di_fun)
+        roots = find_fixed_points(0.3, p, cpr=relation)
         assert roots
         for r in roots:
-            g = residual_formula(r.phi, 0.3, p.beta, cpr=i_fun)
+            g = residual_formula(r.phi, 0.3, p.beta, cpr=relation.i)
             assert abs(g) <= 1e-12
 
     def test_model_with_a_root_pair_near_a_steep_slope(self):
         # i' reaches about 1.9*2*pi here; a bracket grid sized for 2*pi lost
         # the pair near 0.6, which the split at the zeros of g' keeps
         model = FreeEnergyModel((1.8e-22, -3.2e-22), PHI0)
-        i_fun, di_fun, i_j = reduced_cpr(model)
-        roots = find_fixed_points(0.183, ReducedParams(beta=2.8), cpr=i_fun, cpr_prime=di_fun)
+        relation, i_j = reduced_cpr(model)
+        roots = find_fixed_points(0.183, ReducedParams(beta=2.8), cpr=relation)
         dense = _dense_roots(model, i_j, 0.183, 2.8)
         assert len(roots) == len(dense) == 5
         for r, d in zip(roots, dense):
-            assert abs(residual_formula(r.phi, 0.183, 2.8, cpr=i_fun)) <= 1e-12
+            assert abs(residual_formula(r.phi, 0.183, 2.8, cpr=relation.i)) <= 1e-12
             assert r.phi == pytest.approx(d, abs=1e-9)
 
-    def test_relation_without_critical_points_is_rejected(self):
+    def test_bare_callable_is_rejected(self):
+        # a relation is one value: its current, slope and critical points
+        # (where the window is split and the class read) arrive together
         p = ReducedParams(beta=5.0)
-        with pytest.raises(ValueError, match="critical_points"):
-            find_fixed_points(0.0, p, cpr=lambda phi: math.sin(TWO_PI * phi),
-                              cpr_prime=lambda phi: TWO_PI * math.cos(TWO_PI * phi))
+        relation, _ = reduced_cpr(FreeEnergyModel((2.4e-21,), PHI0))
+        for cpr in (lambda phi: math.sin(TWO_PI * phi), tuple(relation)):
+            with pytest.raises(TypeError, match="Relation"):
+                find_fixed_points(0.0, p, cpr=cpr)
 
     def test_reduced_relation_stays_within_unit_amplitude(self):
         # I_J is |I| at the zeros of I'; the maximum over a 12,288-point grid
         # fell 1.8e-7 short, so |i(0.596561)| was 1 + 1.8e-7, past the 1e-9
         # margin the solver's root window allows
-        i_fun, _, _ = reduced_cpr(FreeEnergyModel((1e-21, -1e-21, 1e-21), PHI0))
+        i_fun = reduced_cpr(FreeEnergyModel((1e-21, -1e-21, 1e-21), PHI0))[0].i
         assert abs(i_fun(0.596561)) <= 1.0 + 1e-12
         assert max(abs(i_fun(float(x))) for x in np.linspace(0.0, 1.0, 100001)) <= 1.0 + 1e-12
 
@@ -245,6 +244,20 @@ class TestFixedPointIntegration:
 def test_relation_root_count_matches_a_dense_scan(coeffs, beta, phi_ext):
     assume(any(coeffs))
     model = FreeEnergyModel(tuple(coeffs), PHI0)
-    i_fun, di_fun, i_j = reduced_cpr(model)
-    roots = find_fixed_points(phi_ext, ReducedParams(beta=beta), cpr=i_fun, cpr_prime=di_fun)
+    relation, i_j = reduced_cpr(model)
+    roots = find_fixed_points(phi_ext, ReducedParams(beta=beta), cpr=relation)
     assert len(roots) == len(_dense_roots(model, i_j, phi_ext, beta))
+
+
+@given(exponent=st.floats(min_value=-40.0, max_value=-10.0), negative=st.booleans(),
+       phis=st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1, max_size=50))
+@example(exponent=-21.0, negative=True, phis=[0.0, 0.25, 0.5, -0.75])
+def test_single_harmonic_relation_is_the_signed_sinusoid(exponent, negative, phis):
+    # for K = 1, i = sign(c_1)*sin(2*pi*phi) and di = sign(c_1)*2*pi*cos(2*pi*phi)
+    # bit for bit (as floats: at phi = 0 the series sums 0 + -0.0 to 0.0)
+    sign = -1.0 if negative else 1.0
+    relation, i_j = reduced_cpr(FreeEnergyModel((sign * 10.0 ** exponent,), PHI0))
+    assert i_j == abs(fundamental_harmonic(FreeEnergyModel((10.0 ** exponent,), PHI0)))
+    for phi in phis:
+        assert relation.i(phi) == sign * math.sin(TWO_PI * phi)
+        assert relation.di(phi) == sign * (TWO_PI * math.cos(TWO_PI * phi))

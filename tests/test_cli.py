@@ -7,11 +7,12 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from ringflux import cli
+from ringflux import bloch_cpr, cli, sweep
 from ringflux.fixed_points import NumericsError
 from ringflux.ring_model import FLUX_QUANTUM
 from ringflux.sweep import BranchState, SweepTrajectory
@@ -390,6 +391,30 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "passed = true" in out
         assert "finite_difference_error" in out
+
+    @pytest.mark.parametrize("coeffs", [",", "0,0"])
+    def test_bloch_check_of_a_model_without_current_is_one(self, coeffs, capsys):
+        # no current: every relative deviation would read 0 against a scale
+        # of 1, and the check would pass a model it cannot test
+        assert run_cli("bloch-check", "--coeffs", coeffs) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no current" in captured.err
+
+    @pytest.mark.parametrize("argv, cap", [
+        (("wide-ring", "--n", "3", "--L", "1e-10", "--h_points"), sweep.MAX_SUBSTEPS),
+        (("bloch-check", "--coeffs", "3e-22", "--grid_size"), bloch_cpr.MAX_GRID_SIZE),
+    ], ids=["h_points", "grid_size"])
+    def test_size_past_its_cap_is_one(self, argv, cap, capsys):
+        # refused before a row or an array is allocated
+        tracemalloc.start()
+        try:
+            code = run_cli(*argv, str(cap + 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and f"{cap}], got {cap + 1}" in captured.err
+        assert peak < 1_000_000
 
 
 class TestNegativeValues:

@@ -13,6 +13,7 @@ from ringflux import fixed_points
 from ringflux.bloch_cpr import FreeEnergyModel, reduced_cpr
 from ringflux.fixed_points import (
     FixedPoint,
+    Relation,
     Stability,
     classify_stability,
     find_fixed_points,
@@ -229,8 +230,8 @@ class TestFindFixedPoints:
         # them, where the scan used to return no root at all
         p = ReducedParams(beta=beta, phi_fe=phi_fe)
         if relation:
-            i, di, _ = reduced_cpr(FreeEnergyModel((8.749735574598887e-23,)))
-            roots, crit = find_fixed_points(phi_ext, p, i, di), i.critical_points(p.lam)
+            rel, _ = reduced_cpr(FreeEnergyModel((8.749735574598887e-23,)))
+            roots, crit = find_fixed_points(phi_ext, p, rel), rel.critical_points(p.lam)
         else:
             phi_a = fixed_points._fold_geometry(beta)[0]
             roots, crit = find_fixed_points(phi_ext, p), [phi_a - 0.5, 0.5 - phi_a]
@@ -246,7 +247,7 @@ class TestFindFixedPoints:
         # width took about 52.  The single-harmonic relation is the sinusoid
         # bit for bit, and cut at the sinusoid's segment ends it is the same
         # scan, so it counts the evaluations the inline sinusoid makes
-        i, di, _ = reduced_cpr(FreeEnergyModel((1e-21,)))
+        i, di, _ = reduced_cpr(FreeEnergyModel((1e-21,)))[0]
         calls = []
 
         def counting(u):
@@ -259,9 +260,9 @@ class TestFindFixedPoints:
             p = ReducedParams(beta=float(10.0 ** rng.uniform(math.log10(1.05), 2.0)),
                               phi_fe=float(rng.uniform(-0.5, 0.5)))
             phi_a = fixed_points._fold_geometry(p.beta)[0]
-            counting.critical_points = lambda lam: [phi_a - 0.5, 0.5 - phi_a]
+            rel = Relation(counting, di, lambda lam: [phi_a - 0.5, 0.5 - phi_a])
             phi_ext = float(rng.uniform(-3.0, 3.0))
-            roots = find_fixed_points(phi_ext, p, counting, di)
+            roots = find_fixed_points(phi_ext, p, rel)
             assert roots == find_fixed_points(phi_ext, p)
             n_roots += len(roots)
         assert 0 < len(calls) <= 12 * n_roots
@@ -350,17 +351,17 @@ def _scan_bits(n=2000, seed=20):
     relations = []
     for _ in range(8):
         coeffs = [rng.uniform(-1.0, 1.0) * 1e-22 for _ in range(rng.randint(2, 4))]
-        relations.append(reduced_cpr(FreeEnergyModel(tuple(coeffs)))[:2])
+        relations.append(reduced_cpr(FreeEnergyModel(tuple(coeffs)))[0])
     h = hashlib.sha256()
     for _ in range(n):
         if rng.random() < 2 / 3:
-            beta, rel = 10.0 ** rng.uniform(math.log10(0.2), math.log10(300.0)), (None, None)
+            beta, rel = 10.0 ** rng.uniform(math.log10(0.2), math.log10(300.0)), None
         else:
             beta = 10.0 ** rng.uniform(math.log10(0.2), math.log10(30.0))
             rel = rng.choice(relations)
         p = ReducedParams(beta, rng.uniform(-3.0, 3.0))
         try:
-            roots = find_fixed_points(rng.uniform(-5.0, 5.0), p, *rel)
+            roots = find_fixed_points(rng.uniform(-5.0, 5.0), p, rel)
         except fixed_points.NumericsError as exc:
             h.update(f"raise {exc}\n".encode())
             continue

@@ -16,7 +16,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from helpers import branch_index, bracketed_newton
 from ringflux import fixed_points
 from ringflux.bloch_cpr import FreeEnergyModel, reduced_cpr
-from ringflux.fixed_points import WINDOW_MARGIN, NumericsError, Stability, find_fixed_points
+from ringflux.fixed_points import (WINDOW_MARGIN, NumericsError, Relation, Stability,
+                                   find_fixed_points)
 from ringflux.ring_model import TWO_PI, ReducedParams
 
 betas = st.floats(min_value=0.1, max_value=40.0)
@@ -118,8 +119,9 @@ def test_fold_window_keeps_its_digits_near_unity(u, k):
         Fraction(1, 10 ** 15) * ref + Fraction(math.ulp(c_hi)))
 
 
-SINUSOID = (lambda u: math.sin(TWO_PI * u), lambda u: TWO_PI * math.cos(TWO_PI * u))
-K2_RELATION = reduced_cpr(FreeEnergyModel((1.8e-22, -3.2e-22)))[:2]
+SINUSOID = Relation(lambda u: math.sin(TWO_PI * u), lambda u: TWO_PI * math.cos(TWO_PI * u),
+                    reduced_cpr(FreeEnergyModel((1e-21,)))[0].critical_points)
+K2_RELATION = reduced_cpr(FreeEnergyModel((1.8e-22, -3.2e-22)))[0]
 
 
 @settings(max_examples=300)
@@ -135,7 +137,8 @@ def test_cell_newton_matches_the_callable_reference(beta, relation, d, cut, star
     # across it and beyond its ends.  Through a relation both visit the
     # same points; the inline sinusoid ends where the relation's copy of it
     # ends
-    i, di = K2_RELATION if relation else SINUSOID
+    rel = K2_RELATION if relation else SINUSOID
+    i, di = rel.i, rel.di
     lam = ReducedParams(beta=beta).lam
     visited = {"reference": [], "kernel": []}
 
@@ -159,7 +162,7 @@ def test_cell_newton_matches_the_callable_reference(beta, relation, d, cut, star
     i_ref = visiting("reference")
     want = bracketed_newton(lambda u: u - d + lam * i_ref(u), lambda u: 1.0 + lam * di(u),
                             a, b, fa, fb, x0)
-    got = fixed_points._cell_newton(d, lam, a, b, fa, fb, x0, visiting("kernel"), di)
+    got = fixed_points._cell_newton(d, lam, a, b, fa, fb, x0, rel._replace(i=visiting("kernel")))
     assert [v.hex() for v in got] == [v.hex() for v in want]
     assert visited["kernel"] == visited["reference"]
     if not relation:

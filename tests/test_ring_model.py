@@ -75,7 +75,7 @@ class TestReduce:
 
 # the sinusoidal relation i = sin(2*pi*phi) as a function: the reduced
 # relation of a one-harmonic free energy with c_1 > 0
-josephson_current = np.vectorize(reduced_cpr(FreeEnergyModel((1e-21,)))[0])
+josephson_current = np.vectorize(reduced_cpr(FreeEnergyModel((1e-21,)))[0].i)
 
 
 class TestJosephsonCurrent:

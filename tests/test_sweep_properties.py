@@ -20,7 +20,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import branch_index
 from ringflux import fixed_points, sweep
-from ringflux.fixed_points import WINDOW_MARGIN, NumericsError, Stability, find_fixed_points
+from ringflux.fixed_points import (WINDOW_MARGIN, NumericsError, Relation, Stability,
+                                   find_fixed_points)
 from ringflux.ring_model import TWO_PI, ReducedParams
 from ringflux.sweep import (SweepSchedule, hysteresis_remnants, path_fluxes, resolve_jump,
                             run_hysteresis, run_schedule)
@@ -266,8 +267,9 @@ def test_continuation_solve_takes_a_handful_of_evaluations():
                 evals += 1
                 return math.sin(TWO_PI * x)
 
-            x, _ = fixed_points._cell_newton(d, p.lam, a, b, fa, fb, prev.u, counted_sin,
-                                             lambda x: TWO_PI * math.cos(TWO_PI * x))
+            rel = Relation(counted_sin, lambda x: TWO_PI * math.cos(TWO_PI * x),
+                           lambda lam: [-0.5 + phi_a, 0.5 - phi_a])
+            x, _ = fixed_points._cell_newton(d, p.lam, a, b, fa, fb, prev.u, rel)
             assert (k + x, x) == (cur.phi, cur.u)
             solves += 1
     assert solves > 1000

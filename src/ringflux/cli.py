@@ -173,10 +173,8 @@ def _ring(config: argparse.Namespace, p: ring_model.ReducedParams) -> ring_model
 # CSV emission and ingestion
 # ---------------------------------------------------------------------------
 
-def _write_rows(header: Sequence[str], rows: list[tuple], path: str | None) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    text = "\n".join(lines) + "\n"
+def _write_lines(header: Sequence[str], lines: Sequence[str], path: str | None) -> None:
+    text = "\n".join([",".join(header), *lines]) + "\n"
     if path is None:
         sys.stdout.write(text)
     else:
@@ -186,23 +184,28 @@ def _write_rows(header: Sequence[str], rows: list[tuple], path: str | None) -> N
             raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _sweep_rows(traj: sweep.SweepTrajectory, p: ring_model.ReducedParams) -> list[tuple]:
+def _write_rows(header: Sequence[str], rows: list[tuple], path: str | None) -> None:
+    _write_lines(header, [",".join(_fmt(v) for v in row) for row in rows], path)
+
+
+def _sweep_lines(traj: sweep.SweepTrajectory, p: ring_model.ReducedParams) -> list[str]:
+    """The SWEEP_HEADER rows, each in one f-string with _fmt's formats: the
+    reals, the branch index, the class of the cell root u, and the event."""
     landing = {e.landing_index for e in traj.events}
-    rows = []
-    for idx, s in enumerate(traj.samples):
-        stable = fixed_points.classify_stability(s.u, p) is Stability.STABLE
-        rows.append((s.phi_ext, s.phi, s.i, s.branch_id, stable,
-                     "jump" if idx in landing else ""))
-    return rows
+    classify, stable = fixed_points.classify_stability, Stability.STABLE
+    return [f"{s.phi_ext + 0.0:.17g},{s.phi + 0.0:.17g},{s.i + 0.0:.17g},{s.branch_id},"
+            f"{'true' if classify(s.u, p) is stable else 'false'},"
+            f"{'jump' if idx in landing else ''}"
+            for idx, s in enumerate(traj.samples)]
 
 
 def emit_csv(result, path: str | None, *, p: ring_model.ReducedParams | None = None,
              phi_ext: float | None = None) -> None:
     """Write any command result as CSV (to stdout when path is None)."""
     if isinstance(result, sweep.HysteresisLoop):
-        _write_rows(SWEEP_HEADER, _sweep_rows(result.cycle, p), path)
+        _write_lines(SWEEP_HEADER, _sweep_lines(result.cycle, p), path)
     elif isinstance(result, sweep.SweepTrajectory):
-        _write_rows(SWEEP_HEADER, _sweep_rows(result, p), path)
+        _write_lines(SWEEP_HEADER, _sweep_lines(result, p), path)
     elif isinstance(result, list) and all(isinstance(r, fixed_points.FixedPoint) for r in result):
         rows = [(phi_ext, r.phi, r.i, r.stability.value) for r in result]
         _write_rows(FIXED_POINT_HEADER, rows, path)

@@ -25,13 +25,15 @@ Nelder-Mead simplex (`minimize`) with deterministic random restarts rather
 than a gradient method.  Restarts stop early once the objective reaches the
 machine floor.
 
-numpy is imported inside the functions that use it, so that importing
-ringflux, and every CLI command but `fit` and `bloch-check`, loads none.
+numpy is imported only to draw restarts, when a start has missed
+OBJECTIVE_FLOOR: importing ringflux loads none, and neither does a
+closed-form fit or a fit whose first simplex reaches the floor.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -185,9 +187,11 @@ class FitBounds:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Best parameters found, with convergence diagnostics.  `iterations`
-    sums the simplex iterations of every start; it is 0 when the closed-form
-    remnant estimate fits the data and no simplex ran."""
+    """Best parameters found, with convergence diagnostics.
+    `objective_value` is the sum of squared residuals there, exactly rounded
+    (math.fsum of the squares).  `iterations` sums the simplex iterations of
+    every start; it is 0 when the closed-form remnant estimate fits the data
+    and no simplex ran."""
 
     params: ReducedParams
     objective_value: float
@@ -227,16 +231,21 @@ def simulate_observables(p: ReducedParams, protocol: SweepSchedule | Sequence[fl
 
 
 def _objective(data: list[Observation]):
-    import numpy as np
-
+    """The sum of squared residuals at (beta, phi_fe), exactly rounded
+    (math.fsum), so it depends on neither the order of the observations
+    nor the platform; inf wherever a square or the sum overflows, or a
+    prediction is NaN."""
     kind = data[0].kind
     keys = tuple(o.phi_ext for o in data)
-    observed = np.array([o.observable for o in data])
+    observed = [o.observable for o in data]
 
     def fun(x) -> float:
         p = ReducedParams(beta=float(x[0]), phi_fe=float(x[1]))
-        r = np.array(simulate_observables(p, keys, kind)) - observed
-        value = float(r @ r)
+        residuals = [s - o for s, o in zip(simulate_observables(p, keys, kind), observed)]
+        try:
+            value = math.fsum(r * r for r in residuals)
+        except OverflowError:  # fsum raises where its partial sums overflow
+            return math.inf
         return value if math.isfinite(value) else math.inf
 
     return fun
@@ -279,17 +288,35 @@ def _exact_remnant_fit(data: list[Observation], objective,
     return (x, value) if value <= OBJECTIVE_FLOOR else None
 
 
+def _probe_grid(lo: float, hi: float) -> list[float]:
+    """numpy.linspace(lo, hi, _FLAT_PROBES), float for float: j*step + lo,
+    or (j/n)*(hi - lo) + lo where the step underflows to zero, and hi last."""
+    n = _FLAT_PROBES - 1
+    delta = hi - lo
+    step = delta / n
+    return [(j * step if step != 0 else j / n * delta) + lo for j in range(n)] + [hi]
+
+
 def _flat_directions(objective, best: Sequence[float], bounds: FitBounds) -> bool:
     """True when the objective is constant (to FLAT_OBJECTIVE_SPREAD) along
     either parameter axis across the whole search box - the data then carry
     no information about that parameter."""
+    beta_values = [objective((b, best[1]))
+                   for b in _probe_grid(bounds.beta_min, bounds.beta_max)]
+    fe_values = [objective((best[0], f))
+                 for f in _probe_grid(bounds.phi_fe_min, bounds.phi_fe_max)]
+    return min(max(v) - min(v) for v in (beta_values, fe_values)) < FLAT_OBJECTIVE_SPREAD
+
+
+def _restarts(bounds: FitBounds):
+    """Restart points, uniform in the box, from default_rng(_RESTART_SEED):
+    the same sequence on every fit.  numpy is imported at the first draw."""
     import numpy as np
 
-    betas = np.linspace(bounds.beta_min, bounds.beta_max, _FLAT_PROBES)
-    fes = np.linspace(bounds.phi_fe_min, bounds.phi_fe_max, _FLAT_PROBES)
-    beta_spread = np.ptp([objective((b, best[1])) for b in betas])
-    fe_spread = np.ptp([objective((best[0], f)) for f in fes])
-    return bool(min(beta_spread, fe_spread) < FLAT_OBJECTIVE_SPREAD)
+    rng = np.random.default_rng(_RESTART_SEED)
+    while True:
+        yield (rng.uniform(bounds.beta_min, bounds.beta_max),
+               rng.uniform(bounds.phi_fe_min, bounds.phi_fe_max))
 
 
 def fit_parameters(data: list[Observation], initial: ReducedParams,
@@ -314,10 +341,10 @@ def fit_parameters(data: list[Observation], initial: ReducedParams,
     constant in beta would need sin(2*pi*r) = 0 at every remnant, and
     phi_fe moves every remnant.  Every prediction comes from the
     fold-to-fold kernel (simulate_observables), so no sweep and no sub-step
-    is involved.
+    is involved.  numpy is imported only to draw a restart, so a
+    closed-form fit, or one whose first simplex reaches OBJECTIVE_FLOOR,
+    loads none.
     """
-    import numpy as np
-
     if len(data) < 3:
         raise ValueError(f"need at least 3 observations, got {len(data)}")
     kinds = {o.kind for o in data}
@@ -340,12 +367,9 @@ def fit_parameters(data: list[Observation], initial: ReducedParams,
                              objective_value=value, iterations=0, converged=True,
                              flat_objective=False)
 
-    rng = np.random.default_rng(_RESTART_SEED)
-    starts = [(initial.beta, initial.phi_fe)]
-    for _ in range(n_restarts):
-        starts.append((rng.uniform(bounds.beta_min, bounds.beta_max),
-                       rng.uniform(bounds.phi_fe_min, bounds.phi_fe_max)))
-
+    # islice(..., 0) never starts the generator: a fit without restarts imports no numpy
+    starts = itertools.chain([(initial.beta, initial.phi_fe)],
+                             itertools.islice(_restarts(bounds), n_restarts))
     box = [(bounds.beta_min, bounds.beta_max), (bounds.phi_fe_min, bounds.phi_fe_max)]
     best = None
     iterations = 0
@@ -361,10 +385,10 @@ def fit_parameters(data: list[Observation], initial: ReducedParams,
 
     if not math.isfinite(best.fun):
         raise NumericsError(f"objective never reached a finite value; last iterate {best.x}")
-    beta, phi_fe = bounds.clip(float(best.x[0]), float(best.x[1]))
+    beta, phi_fe = bounds.clip(*best.x)
     return FitResult(
         params=ReducedParams(beta=beta, phi_fe=phi_fe),
-        objective_value=float(best.fun),
+        objective_value=best.fun,
         iterations=iterations,
         converged=converged,
         flat_objective=_flat_directions(objective, best.x, bounds),

@@ -366,6 +366,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error: fit bounds must be finite" in err and "Traceback" not in err
 
+    def test_overflowing_objective_is_two(self, tmp_path):
+        # squared residuals near 1e308 overflow their sum; the real process,
+        # so that a warning printed to stderr would show
+        data = tmp_path / "obs.csv"
+        data.write_text("phi_ext,observable\n2,1e154\n-2,-1e154\n3,0.5\n")
+        proc = subprocess.run([sys.executable, "-m", "ringflux.cli", "fit", "--data", str(data),
+                               "--beta", "4"], env=_src_env(), capture_output=True, timeout=120)
+        err = proc.stderr.decode()
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert "numerical failure: objective never reached a finite value" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+
     def test_negative_restarts_is_one(self, tmp_path, capsys):
         data = tmp_path / "obs.csv"
         data.write_text("phi_ext,observable\n2,0.1\n-2,-0.1\n3,0.2\n")
@@ -475,7 +487,7 @@ FIT_SUMMARY_KEYS = ["beta", "phi_fe", "objective", "iterations", "converged",
       "finite_difference_error", "passed"]),
 ], ids=["fit", "fit-si", "bloch-check"])
 def test_summary_key_order(argv, keys, tmp_path, capsys):
-    # the values depend on the numpy build, the keys do not
+    # bloch-check's values depend on the numpy build, the keys do not
     data = tmp_path / "obs.csv"
     data.write_text("phi_ext,observable\n2,0.78\n-2,-0.78\n3,0.8\n-3,-0.8\n")
     assert run_cli(*argv, *(("--data", str(data)) if argv[0] == "fit" else ())) == 0
@@ -483,8 +495,16 @@ def test_summary_key_order(argv, keys, tmp_path, capsys):
     assert [line.split(" = ")[0] for line in out.splitlines()] == keys
 
 
+def _src_env() -> dict:
+    return dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
+#: an expression a probe process prints: the numpy and scipy modules it loaded
+_NUMPY_OR_SCIPY = "sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy'))"
+
+
 def test_cli_process_matches_main_and_starts_without_numpy_or_scipy(capsys):
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env = _src_env()
     argv = ("fixed-points", "--beta", "5", "--phi_ext", "0.25")
     proc = subprocess.run([sys.executable, "-m", "ringflux.cli", *argv], env=env,
                           capture_output=True, timeout=120)
@@ -492,9 +512,32 @@ def test_cli_process_matches_main_and_starts_without_numpy_or_scipy(capsys):
     assert run_cli(*argv) == 0
     assert proc.stdout == capsys.readouterr().out.encode()
 
-    probe = ("import ringflux, ringflux.cli, sys; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))")
+    probe = f"import ringflux, ringflux.cli, sys; print({_NUMPY_OR_SCIPY})"
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().strip() == "[]"
+
+
+def test_fit_without_a_restart_starts_without_numpy(tmp_path):
+    # numpy is imported only to draw a restart: a closed-form fit draws
+    # none, nor does a simplex fit with --restarts 0
+    from ringflux.fit import simulate_observables
+    from ringflux.ring_model import ReducedParams
+    amps = (2.0, -2.0, 3.0, -3.0)
+    values = simulate_observables(ReducedParams(beta=6.5, phi_fe=0.2), amps)
+    exact, rough = tmp_path / "exact.csv", tmp_path / "rough.csv"
+    exact.write_text("phi_ext,observable\n"
+                     + "".join(f"{a!r},{v!r}\n" for a, v in zip(amps, values)))
+    rough.write_text("phi_ext,observable\n2,0.78\n-2,-0.78\n3,0.8\n-3,-0.8\n")
+    runs = [["fit", "--data", str(exact), "--beta", "6"],
+            ["fit", "--data", str(rough), "--beta", "4.5", "--phi_fe", "0.2", "--restarts", "0"]]
+    probe = (f"import sys; from ringflux import cli; codes = [cli.main(a) for a in {runs!r}]; "
+             f"print(codes, {_NUMPY_OR_SCIPY})")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_src_env(), capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.decode().splitlines()
+    assert lines[-1] == "[0, 0] []"
+    iterations = [line for line in lines if line.startswith("iterations = ")]
+    assert iterations[0] == "iterations = 0" != iterations[1]  # closed form, then a simplex

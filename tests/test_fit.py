@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ringflux import fit, sweep
 from ringflux.fit import (
@@ -362,6 +363,34 @@ class TestRemnantEstimate:
             data = _noisy(_remnant_data(5.0, 0.3), 11)
         result = fit_parameters(data, ReducedParams(beta=4.5, phi_fe=0.25), self.BOUNDS)
         assert calls and result.iterations > 0
+
+
+@given(truth=st.tuples(st.floats(1.5, 15.0), st.floats(-0.5, 0.5)),
+       x=st.tuples(st.floats(1.5, 15.0), st.floats(-0.5, 0.5)),
+       noise=st.lists(st.floats(-0.05, 0.05), min_size=len(AMPS), max_size=len(AMPS)),
+       order=st.permutations(range(len(AMPS))))
+def test_objective_ignores_the_order_of_remnant_observations(truth, x, noise, order):
+    # each remnant comes from its own loop, so the order carries nothing; an
+    # exactly rounded sum keeps that, where a dot product of the residuals
+    # changed bits in about a third of noisy draws
+    values = simulate_observables(ReducedParams(*truth), AMPS)
+    observations = [Observation(a, v + e) for a, v, e in zip(AMPS, values, noise)]
+    permuted = [observations[j] for j in order]
+    assert fit._objective(permuted)(x).hex() == fit._objective(observations)(x).hex()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(box=st.one_of(st.tuples(_FINITE, _FINITE).map(sorted), _FINITE.map(lambda v: (v, v))))
+def test_probe_grid_is_numpy_linspace(box):
+    # the flat probe reads the objective on these points, so flat_objective
+    # stays the same only if they are linspace's floats, bit for bit
+    lo, hi = box
+    with np.errstate(all="ignore"):  # hi - lo may overflow: NaN then in both
+        expected = np.linspace(lo, hi, fit._FLAT_PROBES)
+    grid = np.array(fit._probe_grid(lo, hi))
+    assert grid.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 def test_fits_import_no_scipy():

@@ -25,6 +25,11 @@ Nelder-Mead simplex (`minimize`) with deterministic random restarts rather
 than a gradient method.  Restarts stop early once the objective reaches the
 machine floor.
 
+Whether the data fix both parameters is read from the predictions at the
+result: the Jacobian of every prediction is a multiple of
+[-sin(2*pi*phi)/(2*pi), 1], so it has rank 2 exactly when the predictions
+take at least two distinct values (FitResult.flat_objective).
+
 numpy is imported only to draw restarts, when a start has missed
 OBJECTIVE_FLOOR: importing ringflux loads none, and neither does a
 closed-form fit or a fit whose first simplex reaches the floor.
@@ -40,18 +45,10 @@ from typing import NamedTuple, Sequence
 
 from .fixed_points import NumericsError
 from .ring_model import TWO_PI, ReducedParams, RingParams, unreduce
-# run_hysteresis and run_schedule are unused: the benchmark's tracer wraps fit.run_*
-from .sweep import (SweepSchedule, hysteresis_remnants, path_fluxes,  # noqa: F401
-                    run_hysteresis, run_schedule)
+from .sweep import SweepSchedule, hysteresis_remnants, path_fluxes
 
 #: Objective value treated as "exactly solved"; further restarts are skipped.
 OBJECTIVE_FLOOR = 1e-18
-
-#: Objective spread along a parameter axis below which that direction is
-#: deemed information-free (e.g. beta below 1 on all-zero remnant data).
-FLAT_OBJECTIVE_SPREAD = 1e-12
-
-_FLAT_PROBES = 5
 
 _RESTART_SEED = 1729
 
@@ -191,7 +188,18 @@ class FitResult:
     `objective_value` is the sum of squared residuals there, exactly rounded
     (math.fsum of the squares).  `iterations` sums the simplex iterations of
     every start; it is 0 when the closed-form remnant estimate fits the data
-    and no simplex ran."""
+    and no simplex ran.  `converged` is the simplex's stopping status (true
+    for a closed-form fit).
+
+    `flat_objective` is true when the predictions at `params` take fewer
+    than two distinct values: the data then fix only one combination of
+    (beta, phi_fe), as below the trapping threshold, where every remnant
+    sits on one branch.  Each prediction's parameter Jacobian is
+    D*[-sin(2*pi*phi)/(2*pi), 1], with D = 1/g' for a remnant phi = r and
+    D = 2*pi*cos(2*pi*phi)/g' for a current sin(2*pi*phi), and
+    sin(2*pi*r) = (phi_fe - r)/lam for a remnant, so the rows span both
+    directions exactly when two predictions differ.  A current of exactly
+    +-1 has D = 0, a zero row, which this rule does not single out."""
 
     params: ReducedParams
     objective_value: float
@@ -230,25 +238,27 @@ def simulate_observables(p: ReducedParams, protocol: SweepSchedule | Sequence[fl
     return [loops[abs(a)][0 if a > 0.0 else 1] for a in keys]
 
 
+def _predictions(data: list[Observation], x: Sequence[float]) -> list[float]:
+    """simulate_observables for the keys and kind of `data` at (beta, phi_fe) = x."""
+    p = ReducedParams(beta=float(x[0]), phi_fe=float(x[1]))
+    return simulate_observables(p, [o.phi_ext for o in data], data[0].kind)
+
+
+def _sum_of_squares(predictions: list[float], data: list[Observation]) -> float:
+    """The sum of squared residuals, exactly rounded (math.fsum), so it
+    depends on neither the order of the observations nor the platform; inf
+    wherever a square or the sum overflows, or a prediction is NaN."""
+    residuals = [s - o.observable for s, o in zip(predictions, data)]
+    try:
+        value = math.fsum(r * r for r in residuals)
+    except OverflowError:  # fsum raises where its partial sums overflow
+        return math.inf
+    return value if math.isfinite(value) else math.inf
+
+
 def _objective(data: list[Observation]):
-    """The sum of squared residuals at (beta, phi_fe), exactly rounded
-    (math.fsum), so it depends on neither the order of the observations
-    nor the platform; inf wherever a square or the sum overflows, or a
-    prediction is NaN."""
-    kind = data[0].kind
-    keys = tuple(o.phi_ext for o in data)
-    observed = [o.observable for o in data]
-
-    def fun(x) -> float:
-        p = ReducedParams(beta=float(x[0]), phi_fe=float(x[1]))
-        residuals = [s - o for s, o in zip(simulate_observables(p, keys, kind), observed)]
-        try:
-            value = math.fsum(r * r for r in residuals)
-        except OverflowError:  # fsum raises where its partial sums overflow
-            return math.inf
-        return value if math.isfinite(value) else math.inf
-
-    return fun
+    """The objective at (beta, phi_fe): _sum_of_squares of its predictions."""
+    return lambda x: _sum_of_squares(_predictions(data, x), data)
 
 
 def _remnant_estimate(data: list[Observation]) -> tuple[float, float] | None:
@@ -271,41 +281,22 @@ def _remnant_estimate(data: list[Observation]) -> tuple[float, float] | None:
     return beta, (sr + beta * sd) / n + beta * s[0]
 
 
-def _exact_remnant_fit(data: list[Observation], objective,
-                       bounds: FitBounds) -> tuple[tuple[float, float], float] | None:
-    """The closed-form estimate, clipped to the box, with its objective, when
-    its forward predictions reproduce the data to OBJECTIVE_FLOOR; else None.
-    The linear solve ignores which branch each sweep reaches, so only the
-    forward check can accept it."""
+def _exact_remnant_fit(data: list[Observation], bounds: FitBounds
+                       ) -> tuple[tuple[float, float], float, list[float]] | None:
+    """The closed-form estimate, clipped to the box, with its objective and
+    predictions, when those reproduce the data to OBJECTIVE_FLOOR; else
+    None.  The linear solve ignores which branch each sweep reaches, so only
+    the forward check can accept it."""
     estimate = _remnant_estimate(data)
     if estimate is None or not all(map(math.isfinite, estimate)):
         return None
     x = bounds.clip(*estimate)
     try:
-        value = objective(x)
+        predictions = _predictions(data, x)
     except NumericsError:
         return None
-    return (x, value) if value <= OBJECTIVE_FLOOR else None
-
-
-def _probe_grid(lo: float, hi: float) -> list[float]:
-    """numpy.linspace(lo, hi, _FLAT_PROBES), float for float: j*step + lo,
-    or (j/n)*(hi - lo) + lo where the step underflows to zero, and hi last."""
-    n = _FLAT_PROBES - 1
-    delta = hi - lo
-    step = delta / n
-    return [(j * step if step != 0 else j / n * delta) + lo for j in range(n)] + [hi]
-
-
-def _flat_directions(objective, best: Sequence[float], bounds: FitBounds) -> bool:
-    """True when the objective is constant (to FLAT_OBJECTIVE_SPREAD) along
-    either parameter axis across the whole search box - the data then carry
-    no information about that parameter."""
-    beta_values = [objective((b, best[1]))
-                   for b in _probe_grid(bounds.beta_min, bounds.beta_max)]
-    fe_values = [objective((best[0], f))
-                 for f in _probe_grid(bounds.phi_fe_min, bounds.phi_fe_max)]
-    return min(max(v) - min(v) for v in (beta_values, fe_values)) < FLAT_OBJECTIVE_SPREAD
+    value = _sum_of_squares(predictions, data)
+    return (x, value, predictions) if value <= OBJECTIVE_FLOOR else None
 
 
 def _restarts(bounds: FitBounds):
@@ -332,18 +323,14 @@ def fit_parameters(data: list[Observation], initial: ReducedParams,
     deterministic random restarts inside the bounds, keeping the best
     minimum.  Each simplex runs at most 400 iterations to an
     objective and position tolerance of 1e-10; convergence additionally
-    requires the returned objective to be finite.  The flat_objective flag
-    marks an information-free data set: the objective stays constant along
-    a whole parameter axis of the search box (e.g. beta on all-zero
-    remnants when beta_max < 1).  After a simplex it is probed on five
-    points per axis; a closed-form fit reports False without a probe, since
-    it reproduces the data with two distinct sin(2*pi*r): an objective
-    constant in beta would need sin(2*pi*r) = 0 at every remnant, and
-    phi_fe moves every remnant.  Every prediction comes from the
-    fold-to-fold kernel (simulate_observables), so no sweep and no sub-step
-    is involved.  numpy is imported only to draw a restart, so a
-    closed-form fit, or one whose first simplex reaches OBJECTIVE_FLOOR,
-    loads none.
+    requires the returned objective to be finite.  flat_objective is true
+    when the predictions at the result take fewer than two distinct values
+    (see FitResult): a closed-form fit reads them from its one forward
+    evaluation, and a simplex fit makes one more, at its result.  Every
+    prediction comes from the fold-to-fold kernel (simulate_observables),
+    so no sweep and no sub-step is involved.  numpy is imported only to
+    draw a restart, so a closed-form fit, or one whose first simplex
+    reaches OBJECTIVE_FLOOR, loads none.
     """
     if len(data) < 3:
         raise ValueError(f"need at least 3 observations, got {len(data)}")
@@ -358,19 +345,19 @@ def fit_parameters(data: list[Observation], initial: ReducedParams,
         raise ValueError(
             f"initial point ({initial.beta}, {initial.phi_fe}) lies outside the bounds")
 
-    objective = _objective(data)
     if data[0].kind is ObservationKind.REMNANT_FLUX:
-        exact = _exact_remnant_fit(data, objective, bounds)
+        exact = _exact_remnant_fit(data, bounds)
         if exact is not None:
-            x, value = exact
+            x, value, predictions = exact
             return FitResult(params=ReducedParams(beta=x[0], phi_fe=x[1]),
                              objective_value=value, iterations=0, converged=True,
-                             flat_objective=False)
+                             flat_objective=len(set(predictions)) < 2)
 
     # islice(..., 0) never starts the generator: a fit without restarts imports no numpy
     starts = itertools.chain([(initial.beta, initial.phi_fe)],
                              itertools.islice(_restarts(bounds), n_restarts))
     box = [(bounds.beta_min, bounds.beta_max), (bounds.phi_fe_min, bounds.phi_fe_max)]
+    objective = _objective(data)
     best = None
     iterations = 0
     converged = False
@@ -391,5 +378,5 @@ def fit_parameters(data: list[Observation], initial: ReducedParams,
         objective_value=best.fun,
         iterations=iterations,
         converged=converged,
-        flat_objective=_flat_directions(objective, best.x, bounds),
+        flat_objective=len(set(_predictions(data, (beta, phi_fe)))) < 2,
     )

@@ -189,10 +189,6 @@ def resolve_jump(p: ReducedParams, k: int, ascending: bool) -> tuple[float, floa
             FixedPoint(k + s + u, math.sin(TWO_PI * u), Stability.STABLE))
 
 
-# unused: only the benchmark's tracer reads this name, which it still wraps
-refine_fold = resolve_jump
-
-
 # ---------------------------------------------------------------------------
 # Schedules and loops
 # ---------------------------------------------------------------------------

@@ -1,7 +1,11 @@
-"""The library names the benchmark's traced run wraps all still exist.
+"""The library names the benchmark's traced run wraps all still exist, but
+for three that the library dropped on purpose.
 
 perfbench/tracing.py records a vanished name as absent instead of raising,
-so a removal or rename would silently zero its per-layer metrics.
+so a removal or rename would silently zero its per-layer metrics.  The
+three it reports absent fed metrics that read 0.0 before they went: no
+sweep calls the `sweep.refine_fold` alias of `resolve_jump`, and no fit
+runs a loop, so `fit` needs neither `run_schedule` nor `run_hysteresis`.
 """
 
 import importlib.util
@@ -21,6 +25,7 @@ def test_every_traced_name_resolves():
     tracer = _tracer()
     try:
         tracer.install()
-        assert tracer.absent == []
+        assert tracer.absent == ["ringflux.sweep.refine_fold", "ringflux.fit.run_schedule",
+                                 "ringflux.fit.run_hysteresis"]
     finally:
         tracer.uninstall()

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from ringflux import fit, sweep
 from ringflux.fit import (
@@ -20,6 +20,8 @@ from ringflux.fit import (
 )
 from ringflux.ring_model import FLUX_QUANTUM, ReducedParams
 from ringflux.sweep import SweepSchedule, run_hysteresis
+
+from helpers import central_difference
 
 AMPS = (2.0, -2.0, 3.0, -3.0, 4.0, -4.0)
 CURRENT_WAYPOINTS = (0.35, 1.2, 0.6, -0.45, -1.3, -0.5, 0.25, 0.8)
@@ -138,6 +140,7 @@ class TestFitParameters:
         assert (spread < 1e-9) == degenerate
         initial = ReducedParams(beta=beta * 1.15, phi_fe=min(max(phi_fe + 0.08, -0.5), 0.5))
         result = fit_parameters(data, initial, FitBounds(1.5, 15.0, -0.5, 0.5))
+        assert result.flat_objective == degenerate
         if degenerate:
             # the fit still reproduces the data essentially exactly,
             # somewhere on the level curve through the generating point
@@ -187,9 +190,10 @@ class TestFitParameters:
         def no_sweep(*args, **kwargs):
             raise AssertionError("a fit ran a sweep")
 
+        # fit imports neither name; raising=False also catches a later import by name
         for module in (sweep, fit):
-            monkeypatch.setattr(module, "run_schedule", no_sweep)
-            monkeypatch.setattr(module, "run_hysteresis", no_sweep)
+            monkeypatch.setattr(module, "run_schedule", no_sweep, raising=False)
+            monkeypatch.setattr(module, "run_hysteresis", no_sweep, raising=False)
         bounds = FitBounds(1.5, 15.0, -0.5, 0.5)
         remnant = fit_parameters(_remnant_data(5.0, 0.3),
                                  ReducedParams(beta=4.5, phi_fe=0.25), bounds)
@@ -321,22 +325,16 @@ class TestRemnantEstimate:
             assert result.converged and not result.flat_objective
 
     def test_exact_fit_evaluates_the_objective_once(self, monkeypatch):
-        # the forward check is the only evaluation: data reproduced to
-        # OBJECTIVE_FLOOR with two distinct sin(2*pi*r) fix both parameters,
-        # so no flat-direction probe runs
+        # the forward check is the only evaluation: flat_objective is read
+        # from the predictions it made
         calls = []
-        objective = fit._objective
+        simulate = fit.simulate_observables
 
-        def counting(data):
-            fun = objective(data)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return simulate(*args, **kwargs)
 
-            def counted(x):
-                calls.append(x)
-                return fun(x)
-
-            return counted
-
-        monkeypatch.setattr(fit, "_objective", counting)
+        monkeypatch.setattr(fit, "simulate_observables", counted)
         for beta, phi_fe in self._truths(4):
             calls.clear()
             result = fit_parameters(_remnant_data(beta, phi_fe),
@@ -365,6 +363,91 @@ class TestRemnantEstimate:
         assert calls and result.iterations > 0
 
 
+class TestFlatObjective:
+    """flat_objective is the rank of the predictions' Jacobian at the
+    result: the data fix both parameters exactly when two predictions differ."""
+
+    BOUNDS = FitBounds(1.5, 15.0, -0.5, 0.5)
+
+    def test_near_equal_remnants_fit_in_closed_form_are_flat(self):
+        # the estimate's beta is -1, clipped to beta_min: below the trapping
+        # threshold every remnant there is the one root at zero drive
+        data = [Observation(a, 1e-10 if a == 3.0 else 0.0) for a in AMPS]
+        result = fit_parameters(data, ReducedParams(beta=2.0), self.BOUNDS)
+        assert result.iterations == 0 and result.params.beta == self.BOUNDS.beta_min
+        assert result.flat_objective
+
+    def test_noisy_remnants_below_the_threshold_are_flat(self):
+        # the simplex ends on a curve along which the objective is constant:
+        # one predicted remnant r fixes only phi_fe - (beta/(2*pi))*sin(2*pi*r)
+        values = (0.00964, -0.01426, -0.00329, -0.00788, -0.00056, -0.03130)
+        data = [Observation(a, v) for a, v in zip(AMPS, values)]
+        result = fit_parameters(data, ReducedParams(beta=3.519, phi_fe=-0.00018), self.BOUNDS,
+                                n_restarts=1)
+        assert result.iterations > 0
+        assert len(set(simulate_observables(result.params, AMPS))) == 1
+        assert result.flat_objective
+
+    def test_a_pinned_box_is_not_flat(self):
+        # the data fix both parameters whatever the box: the predictions at
+        # the pinned beta still differ
+        bounds = FitBounds(6.45, 6.45, -0.5, 0.5)
+        result = fit_parameters(_remnant_data(6.5, 0.17), ReducedParams(6.45, 0.17), bounds)
+        assert result.iterations > 0 and result.params.beta == 6.45
+        assert not result.flat_objective
+
+    @pytest.mark.parametrize("kind, outside", [("remnant", 2), ("current", 1)])
+    def test_a_simplex_fit_predicts_once_beyond_the_simplex(self, kind, outside, monkeypatch):
+        # outside `minimize`: the closed-form check (remnants only) and one
+        # prediction at the result
+        simulate, minimize = fit.simulate_observables, fit.minimize
+        inside, calls = [], []
+
+        def counted_simulate(*args, **kwargs):
+            calls.append(bool(inside))
+            return simulate(*args, **kwargs)
+
+        def counted_minimize(*args, **kwargs):
+            inside.append(True)
+            try:
+                return minimize(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(fit, "simulate_observables", counted_simulate)
+        monkeypatch.setattr(fit, "minimize", counted_minimize)
+        data = (_current_data if kind == "current" else _remnant_data)(6.0, 0.1)
+        result = fit_parameters(_noisy(data, 5), ReducedParams(5.8, 0.08), self.BOUNDS)
+        assert result.iterations > 0
+        assert calls.count(False) == outside
+
+
+@given(truth=st.tuples(st.floats(1.6, 9.0), st.floats(-0.45, 0.45)),
+       seed=st.integers(0, 2**32 - 1))
+def test_flat_objective_is_the_rank_of_a_difference_jacobian(truth, seed):
+    # oracle: the numerical rank of central differences of the predictions at
+    # the result; truths on both sides of the 4.6033 trapping threshold
+    data = _noisy(_remnant_data(*truth), seed)
+    result = fit_parameters(data, ReducedParams(*truth), FitBounds(1.5, 15.0, -0.5, 0.5),
+                            n_restarts=0)
+    x = [result.params.beta, result.params.phi_fe]
+    at = np.array(simulate_observables(result.params, AMPS))
+    h = 1e-6
+    columns = []
+    for axis in range(2):
+        def predict(v, axis=axis):
+            moved = list(x)
+            moved[axis] = v
+            return np.array(simulate_observables(ReducedParams(*moved), AMPS))
+
+        # a step across a fold moves a remnant by about a flux quantum
+        assume(max(np.abs(predict(x[axis] + s) - at).max() for s in (h, -h)) <= 0.25)
+        columns.append(central_difference(predict, x[axis], h))
+    singular = np.linalg.svd(np.array(columns).T, compute_uv=False)
+    rank = int(np.sum(singular > 1e-6 * singular[0]))
+    assert result.flat_objective == (rank < 2)
+
+
 @given(truth=st.tuples(st.floats(1.5, 15.0), st.floats(-0.5, 0.5)),
        x=st.tuples(st.floats(1.5, 15.0), st.floats(-0.5, 0.5)),
        noise=st.lists(st.floats(-0.05, 0.05), min_size=len(AMPS), max_size=len(AMPS)),
@@ -377,20 +460,6 @@ def test_objective_ignores_the_order_of_remnant_observations(truth, x, noise, or
     observations = [Observation(a, v + e) for a, v, e in zip(AMPS, values, noise)]
     permuted = [observations[j] for j in order]
     assert fit._objective(permuted)(x).hex() == fit._objective(observations)(x).hex()
-
-
-_FINITE = st.floats(allow_nan=False, allow_infinity=False)
-
-
-@given(box=st.one_of(st.tuples(_FINITE, _FINITE).map(sorted), _FINITE.map(lambda v: (v, v))))
-def test_probe_grid_is_numpy_linspace(box):
-    # the flat probe reads the objective on these points, so flat_objective
-    # stays the same only if they are linspace's floats, bit for bit
-    lo, hi = box
-    with np.errstate(all="ignore"):  # hi - lo may overflow: NaN then in both
-        expected = np.linspace(lo, hi, fit._FLAT_PROBES)
-    grid = np.array(fit._probe_grid(lo, hi))
-    assert grid.view(np.uint64).tolist() == expected.view(np.uint64).tolist()
 
 
 def test_fits_import_no_scipy():

@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import bloch_cpr, fit as fit_mod, fixed_points, ring_model, sweep, wide_ring
 from .fixed_points import NumericsError, Stability
@@ -173,19 +174,21 @@ def _ring(config: argparse.Namespace, p: ring_model.ReducedParams) -> ring_model
 # CSV emission and ingestion
 # ---------------------------------------------------------------------------
 
-def _write_lines(header: Sequence[str], lines: Sequence[str], path: str | None) -> None:
-    text = "\n".join([",".join(header), *lines]) + "\n"
+def _write_lines(header: Sequence[str], lines: Iterable[str], path: str | None) -> None:
+    """The header, then each line as `lines` yields it: no whole CSV is held."""
+    text = (line + "\n" for line in itertools.chain([",".join(header)], lines))
     if path is None:
-        sys.stdout.write(text)
-    else:
-        try:
-            Path(path).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            raise UsageError(f"cannot write {path}: {exc}") from exc
+        sys.stdout.writelines(text)
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
 
 
-def _write_rows(header: Sequence[str], rows: list[tuple], path: str | None) -> None:
-    _write_lines(header, [",".join(_fmt(v) for v in row) for row in rows], path)
+def _write_rows(header: Sequence[str], rows: Iterable[tuple], path: str | None) -> None:
+    _write_lines(header, (",".join(_fmt(v) for v in row) for row in rows), path)
 
 
 def _sweep_lines(traj: sweep.SweepTrajectory, p: ring_model.ReducedParams) -> list[str]:
@@ -275,11 +278,8 @@ def _cmd_wide_ring(config: argparse.Namespace) -> int:
         raise UsageError(f"h_points must be in [2, {sweep.MAX_SUBSTEPS}], got {config.h_points}")
     params = ring_model.RingParams(L=config.L, **_si_scales(config))
     b_remnant = wide_ring.remnant_field(config.n, params)
-    rows = []
-    for j in range(config.h_points):
-        h = j / (config.h_points - 1)
-        inner, outer = wide_ring.currents_at(config.n, h, params)
-        rows.append((h, inner, outer, b_remnant))
+    hs = (j / (config.h_points - 1) for j in range(config.h_points))
+    rows = ((h, *wide_ring.currents_at(config.n, h, params), b_remnant) for h in hs)
     _write_rows(WIDE_RING_HEADER, rows, config.out)
     return 0
 

@@ -107,34 +107,43 @@ def classify_stability(phi_star: float, p: ReducedParams,
     return Stability.MARGINAL
 
 
-# ---------------------------------------------------------------------------
-# Branch geometry of the sinusoidal relation, in the unit cell.
-#
-# g'(u) = 1 + beta*cos(2*pi*u) vanishes at u = 1/2 +/- phi_a where
-# cos(2*pi*phi_a) = 1/beta (beta > 1 only).  Between consecutive critical
-# points g is strictly monotone, so each such segment holds at most one root.
-# The increasing segment [-e, e], e = 1/2 - phi_a, carries the stable root of
-# the cell; shifted by the integer fluxoid k it is stable branch k.  Its ends
-# are folds at the cell drives d = -/+(1/2 + w), so branch k lives while
-# |c - k| <= 1/2 + w, c = phi_ext + phi_fe: every fold is decided on the
-# exact cell drive c - k, never on a level k +/- (1/2 + w) rounded at ulp(k).
-# ---------------------------------------------------------------------------
+class Branches(NamedTuple):
+    """The stable branches of the sinusoidal relation at one beta, in the unit cell.
 
-@functools.lru_cache(maxsize=64)  # a sweep asks for the folds at every jump
-def _fold_geometry(beta: float) -> tuple[float, float]:
-    """(phi_a, w), beta > 1: the cell's stable segment [-e, e], e = 1/2 - phi_a,
-    and its fold drives d = -/+(1/2 + w).  From t = tan(2*pi*phi_a) =
-    sqrt(beta**2 - 1), phi_a = atan(t)/(2*pi) and w = (t - atan t)/(2*pi),
-    summed as t**3/3 - t**5/5 + ... for t < 0.7, where t - atan t cancels.
-    w is not added to 1/2 here, so it keeps its digits near beta = 1."""
+    g'(u) = 1 + beta*cos(2*pi*u) vanishes at u = 1/2 +/- phi_a, where
+    cos(2*pi*phi_a) = 1/beta.  Between consecutive critical points g is
+    strictly monotone, so each such segment holds at most one root.  The
+    increasing segment [-e, e], e = 1/2 - phi_a, carries the stable root of the
+    cell; shifted by the integer fluxoid k it is stable branch k.  Its ends are
+    folds at the cell drives d = -/+half, half = 1/2 + w, so branch k lives
+    while |c - k| <= half, c = phi_ext + phi_fe: every fold is decided on the
+    exact cell drive c - k, never on a level k +/- half rounded at ulp(k).
+    Without folds (beta <= 1) e = half = inf, and the one root is solved in
+    round(c)'s cell (_branch_point).  Roots lie in |u - d| <= lam = beta/(2*pi).
+    """
+
+    phi_a: float
+    w: float
+    e: float
+    half: float
+    lam: float
+
+
+@functools.lru_cache(maxsize=64)  # every branch solve and jump asks for it
+def _branches(beta: float) -> Branches:
+    """The Branches of beta.  From t = tan(2*pi*phi_a) = sqrt(beta**2 - 1),
+    phi_a = atan(t)/(2*pi) and w = (t - atan t)/(2*pi), summed as t**3/3 -
+    t**5/5 + ... for t < 0.7, where t - atan t cancels.  w is kept apart from
+    1/2, so it keeps its digits near beta = 1."""
     if beta <= 1.0:
-        raise ValueError(f"fold geometry requires beta > 1, got {beta}")
+        return Branches(-math.inf, math.inf, math.inf, math.inf, beta / TWO_PI)
     t2 = (beta - 1.0) * (beta + 1.0)
     t = math.sqrt(t2) if t2 < math.inf else beta  # sqrt rounds to beta beyond ~1.34e154
     atan_t = math.atan(t)
     w = (t - atan_t if t >= 0.7 else
          math.fsum((-t * t) ** n * t ** 3 / (2 * n + 3) for n in range(60)))
-    return atan_t / TWO_PI, w / TWO_PI
+    phi_a, w = atan_t / TWO_PI, w / TWO_PI
+    return Branches(phi_a, w, 0.5 - phi_a, 0.5 + w, beta / TWO_PI)
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +208,28 @@ def _segment_root(d: float, lam: float, a: float, b: float, fa: float, fb: float
 
 
 def _branch_root(d: float, p: ReducedParams, x0: float | None = None) -> float | None:
-    """u, the root k + u of find_fixed_points' stable segment [-e, e] of
-    period k, e = 1/2 - phi_a, at its cell drive d = c - k in the cell's root
-    window (for beta <= 1 the whole window, k = round(c) from the caller), or
-    None, decided by _segment_root from the cell coordinate x0 (by default,
-    and always for beta <= 1, the midpoint)."""
-    lam = p.lam
-    a, b = lo, hi = d - lam - WINDOW_MARGIN, d + lam + WINDOW_MARGIN
-    if p.beta > 1.0:
-        e = 0.5 - _fold_geometry(p.beta)[0]
-        a, b = (-e if -e > lo else lo), (e if e < hi else hi)
+    """u, the root k + u of stable branch k on its segment [-e, e] (Branches) at
+    its cell drive d = c - k, clipped to the cell's root window, or None, as
+    _segment_root decides it from the cell coordinate x0 (by default the
+    midpoint); without folds the segment is the whole window, from its midpoint."""
+    _, _, e, _, lam = _branches(p.beta)
+    lo, hi = d - lam - WINDOW_MARGIN, d + lam + WINDOW_MARGIN
+    a, b = (-e if -e > lo else lo), (e if e < hi else hi)
     if not a < b:
         return None
     fa, fb = a - d + lam * math.sin(TWO_PI * a), b - d + lam * math.sin(TWO_PI * b)
-    return _segment_root(d, lam, a, b, fa, fb, x0 if p.beta > 1.0 else None, p.beta)
+    return _segment_root(d, lam, a, b, fa, fb, x0 if e < math.inf else None, p.beta)
+
+
+def _branch_point(c: float, k: int, p: ReducedParams, x0: float | None) -> tuple[float, float]:
+    """(j + u, u): branch k's root at the total flux c, _branch_root's cell
+    root u in the branch's own cell j = k from the cell coordinate x0; without
+    folds the one root, in round(c)'s cell j from the window midpoint, which a
+    sweep reports as branch 0.  NumericsError when no root is bracketed."""
+    j = k if p.beta > 1.0 else round(c)
+    if (u := _branch_root(c - j, p, x0)) is None:
+        raise NumericsError(f"branch {j} does not bracket c={c!r}")
+    return j + u, u
 
 
 def find_fixed_points(phi_ext: float, p: ReducedParams,
@@ -264,8 +281,8 @@ def find_fixed_points(phi_ext: float, p: ReducedParams,
     lam, n = p.lam, round(c)
     if cpr is not None:  # t ascending in [0, 1)
         ts = cpr.critical_points(lam)
-    else:  # -e as phi_a - 1/2, the same float
-        ts = [(phi_a := _fold_geometry(p.beta)[0]) - 0.5, 0.5 - phi_a] if p.beta > 1.0 else []
+    else:  # -e is phi_a - 1/2, the same float
+        ts = [-e, e] if (e := _branches(p.beta).e) < math.inf else []
     if ts:
         segments = len(ts) * 2.0 * (lam + WINDOW_MARGIN)
         if segments > MAX_ROOTS:

@@ -29,10 +29,10 @@ from .fixed_points import (
     FixedPoint,
     NumericsError,
     Stability,
+    _branch_point,
     _branch_root,
-    _fold_geometry,
+    _branches,
     classify_stability,
-    find_fixed_points,  # unused: the benchmark's tracer and a test's scan counter wrap this name
 )
 from .ring_model import TWO_PI, ReducedParams, RingParams, _require_finite
 
@@ -136,25 +136,19 @@ class RemnantReport(NamedTuple):
 # Single-branch continuation
 # ---------------------------------------------------------------------------
 
-def _on_branch(p: ReducedParams, k: int, phi_ext: float, x0: float) -> tuple[float, float]:
-    """(k + u, u): branch k's root at phi_ext from the cell coordinate x0, where
-    the caller found branch k; for beta <= 1 the window's root in round(c)'s cell."""
-    c = phi_ext + p.phi_fe
-    if p.beta <= 1.0:
-        k = round(c)
-    if (u := _branch_root(c - k, p, x0)) is None:
-        raise NumericsError(f"branch {k} does not bracket c={c!r}")
-    return k + u, u
+def _on_branch(p: ReducedParams, k: int, phi_ext: float, x0: float) -> BranchState:
+    """The state on the caller's branch k at phi_ext, from the cell coordinate x0."""
+    phi, u = _branch_point(phi_ext + p.phi_fe, k, p, x0)
+    return BranchState(phi_ext, phi, math.sin(TWO_PI * u), k, u)
 
 
 def continue_branch(state: BranchState, phi_ext_next: float, p: ReducedParams) -> BranchState:
     """The occupied stable root moved along its own branch to the next applied
     flux, which the caller has checked lies within the branch's fold levels
-    (every flux for beta <= 1); at the state's own drive, the state itself."""
+    (every flux without folds); at the state's own drive, the state itself."""
     if phi_ext_next == state.phi_ext:
         return state
-    phi, u = _on_branch(p, state.branch_id, phi_ext_next, state.u)
-    return BranchState(phi_ext_next, phi, math.sin(TWO_PI * u), state.branch_id, u)
+    return _on_branch(p, state.branch_id, phi_ext_next, state.u)
 
 
 @functools.lru_cache(maxsize=64)
@@ -166,7 +160,7 @@ def _landing(beta: float) -> float:
     jump.  Its slope g' is about 3*(beta - 1): Marginal below beta - 1 of
     about 3e-10, which NumericsError names as the window below rounding."""
     p = ReducedParams(beta)
-    u = _branch_root(-(0.5 - _fold_geometry(beta)[1]), p)
+    u = _branch_root(-(0.5 - _branches(beta).w), p)
     if u is None or classify_stability(u, p) is not Stability.STABLE:
         raise NumericsError(f"no stable root survives a fold: hysteretic window below rounding at "
                             f"beta={beta!r} (its slope 3*(beta - 1) is under MARGINAL_TOL)")
@@ -176,16 +170,15 @@ def _landing(beta: float) -> float:
 def resolve_jump(p: ReducedParams, k: int, ascending: bool) -> tuple[float, float, FixedPoint]:
     """(drive, departing flux, landing root) of the jump off a fold of branch k.
 
-    Branch k dies where its cell drive c - k reaches s*(1/2 + w), s = +1
-    ascending and -1 descending, at its cell end u = s*(1/2 - phi_a)
-    (_fold_geometry), so remnants do not depend on the sweep step.  One flux
-    quantum is admitted: the state lands on branch k + s, the nearest
-    surviving stable root (README, numerical notes), at the cell root
-    s*_landing(beta); nothing is solved here.
+    Branch k dies where its cell drive c - k reaches s*half, s = +1 ascending
+    and -1 descending, at its cell end s*e (fixed_points.Branches), so remnants
+    do not depend on the sweep step.  One flux quantum is admitted: the state
+    lands on branch k + s, the nearest surviving stable root (README, numerical
+    notes), at the cell root s*_landing(beta); nothing is solved here.
     """
-    (phi_a, w), s = _fold_geometry(p.beta), 1 if ascending else -1
+    br, s = _branches(p.beta), 1 if ascending else -1
     u = s * _landing(p.beta)
-    return (k + s * (0.5 + w) - p.phi_fe, k + s * 0.5 - s * phi_a,
+    return (k + s * br.half - p.phi_fe, k + s * 0.5 - s * br.phi_a,  # k + s*e rounds otherwise
             FixedPoint(k + s + u, math.sin(TWO_PI * u), Stability.STABLE))
 
 
@@ -195,18 +188,16 @@ def resolve_jump(p: ReducedParams, k: int, ascending: bool) -> tuple[float, floa
 
 def _initial_state(p: ReducedParams, phi_ext: float, phi_hint: float) -> BranchState:
     """The stable root nearest phi_hint (ties: smaller |i|, then smaller phi),
-    with the k and u of the solve that found it: for beta <= 1 the one root,
-    solved in round(c)'s cell.  For beta > 1 it is on stable branch m - 1, m
-    or m + 1, m = round(phi_hint) clamped to the branches at the drive
-    (README, numerical notes); if none of the three roots is STABLE (the
-    Marginal corners just above beta = 1), the nearest MARGINAL one of them.
-    Nothing scans every root, so u lies on its own branch's segment,
-    |u| <= e = 1/2 - phi_a.
+    with the k and u of the solve that found it: without folds the one root,
+    branch 0.  With folds it is on stable branch m - 1, m or m + 1, m =
+    round(phi_hint) clamped to the branches that live at the drive (README,
+    numerical notes); if none of the three roots is STABLE (the Marginal
+    corners just above beta = 1), the nearest MARGINAL one of them.  Nothing
+    scans every root, so u lies on its own branch's segment, |u| <= e.
     """
-    if p.beta <= 1.0:
-        phi, u = _on_branch(p, 0, phi_ext, 0.0)
-        return BranchState(phi_ext, phi, math.sin(TWO_PI * u), 0, u)
-    c, half = phi_ext + p.phi_fe, 0.5 + _fold_geometry(p.beta)[1]  # k lives at |c - k| <= half
+    c, half = phi_ext + p.phi_fe, _branches(p.beta).half
+    if half == math.inf:
+        return _on_branch(p, 0, phi_ext, 0.0)
     m = round(min(max(phi_hint, math.ceil(c - half)), math.floor(c + half)))
     roots = [(k + u, math.sin(TWO_PI * u), k, u, classify_stability(u, p))
              for k in (m - 1, m, m + 1) if (u := _branch_root(c - k, p)) is not None]
@@ -224,7 +215,7 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
 
     The sweep starts on the stable root nearest `init_phi_hint` at the first
     waypoint (the virgin state for hysteresis runs).  The occupied branch k
-    lives while a sub-step's total flux c has |c - k| <= 1/2 + w in its cell;
+    lives while a sub-step's total flux c has |c - k| <= half (Branches);
     past that, _walk names the branch where c lands and resolve_jump crosses
     each fold on the way (at most _MAX_JUMPS_PER_STEP).  Every sub-step and
     every jump landing is a sample, a stable fixed point.  A sub-step solves
@@ -237,8 +228,7 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
     w = schedule.waypoints
     for x in w:  # every sub-step's c lies between two waypoints'
         _require_finite("phi_ext + phi_fe", x + p.phi_fe)
-    state = _initial_state(p, w[0], init_phi_hint)
-    half = 0.5 + _fold_geometry(p.beta)[1] if p.beta > 1.0 else math.inf
+    state, half = _initial_state(p, w[0], init_phi_hint), _branches(p.beta).half
     samples = [state]
     events: list[JumpEvent] = []
     waypoint_indices = [0]
@@ -251,7 +241,7 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
             c, k = pe + p.phi_fe, state.branch_id
             if not abs(c - k) <= half and pe != state.phi_ext:
                 s = 1 if c > k else -1
-                folds = abs(_walk(p, k, pe, s > 0) - k)
+                folds = abs(_walk(k, c, s, half) - k)
                 if folds > _MAX_JUMPS_PER_STEP:
                     raise NumericsError(
                         f"more than {_MAX_JUMPS_PER_STEP} folds inside one sub-step; "
@@ -267,8 +257,7 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
             if j < nsub:
                 state = continue_branch(state, pe, p)
             else:  # a waypoint, solved from the cell centre as both kernels solve it
-                phi, u = _on_branch(p, state.branch_id, pe, 0.0)
-                state = BranchState(pe, phi, math.sin(TWO_PI * u), state.branch_id, u)
+                state = _on_branch(p, state.branch_id, pe, 0.0)
             samples.append(state)
         waypoint_indices.append(len(samples) - 1)
 
@@ -282,14 +271,14 @@ def loop_area(traj: SweepTrajectory, p: ReducedParams) -> float:
     i d(phi_ext) = dF with F(u) = -cos(2*pi*u)/(2*pi) + (lam/2)*sin(2*pi*u)**2,
     even and 1-periodic, so it reads cell roots u, never a flux rounded at ulp(k).
     A jump is vertical (fixed drive) and adds nothing, so the area is
-    F(last u) - F(first u) plus F(e) - F(landing u) per jump, e = 1/2 - phi_a.
+    F(last u) - F(first u) plus F(e) - F(landing u) per jump (Branches.e).
     """
     def F(u: float) -> float:
         s = math.sin(TWO_PI * u)
         return -math.cos(TWO_PI * u) / TWO_PI + 0.5 * p.lam * s * s
 
     terms = [F(traj.samples[-1].u), -F(traj.samples[0].u)]
-    f_end = F(0.5 - _fold_geometry(p.beta)[0]) if traj.events else 0.0
+    f_end = F(_branches(p.beta).e) if traj.events else 0.0
     for e in traj.events:
         terms += (f_end, -F(traj.samples[e.landing_index].u))
     return math.fsum(terms)
@@ -325,36 +314,48 @@ def run_hysteresis(p: ReducedParams, amplitude: float, step: float) -> Hysteresi
     )
 
 
-def _walk(p: ReducedParams, k: int, w: float, ascending: bool) -> int:
-    """Branch occupied once the drive has moved monotonically from branch k
-    to w, the one fold rule of the sweep and both kernels.
+def _walk(k: int, c: float, s: int, half: float) -> int:
+    """Branch occupied once the total flux has moved monotonically from branch
+    k to c, up for s = 1 and down for s = -1: the one fold rule of the sweep
+    and both kernels, with half = Branches.half.
 
     Each fold crossed moves the branch by one in the drive's direction
     (resolve_jump), so the walk ends on the first branch j from k that lives
-    at c = w + phi_fe, decided in j's cell: s*c - j <= 1/2 + w_fold, exact by
-    Sterbenz wherever j is within a factor 2 of s*c.  The model is odd, so a
-    descending walk is an ascending one in -c; it starts near
-    ceil(c - 1/2 - w_fold).  The caller resolves a landing when the walk moves.
+    at c, decided in j's cell: s*c - j <= half, exact by Sterbenz wherever j
+    is within a factor 2 of s*c.  The model is odd, so a descending walk is an
+    ascending one in -c.  The caller resolves a landing when the walk moves.
     """
-    if p.beta <= 1.0:
+    if not s * c - s * k > half:  # branch k lives: always without folds
         return k
-    c, s = w + p.phi_fe, 1 if ascending else -1  # c rounded as run_schedule rounds it
-    half = 0.5 + _fold_geometry(p.beta)[1]
     j = max(s * k, math.ceil(s * c - half) - 1)
     while s * c - j > half:
         j += 1
     return s * j
 
 
+def _walk_fluxes(p: ReducedParams, k: int, path: Iterable[tuple[float, bool]]) -> list[float]:
+    """Flux at each kept waypoint (w, kept) of a drive path from branch k at
+    zero drive, without a sweep: _walk fixes the branch at each waypoint, a
+    move asks for the landing (raising where a sweep's jump would), and a kept
+    flux is one branch solve from the cell centre u = 0, as a sweep's."""
+    half, out, prev = _branches(p.beta).half, [], 0.0
+    for w, kept in path:
+        c = w + p.phi_fe  # rounded as run_schedule rounds it
+        j, k = k, _walk(k, c, 1 if w > prev else -1, half)
+        if k != j:
+            _landing(p.beta)
+        if kept:
+            out.append(_branch_point(c, k, p, 0.0)[0])
+        prev = w
+    return out
+
+
 def hysteresis_remnants(p: ReducedParams,
                         amplitudes: Iterable[float]) -> list[tuple[float, float]]:
     """(remnant_down, remnant_up) of the cycle 0 -> +A -> -A -> 0 for each
-    amplitude A, without a sweep.
-
-    _walk fixes the branch at the end of each leg in closed form, and a
-    remnant is one branch solve at zero drive from the cell centre u = 0, as
-    a sweep solves its waypoints.  The virgin state is at most three branch
-    solves, whatever beta; nothing scans every root.  The result is
+    amplitude A, without a sweep: the remnants are the fluxes at the two
+    zero-drive waypoints of _walk_fluxes.  The virgin state is at most three
+    branch solves, whatever beta; nothing scans every root.  The result is
     run_hysteresis(p, A, step)'s for any step, bit for bit (run_schedule).
     """
     amplitudes = tuple(amplitudes)
@@ -363,40 +364,22 @@ def hysteresis_remnants(p: ReducedParams,
             raise ValueError(f"amplitude must be positive and finite, got {amp}")
         _require_finite("phi_ext + phi_fe", amp + abs(p.phi_fe))  # the larger |+/-amp + phi_fe|
     virgin = _initial_state(p, 0.0, 0.0).branch_id
-    out = []
-    for amp in amplitudes:
-        k, remnants = virgin, []
-        for w, ascending in ((amp, True), (0.0, False), (-amp, False), (0.0, True)):
-            j, k = k, _walk(p, k, w, ascending)
-            if k != j:
-                _landing(p.beta)  # raises where a sweep's jump would
-            if w == 0.0:
-                remnants.append(_on_branch(p, k, 0.0, 0.0)[0])
-        out.append(tuple(remnants))
-    return out
+    return [tuple(_walk_fluxes(p, virgin, ((amp, False), (0.0, True), (-amp, False), (0.0, True))))
+            for amp in amplitudes]
 
 
 def path_fluxes(p: ReducedParams, waypoints: Iterable[float]) -> list[float]:
     """Flux at each waypoint of a drive path from the virgin state at zero
-    drive, without a sweep: _walk fixes the branch at each waypoint in closed
-    form, the flux there is one branch solve from the cell centre, and the
-    virgin state is at most three branch solves, with no scan of every root.
-    The result is that of run_schedule over (0, *waypoints) at any step, bit
-    for bit (run_schedule).
+    drive, without a sweep (_walk_fluxes); the virgin state is at most three
+    branch solves, with no scan of every root.  The result is that of
+    run_schedule over (0, *waypoints) at any step, bit for bit (run_schedule).
     """
     waypoints = tuple(waypoints)
     if not all(math.isfinite(w) for w in waypoints):
         raise ValueError(f"waypoints must be finite, got {waypoints}")
     for w in waypoints:
         _require_finite("phi_ext + phi_fe", w + p.phi_fe)
-    k = _initial_state(p, 0.0, 0.0).branch_id
-    out = []
-    for prev, w in zip((0.0,) + waypoints, waypoints):
-        j, k = k, _walk(p, k, w, w > prev)
-        if k != j:
-            _landing(p.beta)
-        out.append(_on_branch(p, k, w, 0.0)[0])
-    return out
+    return _walk_fluxes(p, _initial_state(p, 0.0, 0.0).branch_id, ((w, True) for w in waypoints))
 
 
 def remnant_report(loop: HysteresisLoop, params: RingParams) -> RemnantReport:

@@ -1,11 +1,13 @@
 """The library names the benchmark's traced run wraps all still exist, but
-for three that the library dropped on purpose.
+for four that the library dropped on purpose.
 
 perfbench/tracing.py records a vanished name as absent instead of raising,
 so a removal or rename would silently zero its per-layer metrics.  The
-three it reports absent fed metrics that read 0.0 before they went: no
-sweep calls the `sweep.refine_fold` alias of `resolve_jump`, and no fit
-runs a loop, so `fit` needs neither `run_schedule` nor `run_hysteresis`.
+four it reports absent fed metrics that read 0.0 before they went: no
+sweep scans every root, so it keeps no `sweep.find_fixed_points` alias of
+the scan (the tracer still wraps it in `fixed_points`); no sweep calls the
+`sweep.refine_fold` alias of `resolve_jump`; and no fit runs a loop, so
+`fit` needs neither `run_schedule` nor `run_hysteresis`.
 """
 
 import importlib.util
@@ -25,7 +27,7 @@ def test_every_traced_name_resolves():
     tracer = _tracer()
     try:
         tracer.install()
-        assert tracer.absent == ["ringflux.sweep.refine_fold", "ringflux.fit.run_schedule",
-                                 "ringflux.fit.run_hysteresis"]
+        assert tracer.absent == ["ringflux.sweep.find_fixed_points", "ringflux.sweep.refine_fold",
+                                 "ringflux.fit.run_schedule", "ringflux.fit.run_hysteresis"]
     finally:
         tracer.uninstall()

@@ -218,6 +218,20 @@ class TestCsvEmission:
         assert len(inners) == 1
         assert float(rows[0]["b_remnant"]) == pytest.approx(3 * 2.07e-15 / 1e-6, rel=1e-12)
 
+    def test_wide_ring_writes_rows_as_it_computes_them(self, tmp_path):
+        # holding every row before writing cost about 480 B a row (24 MB
+        # here); streamed, the peak does not grow with h_points
+        out = tmp_path / "wide.csv"
+        tracemalloc.start()
+        try:
+            code = run_cli("wide-ring", "--n", "3", "--L", "1e-10", "--h_points", "50000",
+                           "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(out.read_text().splitlines()) == 50_001
+        assert peak < 3_000_000
+
     def test_unwritable_path_is_usage_error(self, capsys):
         assert run_cli("fixed-points", "--beta", "2", "--phi_ext", "0",
                        "--out", "/nonexistent-dir/x.csv") == 1

@@ -233,7 +233,7 @@ class TestFindFixedPoints:
             rel, _ = reduced_cpr(FreeEnergyModel((8.749735574598887e-23,)))
             roots, crit = find_fixed_points(phi_ext, p, rel), rel.critical_points(p.lam)
         else:
-            phi_a = fixed_points._fold_geometry(beta)[0]
+            phi_a = fixed_points._branches(beta).phi_a
             roots, crit = find_fixed_points(phi_ext, p), [phi_a - 0.5, 0.5 - phi_a]
         c = phi_ext + phi_fe
         assert roots and all(r.stability is Stability.MARGINAL for r in roots)
@@ -259,7 +259,7 @@ class TestFindFixedPoints:
         for _ in range(200):
             p = ReducedParams(beta=float(10.0 ** rng.uniform(math.log10(1.05), 2.0)),
                               phi_fe=float(rng.uniform(-0.5, 0.5)))
-            phi_a = fixed_points._fold_geometry(p.beta)[0]
+            phi_a = fixed_points._branches(p.beta).phi_a
             rel = Relation(counting, di, lambda lam: [phi_a - 0.5, 0.5 - phi_a])
             phi_ext = float(rng.uniform(-3.0, 3.0))
             roots = find_fixed_points(phi_ext, p, rel)
@@ -287,7 +287,7 @@ class TestClassifyStability:
 def _folds(p):
     """The two folds (phi, phi_ext) of the flux period [0, 1): the end of
     branch 0 and the start of branch 1."""
-    phi_a, w = fixed_points._fold_geometry(p.beta)
+    phi_a, w = fixed_points._branches(p.beta)[:2]
     phi_lo, phi_hi = -0.5 + phi_a, 0.5 - phi_a
     c_lo, c_hi = -(0.5 + w), 0.5 + w
     return [(phi_hi, c_hi - p.phi_fe), (1 + phi_lo, 1 + c_lo - p.phi_fe)]
@@ -296,8 +296,8 @@ def _folds(p):
 class TestFoldLocations:
     @pytest.mark.parametrize("beta", [0.3, 0.9999, 1.0])
     def test_no_folds_at_or_below_unity(self, beta):
-        with pytest.raises(ValueError):
-            fixed_points._fold_geometry(beta)
+        branches = fixed_points._branches(beta)
+        assert branches.e == branches.half == math.inf
 
     def test_beta2_sixths(self):
         # cos(2*pi*phi) = -1/2 at phi = 1/3 and 2/3
@@ -320,14 +320,14 @@ class TestFoldLocations:
 
     def test_tangency_offset_range(self):
         for beta in (1.01, 2.0, 50.0):
-            assert 0.0 < fixed_points._fold_geometry(beta)[0] < 0.25
-        with pytest.raises(ValueError):
-            fixed_points._fold_geometry(1.0)
+            assert 0.0 < fixed_points._branches(beta).phi_a < 0.25
+        branches = fixed_points._branches(1.0)
+        assert branches.e == branches.half == math.inf
 
     @pytest.mark.parametrize("beta", [1.35e154, 1e200, 1e300])
     def test_fold_geometry_past_the_overflow_of_beta_squared(self, beta):
         # beta**2 - 1 overflows, while sqrt(beta**2 - 1) rounds to beta
-        phi_a, w = fixed_points._fold_geometry(beta)
+        phi_a, w = fixed_points._branches(beta)[:2]
         assert phi_a == 0.25
         c_lo, c_hi = -(0.5 + w), 0.5 + w
         assert c_hi == -c_lo == pytest.approx(beta / TWO_PI, rel=1e-15)

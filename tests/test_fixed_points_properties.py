@@ -110,7 +110,7 @@ def _window_reference(beta):
 @example(u=-8.0, k=0)
 def test_fold_window_keeps_its_digits_near_unity(u, k):
     beta = 1.0 + 10.0 ** u
-    w = fixed_points._fold_geometry(beta)[1]
+    w = fixed_points._branches(beta).w
     ref = _window_reference(beta)
     assert abs(Fraction(w) - ref) <= Fraction(1, 10 ** 15) * ref
     # c_hi - k - 1/2 is w up to the rounding of the level k + 1/2 + w
@@ -187,7 +187,7 @@ def test_scan_is_never_empty_and_agrees_with_the_branch_solve(beta, k, level, ul
     # is reported twice, and the root of every stable segment is the branch
     # solve's float
     assume(beta > 1.0)
-    w = fixed_points._fold_geometry(beta)[1]
+    w = fixed_points._branches(beta).w
     c = k + 0.5 if level == 0 else k + level * (0.5 + w)
     for _ in range(abs(ulps)):
         c = math.nextafter(c, math.copysign(math.inf, ulps))

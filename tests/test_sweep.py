@@ -42,16 +42,15 @@ BIASED_REMNANT_UP = 0.0507114433
 
 
 def _count_root_scans(monkeypatch):
-    """Patch find_fixed_points, in sweep and at home, to record its calls in
-    the list returned."""
+    """Patch find_fixed_points, the only name through which the library
+    reaches a scan, to record its calls in the list returned."""
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(args)
         return find_fixed_points(*args, **kwargs)
 
-    for module in (sweep, fixed_points):
-        monkeypatch.setattr(module, "find_fixed_points", counting)
+    monkeypatch.setattr(fixed_points, "find_fixed_points", counting)
     return calls
 
 
@@ -118,7 +117,7 @@ class TestContinueBranch:
         # from the origin, branch 0, one sub-step past its fold level jumps
         # there, and one that ends on the level stays on the branch
         p = ReducedParams(beta=5.0)
-        c_hi = 0.5 + fixed_points._fold_geometry(p.beta)[1]
+        c_hi = fixed_points._branches(p.beta).half
         traj = run_schedule(p, SweepSchedule((0.0, c_hi + 0.01), 2.0))
         [event] = traj.events
         assert event.phi_ext_at_jump == c_hi
@@ -133,7 +132,7 @@ class TestContinueBranch:
         for j in range(400):
             p = ReducedParams(beta=1.5 + 0.05 * j)
             state = _state_at(p, 0.0, 0.0)
-            half = 0.5 + fixed_points._fold_geometry(p.beta)[1]
+            half = fixed_points._branches(p.beta).half
             for c in (-half, half):
                 nxt = continue_branch(state, c, p)
                 assert isinstance(nxt, BranchState)
@@ -144,7 +143,7 @@ class TestContinueBranch:
         # branch 0 dies at c_hi = 1/2 - phi_a + lambda*sin(2*pi*phi_a) ~ 1.062
         p = ReducedParams(beta=5.0)
         at, before, _ = resolve_jump(p, 0, True)
-        phi_a, w = fixed_points._fold_geometry(p.beta)
+        phi_a, w = fixed_points._branches(p.beta)[:2]
         assert (at, before) == (0.5 + w, 0.5 - phi_a)
         # the departing state is a tangency: g and g' both vanish there
         assert abs(residual(before, at, p)) < 1e-9
@@ -507,7 +506,7 @@ class TestRunSchedule:
         # here c_hi - phi_fe, added back to phi_fe, rounds past c_hi: the last
         # sub-step's drive is past the fold level, and the jump lands on it
         p = ReducedParams(beta=5.0, phi_fe=-1.88)
-        c_hi = 0.5 + fixed_points._fold_geometry(p.beta)[1]
+        c_hi = fixed_points._branches(p.beta).half
         w = c_hi - p.phi_fe
         assert w + p.phi_fe > c_hi
         traj = run_schedule(p, SweepSchedule((1.88, w), 0.1))

@@ -107,7 +107,7 @@ def test_jump_lands_on_the_neighbouring_branch(beta, phi_fe, k, ascending):
     # to branch k + s bit for bit
     p, s = ReducedParams(beta=beta, phi_fe=phi_fe), 1 if ascending else -1
     at, before, landing = resolve_jump(p, k, ascending)
-    phi_a, w = fixed_points._fold_geometry(beta)
+    phi_a, w = fixed_points._branches(beta)[:2]
     assert at == (k + (0.5 + w) if ascending else k - (0.5 + w)) - phi_fe
     assert before == (k + 0.5 - phi_a if ascending else k - 0.5 + phi_a)
     nearest = min((r for r in find_fixed_points(at, p)
@@ -158,7 +158,7 @@ def test_virgin_state_is_the_scan_pick(beta, phi_fe, drive, snap, hint, offset):
     if snap is not None:  # a third of the drives: c a half-integer, +/- 1e-6
         drive = math.floor(drive + phi_fe) + 0.5 + snap - phi_fe
     roots = find_fixed_points(drive, p)
-    e = 0.5 - fixed_points._fold_geometry(beta)[0] if beta > 1.0 else math.inf
+    e = fixed_points._branches(beta).e
     pool = [r for r in roots if r.stability is Stability.STABLE]
     marginal = not pool
     if marginal:  # a tangency j +/- e is rounded at ulp(j)
@@ -214,7 +214,7 @@ def test_branch_solve_ends_on_the_canonical_float(beta, k, level, start):
     # branch k is solved in its cell at d = c - k, on [-e, e] = branch 0's
     # segment, and returns the cell root u; starts are cell coordinates
     p = ReducedParams(beta=beta)
-    phi_a, w = fixed_points._fold_geometry(beta)
+    phi_a, w = fixed_points._branches(beta)[:2]
     c_lo, c_hi = k - (0.5 + w), k + (0.5 + w)
     c = c_lo + level * (c_hi - c_lo)
     a, b = -0.5 + phi_a, 0.5 - phi_a
@@ -253,7 +253,7 @@ def test_continuation_solve_takes_a_handful_of_evaluations():
                 continue
             k = cur.branch_id
             d = cur.phi_ext + p.phi_fe - k
-            phi_a = fixed_points._fold_geometry(p.beta)[0]
+            phi_a = fixed_points._branches(p.beta).phi_a
             a, b = -0.5 + phi_a, 0.5 - phi_a
             lo, hi = d - p.lam - WINDOW_MARGIN, d + p.lam + WINDOW_MARGIN
             a, b = max(a, lo), min(b, hi)

@@ -17,17 +17,17 @@ Sign note: c_1 < 0 puts the free-energy minima at integer flux quanta
 (I_0 < 0), c_1 > 0 at half-integers; the junction critical current in
 either case is I_J = 2*pi*|c_1|/Phi0.
 
-numpy is imported inside the functions that build arrays or find critical
-points, so that importing ringflux, and the CLI commands that never reach
-this module, do not load it; the relation itself evaluates with `math`.
+Every evaluation of the series goes through `_series`, in `math`; only
+`_cosine_zeros` imports numpy, for `np.roots`, which `bloch-check` never reaches.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fixed_points import Relation
 from .ring_model import FLUX_QUANTUM, TWO_PI
@@ -41,9 +41,9 @@ FD_TOL = 1e-6
 FD_REL_STEP = 1e-6
 FD_GRID_SIZE = 257
 
-#: Most grid points validate_symmetries takes.  Its arrays cost about 60
-#: bytes a point: `bloch-check` peaked at 90 MB RSS at the cap with K = 10
-#: (82 MB with K = 1, 29 MB at the default 64 points), in 0.3-1.2 s.
+#: Most grid points validate_symmetries takes, a bound on time: its one pass
+#: holds no array, and `bloch-check` at the cap took 6.1-6.7 s with K = 1 and
+#: 11.9-12.2 s with K = 10 (2-core x86-64, Python 3.11), at 16 MB peak RSS.
 MAX_GRID_SIZE = 1_000_000
 
 
@@ -63,26 +63,19 @@ class FreeEnergyModel:
             raise ValueError(f"Phi0 must be positive and finite, got {self.Phi0}")
 
 
-def free_energy(model: FreeEnergyModel, Phi) -> float:
-    """F(Phi) = sum_k c_k cos(2*pi*k*Phi/Phi0) [J]; accepts scalars or arrays."""
-    import numpy as np
-
-    x = TWO_PI * np.asarray(Phi, dtype=float) / model.Phi0
-    total = 0.0
-    for k, c in enumerate(model.coeffs, start=1):
-        total = total + c * np.cos(k * x)
-    return total
+def _amplitudes(model: FreeEnergyModel) -> list[float]:
+    """a_k = 2*pi*k*c_k/Phi0 [A], the sine amplitudes of the current."""
+    return [TWO_PI * k * c / model.Phi0 for k, c in enumerate(model.coeffs, start=1)]
 
 
-def current(model: FreeEnergyModel, Phi) -> float:
-    """Induced supercurrent I = -dF/dPhi [A], evaluated analytically."""
-    import numpy as np
+def free_energy(model: FreeEnergyModel, Phi: float) -> float:
+    """F(Phi) = sum_k c_k cos(2*pi*k*Phi/Phi0) [J]."""
+    return _series(math.cos, model.coeffs, Phi / model.Phi0)
 
-    x = TWO_PI * np.asarray(Phi, dtype=float) / model.Phi0
-    total = 0.0
-    for k, c in enumerate(model.coeffs, start=1):
-        total = total + c * (TWO_PI * k / model.Phi0) * np.sin(k * x)
-    return total
+
+def current(model: FreeEnergyModel, Phi: float) -> float:
+    """Induced supercurrent I = -dF/dPhi = sum_k a_k sin(2*pi*k*Phi/Phi0) [A]."""
+    return _series(math.sin, _amplitudes(model), Phi / model.Phi0)
 
 
 def fundamental_harmonic(model: FreeEnergyModel) -> float:
@@ -116,38 +109,39 @@ def validate_symmetries(model: FreeEnergyModel, grid_size: int = 64) -> Symmetry
     Deviations are reported relative to the largest |I| (resp. |F|) on the
     grid; a cosine series satisfies all four identities to roundoff, so
     anything beyond SYMMETRY_TOL indicates a broken model.  A grid_size
-    outside [16, MAX_GRID_SIZE] raises ValueError before any array is built.
+    outside [16, MAX_GRID_SIZE] raises ValueError before any point is taken.
     """
     if not 16 <= grid_size <= MAX_GRID_SIZE:
         raise ValueError(f"grid_size must be in [16, {MAX_GRID_SIZE}], got {grid_size}")
-    import numpy as np
-
-    Phi = np.linspace(-model.Phi0, model.Phi0, grid_size, endpoint=False)
-    I = np.asarray(current(model, Phi))
-    F = np.asarray(free_energy(model, Phi))
-    i_scale = float(np.max(np.abs(I))) or 1.0
-    f_scale = float(np.max(np.abs(F))) or 1.0
-    return SymmetryReport(
-        current_periodicity=float(np.max(np.abs(current(model, Phi + model.Phi0) - I))) / i_scale,
-        current_oddness=float(np.max(np.abs(np.asarray(current(model, -Phi)) + I))) / i_scale,
-        energy_periodicity=float(np.max(np.abs(free_energy(model, Phi + model.Phi0) - F))) / f_scale,
-        energy_evenness=float(np.max(np.abs(np.asarray(free_energy(model, -Phi)) - F))) / f_scale,
-    )
+    F = functools.partial(_series, math.cos, model.coeffs)
+    I = functools.partial(_series, math.sin, _amplitudes(model))
+    grid = (j * (2.0 / grid_size) - 1.0 for j in range(grid_size))  # phi in [-1, 1)
+    i_scale, f_scale, *deviations = _peaks(
+        ((i := I(phi)), (f := F(phi)),
+         I(phi + 1.0) - i, I(-phi) + i, F(phi + 1.0) - f, F(-phi) - f) for phi in grid)
+    scales = (i_scale or 1.0,) * 2 + (f_scale or 1.0,) * 2
+    return SymmetryReport(*(d / scale for d, scale in zip(deviations, scales)))
 
 
 def finite_difference_current_error(model: FreeEnergyModel) -> float:
     """Largest relative gap between the analytic current and -dF/dPhi by
     central differences at step FD_REL_STEP*Phi0, over FD_GRID_SIZE points
     spanning two flux periods."""
-    import numpy as np
+    F = functools.partial(_series, math.cos, model.coeffs)
+    I = functools.partial(_series, math.sin, _amplitudes(model))
+    grid = (j * (2.0 / (FD_GRID_SIZE - 1)) - 1.0 for j in range(FD_GRID_SIZE))  # phi in [-1, 1]
+    scale, gap = _peaks(((i := I(phi)), (F(phi - FD_REL_STEP) - F(phi + FD_REL_STEP))
+                         / (2.0 * FD_REL_STEP * model.Phi0) - i) for phi in grid)
+    return gap / (scale or 1.0)
 
-    Phi = np.linspace(-model.Phi0, model.Phi0, FD_GRID_SIZE)
-    h = FD_REL_STEP * model.Phi0
-    fd = -(np.asarray(free_energy(model, Phi + h))
-           - np.asarray(free_energy(model, Phi - h))) / (2.0 * h)
-    I = np.asarray(current(model, Phi))
-    scale = float(np.max(np.abs(I))) or 1.0
-    return float(np.max(np.abs(fd - I))) / scale
+
+def _peaks(rows: Iterable[tuple[float, ...]]) -> list[float]:
+    """The largest |value| in each column of rows, in one pass; a NaN stays,
+    since max(nan, x) is nan."""
+    peaks = itertools.repeat(0.0)  # zip cuts it to the width of a row
+    for row in rows:
+        peaks = [max(p, abs(v)) if v == v else v for p, v in zip(peaks, row)]
+    return peaks
 
 
 def _cosine_zeros(d0: float, d: list[float]) -> list[float]:
@@ -165,7 +159,7 @@ def _cosine_zeros(d0: float, d: list[float]) -> list[float]:
                   for z in np.roots(half + [d0] + half[::-1]) if abs(abs(z) - 1.0) <= 1e-6)
 
 
-def _series(fn: Callable[[float], float], w: list[float], phi: float) -> float:
+def _series(fn: Callable[[float], float], w: Sequence[float], phi: float) -> float:
     """sum_k w_k*fn(2*pi*k*phi), k = 1..K."""
     x = TWO_PI * phi
     return sum(a * fn(k * x) for k, a in enumerate(w, start=1))
@@ -180,7 +174,7 @@ def reduced_cpr(model: FreeEnergyModel) -> tuple[Relation, float]:
     bit.  i and di = i' are pure `math`; critical_points(lam) gives the zeros
     of g' = 1 + lam*i' in [0, 1), where find_fixed_points splits the window.
     """
-    amps = [TWO_PI * k * c / model.Phi0 for k, c in enumerate(model.coeffs, start=1)]
+    amps = _amplitudes(model)
     peaks = _cosine_zeros(0.0, [k * a for k, a in enumerate(amps, start=1)])
     i_j = max((abs(_series(math.sin, amps, t)) for t in peaks), default=0.0)
     if not 0.0 < i_j < math.inf:

@@ -31,7 +31,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import bloch_cpr, fit as fit_mod, fixed_points, ring_model, sweep, wide_ring
 from .fixed_points import NumericsError, Stability
@@ -191,15 +191,15 @@ def _write_rows(header: Sequence[str], rows: Iterable[tuple], path: str | None) 
     _write_lines(header, (",".join(_fmt(v) for v in row) for row in rows), path)
 
 
-def _sweep_lines(traj: sweep.SweepTrajectory, p: ring_model.ReducedParams) -> list[str]:
-    """The SWEEP_HEADER rows, each in one f-string with _fmt's formats: the
-    reals, the branch index, the class of the cell root u, and the event."""
+def _sweep_lines(traj: sweep.SweepTrajectory, p: ring_model.ReducedParams) -> Iterator[str]:
+    """The SWEEP_HEADER rows, yielded one by one, each in one f-string with
+    _fmt's formats: the reals, the branch index, the cell root's class, the event."""
     landing = {e.landing_index for e in traj.events}
     classify, stable = fixed_points.classify_stability, Stability.STABLE
-    return [f"{s.phi_ext + 0.0:.17g},{s.phi + 0.0:.17g},{s.i + 0.0:.17g},{s.branch_id},"
+    return (f"{s.phi_ext + 0.0:.17g},{s.phi + 0.0:.17g},{s.i + 0.0:.17g},{s.branch_id},"
             f"{'true' if classify(s.u, p) is stable else 'false'},"
             f"{'jump' if idx in landing else ''}"
-            for idx, s in enumerate(traj.samples)]
+            for idx, s in enumerate(traj.samples))
 
 
 def emit_csv(result, path: str | None, *, p: ring_model.ReducedParams | None = None,
@@ -364,9 +364,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         if unread:
             raise UsageError(f"{args.command} does not read {', '.join(unread)}")
         config = parse_config(args)
-        return _COMMANDS[args.command](config)
+        code = _COMMANDS[args.command](config)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError as exc:
+        # as an unwritable --out; at devnull, stdout's flush at exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return 1
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

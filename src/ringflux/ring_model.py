@@ -13,7 +13,7 @@ numerically hostile.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 TWO_PI = 2.0 * math.pi
 
@@ -83,15 +83,13 @@ class ReducedParams:
 
     beta: float
     phi_fe: float = 0.0
+    #: Screening strength lambda = beta/(2*pi) = L*I_J/Phi0, divided out once.
+    lam: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _require_positive("beta", self.beta)
         _require_finite("phi_fe", self.phi_fe)
-
-    @property
-    def lam(self) -> float:
-        """Screening strength lambda = beta/(2*pi) = L*I_J/Phi0."""
-        return self.beta / TWO_PI
+        object.__setattr__(self, "lam", self.beta / TWO_PI)
 
 
 def reduce(params: RingParams) -> ReducedParams:

@@ -169,6 +169,14 @@ def bracketed_newton(f, df, a, b, fa, fb, x0):
         x = xn
 
 
+def series_current(coeffs, Phi0, Phi):
+    """I = -dF/dPhi of the free energy F = sum_k c_k*cos(2*pi*k*Phi/Phi0),
+    differentiated by hand and evaluated on numpy arrays: the current's
+    reference, independent of the package's evaluator of the series."""
+    x = TWO_PI * np.asarray(Phi, dtype=float) / Phi0
+    return sum(c * (TWO_PI * k / Phi0) * np.sin(k * x) for k, c in enumerate(coeffs, start=1))
+
+
 def central_difference(f, x, h):
     """Plain symmetric difference quotient."""
     return (f(x + h) - f(x - h)) / (2.0 * h)

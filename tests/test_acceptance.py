@@ -155,18 +155,16 @@ def test_criterion_7_bloch_cpr_checks():
     model = FreeEnergyModel(tuple(float(c) for c in rng.uniform(-1e-21, 1e-21, 4)),
                             FLUX_QUANTUM)
     # independent finite-difference route over two periods
-    grid = np.linspace(-FLUX_QUANTUM, FLUX_QUANTUM, 257)
+    grid = [float(Phi) for Phi in np.linspace(-FLUX_QUANTUM, FLUX_QUANTUM, 257)]
     h = 1e-6 * FLUX_QUANTUM
-    i_scale = float(np.max(np.abs(np.asarray(current(model, grid)))))
+    I = [current(model, Phi) for Phi in grid]
+    i_scale = max(map(abs, I))
     fd_ok = all(
-        abs(-central_difference(lambda x: float(free_energy(model, x)), float(Phi), h)
-            - float(current(model, Phi))) <= 1e-6 * i_scale
-        for Phi in grid)
-    I = np.asarray(current(model, grid))
-    periodic_ok = float(np.max(np.abs(
-        np.asarray(current(model, grid + FLUX_QUANTUM)) - I))) <= 1e-12 * i_scale
-    odd_ok = float(np.max(np.abs(
-        np.asarray(current(model, -grid)) + I))) <= 1e-12 * i_scale
+        abs(-central_difference(lambda x: free_energy(model, x), Phi, h) - i) <= 1e-6 * i_scale
+        for Phi, i in zip(grid, I))
+    periodic_ok = max(abs(current(model, Phi + FLUX_QUANTUM) - i)
+                      for Phi, i in zip(grid, I)) <= 1e-12 * i_scale
+    odd_ok = max(abs(current(model, -Phi) + i) for Phi, i in zip(grid, I)) <= 1e-12 * i_scale
 
     # K=1 model drives the fixed-point solver exactly like the sinusoid
     c1 = 2.2e-21

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, example, given, strategies as st
 from numpy.testing import assert_allclose
 
-from helpers import brute_force_roots, central_difference, residual_formula
+from helpers import brute_force_roots, central_difference, residual_formula, series_current
 from ringflux.bloch_cpr import (
     FreeEnergyModel,
     current,
@@ -30,10 +30,12 @@ def _random_model(seed, k=5, scale=1e-21):
 
 def _dense_roots(model, i_j, phi_ext, beta):
     """Roots of g for the model's relation by a 400,001-point sign-change scan
-    (bisection refined), the relation evaluated from the series with numpy."""
+    (bisection refined), the relation evaluated from the series by the numpy
+    oracle."""
     step = (beta / TWO_PI + 1e-9) / 200000.0
-    return brute_force_roots(phi_ext, beta, step=step,
-                             cpr=lambda x: np.asarray(current(model, x * model.Phi0)) / i_j)
+    return brute_force_roots(
+        phi_ext, beta, step=step,
+        cpr=lambda x: series_current(model.coeffs, model.Phi0, x * model.Phi0) / i_j)
 
 
 class TestFreeEnergy:
@@ -118,10 +120,10 @@ class TestSymmetries:
     def test_current_odd_and_periodic_on_grid(self):
         model = _random_model(8)
         Phi = np.linspace(-2 * PHI0, 2 * PHI0, 301)
-        I = np.asarray(current(model, Phi))
+        I = np.array([current(model, x) for x in Phi])
         scale = np.max(np.abs(I))
-        assert_allclose(np.asarray(current(model, Phi + PHI0)), I, atol=1e-12 * scale)
-        assert_allclose(np.asarray(current(model, -Phi)), -I, atol=1e-12 * scale)
+        assert_allclose([current(model, x + PHI0) for x in Phi], I, atol=1e-12 * scale)
+        assert_allclose([current(model, -x) for x in Phi], -I, atol=1e-12 * scale)
 
 
 class TestFundamentalHarmonic:
@@ -261,3 +263,24 @@ def test_single_harmonic_relation_is_the_signed_sinusoid(exponent, negative, phi
     for phi in phis:
         assert relation.i(phi) == sign * math.sin(TWO_PI * phi)
         assert relation.di(phi) == sign * (TWO_PI * math.cos(TWO_PI * phi))
+
+
+@given(coeffs=st.integers(min_value=1, max_value=4).flatmap(
+           lambda k: st.lists(st.floats(min_value=-5e-22, max_value=5e-22, allow_subnormal=False),
+                              min_size=k, max_size=k)),
+       phis=st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=1, max_size=20))
+@example(coeffs=[1.8e-22, -3.2e-22], phis=[0.0, 0.183, -0.6, 3.9])
+def test_current_is_the_scaled_relation_and_the_oracle_series(coeffs, phis):
+    # I_J*i(Phi/Phi0) rescales each amplitude by I_J and back (a few ulps of
+    # the amplitude sum); the numpy oracle rounds 2*pi*Phi/Phi0 in another
+    # order (an ulp of the angle, times k, per term).  Subnormal coefficients
+    # hold fewer than 53 bits, so there the routes differ by more than that.
+    assume(any(coeffs))
+    model = FreeEnergyModel(tuple(coeffs), PHI0)
+    relation, i_j = reduced_cpr(model)
+    scale = sum(TWO_PI * k * abs(c) / PHI0 for k, c in enumerate(coeffs, start=1))
+    for phi in phis:
+        Phi = phi * PHI0
+        value = current(model, Phi)
+        assert abs(value - i_j * relation.i(Phi / PHI0)) <= 1e-14 * scale
+        assert abs(value - float(series_current(coeffs, PHI0, Phi))) <= 1e-13 * scale

@@ -232,9 +232,43 @@ class TestCsvEmission:
         assert code == 0 and len(out.read_text().splitlines()) == 50_001
         assert peak < 3_000_000
 
+    def test_sweep_writes_rows_as_it_formats_them(self, tmp_path):
+        # the samples are held either way; holding the CSV text as well cost
+        # about 130 B a row over the loop's own peak, streamed about 14
+        from ringflux.ring_model import ReducedParams
+        out = tmp_path / "sweep.csv"
+        tracemalloc.start()
+        try:
+            rows = len(sweep.run_hysteresis(ReducedParams(5.0, 0.3), 3.0, 0.001).cycle.samples)
+            loop_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            code = run_cli("sweep", "--beta", "5", "--phi_fe", "0.3", "--amplitude", "3",
+                           "--step", "0.001", "--out", str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(out.read_text().splitlines()) == rows + 1 == 12_012
+        assert peak - loop_peak < 50 * rows
+
     def test_unwritable_path_is_usage_error(self, capsys):
         assert run_cli("fixed-points", "--beta", "2", "--phi_ext", "0",
                        "--out", "/nonexistent-dir/x.csv") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--beta", "5", "--phi_fe", "0.3", "--amplitude", "3", "--step", "0.0005"),
+        ("wide-ring", "--n", "3", "--L", "1e-10", "--h_points", "200000"),
+    ], ids=lambda argv: argv[0])
+    def test_stdout_closed_early_is_usage_error(self, argv):
+        # as `ringflux ... | head -c 10`: the reader takes 10 bytes and
+        # closes the pipe; one error line, no traceback, nothing at exit
+        with subprocess.Popen([sys.executable, "-m", "ringflux.cli", *argv], env=_src_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout: "), err
 
 
 class TestDeterminism:
@@ -418,6 +452,13 @@ class TestExitCodes:
         assert "passed = true" in out
         assert "finite_difference_error" in out
 
+    def test_bloch_check_of_an_overflowing_model_is_two(self, capsys):
+        # the amplitude 2*pi*c_1/Phi0 overflows, and inf*sin(0) is NaN: the
+        # NaN deviations fail the check instead of dropping out of a maximum
+        assert run_cli("bloch-check", "--coeffs", "1e300") == 2
+        out = capsys.readouterr().out
+        assert "current_periodicity = nan" in out and "passed = false" in out
+
     @pytest.mark.parametrize("coeffs", [",", "0,0"])
     def test_bloch_check_of_a_model_without_current_is_one(self, coeffs, capsys):
         # no current: every relative deviation would read 0 against a scale
@@ -431,7 +472,7 @@ class TestExitCodes:
         (("bloch-check", "--coeffs", "3e-22", "--grid_size"), bloch_cpr.MAX_GRID_SIZE),
     ], ids=["h_points", "grid_size"])
     def test_size_past_its_cap_is_one(self, argv, cap, capsys):
-        # refused before a row or an array is allocated
+        # refused before a row is allocated or a grid point taken
         tracemalloc.start()
         try:
             code = run_cli(*argv, str(cap + 1))
@@ -501,7 +542,6 @@ FIT_SUMMARY_KEYS = ["beta", "phi_fe", "objective", "iterations", "converged",
       "finite_difference_error", "passed"]),
 ], ids=["fit", "fit-si", "bloch-check"])
 def test_summary_key_order(argv, keys, tmp_path, capsys):
-    # bloch-check's values depend on the numpy build, the keys do not
     data = tmp_path / "obs.csv"
     data.write_text("phi_ext,observable\n2,0.78\n-2,-0.78\n3,0.8\n-3,-0.8\n")
     assert run_cli(*argv, *(("--data", str(data)) if argv[0] == "fit" else ())) == 0
@@ -531,6 +571,14 @@ def test_cli_process_matches_main_and_starts_without_numpy_or_scipy(capsys):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().strip() == "[]"
+
+    # bloch-check evaluates its series with math
+    run = ["bloch-check", "--coeffs", "3.2e-22,0,1e-23"]
+    probe = f"import sys; from ringflux import cli; print(cli.main({run!r}), {_NUMPY_OR_SCIPY})"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines()[-1] == "0 []"
 
 
 def test_fit_without_a_restart_starts_without_numpy(tmp_path):

@@ -56,6 +56,16 @@ class TestReduce:
         p = ReducedParams(beta=5.0)
         assert p.beta == TWO_PI * p.lam
 
+    def test_lambda_is_stored_but_not_a_parameter(self):
+        # lam is divided out once per instance; the constructor, ==, hash
+        # and repr see only beta and phi_fe
+        p = ReducedParams(5.0, 0.3)
+        assert p.lam == 5.0 / TWO_PI
+        assert repr(p) == "ReducedParams(beta=5.0, phi_fe=0.3)"
+        assert p == ReducedParams(beta=5.0, phi_fe=0.3) and hash(p) == hash((5.0, 0.3))
+        with pytest.raises(TypeError):
+            ReducedParams(beta=5.0, lam=1.0)
+
     def test_roundtrip_recovers_si_inputs(self):
         rng = np.random.default_rng(7)
         for _ in range(50):

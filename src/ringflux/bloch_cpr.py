@@ -49,18 +49,20 @@ MAX_GRID_SIZE = 1_000_000
 
 @dataclass(frozen=True)
 class FreeEnergyModel:
-    """Cosine Fourier coefficients c_k [J], k = 1..K, not all zero, plus the flux quantum."""
+    """Cosine coefficients c_k [J], k = 1..K, not all zero, with finite current
+    amplitudes 2*pi*k*c_k/Phi0, plus the flux quantum."""
 
     coeffs: tuple[float, ...]
     Phi0: float = FLUX_QUANTUM
 
     def __post_init__(self) -> None:
-        if not all(math.isfinite(c) for c in self.coeffs):
-            raise ValueError(f"coefficients must be finite, got {self.coeffs}")
-        if not any(self.coeffs):
-            raise ValueError(f"model has no current: every coefficient is zero in {self.coeffs}")
         if not (self.Phi0 > 0.0 and math.isfinite(self.Phi0)):
             raise ValueError(f"Phi0 must be positive and finite, got {self.Phi0}")
+        if not all(math.isfinite(a) for a in _amplitudes(self)):
+            raise ValueError("coefficients and the current amplitudes 2*pi*k*c_k/Phi0 "
+                             f"must be finite, got {self.coeffs} at Phi0 = {self.Phi0}")
+        if not any(self.coeffs):
+            raise ValueError(f"model has no current: every coefficient is zero in {self.coeffs}")
 
 
 def _amplitudes(model: FreeEnergyModel) -> list[float]:

@@ -25,16 +25,18 @@ Exit codes: 0 success, 1 usage/config error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import math
 import os
 import sys
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from . import bloch_cpr, fit as fit_mod, fixed_points, ring_model, sweep, wide_ring
-from .fixed_points import NumericsError, Stability
+from . import fixed_points, ring_model
+from .fixed_points import MAX_SUBSTEPS, NumericsError, Stability
+
+if TYPE_CHECKING:  # each command imports the modules it runs
+    from . import fit as fit_mod, sweep
 
 ENV_CONFIG = "RINGFLUX_CONFIG"
 
@@ -205,25 +207,28 @@ def _sweep_lines(traj: sweep.SweepTrajectory, p: ring_model.ReducedParams) -> It
 def emit_csv(result, path: str | None, *, p: ring_model.ReducedParams | None = None,
              phi_ext: float | None = None) -> None:
     """Write any command result as CSV (to stdout when path is None)."""
+    if isinstance(result, list) and all(isinstance(r, fixed_points.FixedPoint) for r in result):
+        rows = [(phi_ext, r.phi, r.i, r.stability.value) for r in result]
+        _write_rows(FIXED_POINT_HEADER, rows, path)
+        return
+    from . import sweep  # only now: roots are written without it
     if isinstance(result, sweep.HysteresisLoop):
         _write_lines(SWEEP_HEADER, _sweep_lines(result.cycle, p), path)
     elif isinstance(result, sweep.SweepTrajectory):
         _write_lines(SWEEP_HEADER, _sweep_lines(result, p), path)
-    elif isinstance(result, list) and all(isinstance(r, fixed_points.FixedPoint) for r in result):
-        rows = [(phi_ext, r.phi, r.i, r.stability.value) for r in result]
-        _write_rows(FIXED_POINT_HEADER, rows, path)
     else:
         raise TypeError(f"no CSV schema for {type(result).__name__}")
 
 
 def read_observations_csv(path: Path, kind: fit_mod.ObservationKind) -> list[fit_mod.Observation]:
     """Ingest a `phi_ext,observable` CSV, rejecting bad rows by number."""
+    import csv
+    from . import fit as fit_mod
     try:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise UsageError(f"cannot read data file {path}: {exc}") from exc
-    reader = csv.reader(text.splitlines())
-    rows = list(reader)
+    rows = list(csv.reader(text.splitlines()))
     if not rows or tuple(h.strip() for h in rows[0]) != OBSERVATION_HEADER:
         raise UsageError(f"{path}: expected header 'phi_ext,observable'")
     observations = []
@@ -258,6 +263,7 @@ def _cmd_fixed_points(config: argparse.Namespace) -> int:
 def _cmd_sweep(config: argparse.Namespace) -> int:
     if config.amplitude is None or config.step is None:
         raise UsageError("missing parameters: amplitude and step")
+    from . import sweep
     p = _reduced(config)
     loop = sweep.run_hysteresis(p, config.amplitude, config.step)
     emit_csv(loop, config.out, p=p)
@@ -274,8 +280,9 @@ def _cmd_wide_ring(config: argparse.Namespace) -> int:
         raise UsageError("missing parameter: n (trapped flux integer)")
     if config.L is None:
         raise UsageError("missing parameter: L")
-    if not 2 <= config.h_points <= sweep.MAX_SUBSTEPS:
-        raise UsageError(f"h_points must be in [2, {sweep.MAX_SUBSTEPS}], got {config.h_points}")
+    if not 2 <= config.h_points <= MAX_SUBSTEPS:
+        raise UsageError(f"h_points must be in [2, {MAX_SUBSTEPS}], got {config.h_points}")
+    from . import wide_ring
     params = ring_model.RingParams(L=config.L, **_si_scales(config))
     b_remnant = wide_ring.remnant_field(config.n, params)
     hs = (j / (config.h_points - 1) for j in range(config.h_points))
@@ -287,6 +294,7 @@ def _cmd_wide_ring(config: argparse.Namespace) -> int:
 def _cmd_bloch_check(config: argparse.Namespace) -> int:
     if config.coeffs is None:
         raise UsageError("missing parameter: coeffs (comma-separated joules)")
+    from . import bloch_cpr
     model = bloch_cpr.FreeEnergyModel(config.coeffs, **_given(config, "Phi0"))
     report = bloch_cpr.validate_symmetries(model, **_given(config, "grid_size"))
     fd_error = bloch_cpr.finite_difference_current_error(model)
@@ -300,6 +308,7 @@ def _cmd_fit(config: argparse.Namespace) -> int:
         raise UsageError("missing parameter: data (observations CSV)")
     if config.beta is None:
         raise UsageError("missing parameter: beta (initial guess)")
+    from . import fit as fit_mod
     observations = read_observations_csv(Path(config.data),
                                          fit_mod.ObservationKind(config.kind))
     bounds = fit_mod.FitBounds(

@@ -46,8 +46,15 @@ MARGINAL_TOL = 1e-9
 #: Most segments, hence most roots, that find_fixed_points takes in one root
 #: window: the sinusoid's window holds about 4*lambda = 2*beta/pi, so beta up
 #: to about 7.9e6.  A root costs about 180 bytes; the cap equals the sample
-#: count sweep.MAX_SUBSTEPS allows a sweep.
+#: count MAX_SUBSTEPS allows a sweep.
 MAX_ROOTS = 5_000_000
+
+#: Largest total sub-step count a sweep schedule may ask for.  Every sub-step
+#: is kept as a sample (192 bytes each, by tracemalloc over a 40,004-sample
+#: loop), so this bounds a sweep's memory near 0.96 GB.  It sits here rather
+#: than in `sweep` (which re-exports it) so that `wide-ring`, which caps its
+#: rows with it, starts without loading the sweep.
+MAX_SUBSTEPS = 5_000_000
 
 
 class NumericsError(RuntimeError):

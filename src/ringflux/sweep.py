@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .fixed_points import (
+    MAX_SUBSTEPS,
     FixedPoint,
     NumericsError,
     Stability,
@@ -37,11 +38,6 @@ from .fixed_points import (
 from .ring_model import TWO_PI, ReducedParams, RingParams, _require_finite
 
 _MAX_JUMPS_PER_STEP = 64
-
-#: Largest total sub-step count a schedule may ask for.  Every sub-step is
-#: kept as a sample (192 bytes each, by tracemalloc over a 40,004-sample
-#: loop), so this bounds a sweep's memory near 0.96 GB.
-MAX_SUBSTEPS = 5_000_000
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,13 @@ class TestFreeEnergy:
         with pytest.raises(ValueError):
             FreeEnergyModel((1e-21,), 0.0)
 
+    @pytest.mark.parametrize("coeffs, phi0", [((1e300,), PHI0), ((0.0, 1e-11), 1e-320)],
+                             ids=["huge-c", "subnormal-Phi0"])
+    def test_model_with_an_overflowing_amplitude_rejected(self, coeffs, phi0):
+        # finite coefficients whose current amplitude 2*pi*k*c_k/Phi0 overflows
+        with pytest.raises(ValueError, match="amplitudes"):
+            FreeEnergyModel(coeffs, phi0)
+
     @pytest.mark.parametrize("coeffs", [(), (0.0,), (0.0, -0.0, 0.0)])
     def test_model_without_current_rejected(self, coeffs):
         # with no current every relative symmetry deviation reads 0 against

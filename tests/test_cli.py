@@ -452,10 +452,19 @@ class TestExitCodes:
         assert "passed = true" in out
         assert "finite_difference_error" in out
 
-    def test_bloch_check_of_an_overflowing_model_is_two(self, capsys):
-        # the amplitude 2*pi*c_1/Phi0 overflows, and inf*sin(0) is NaN: the
-        # NaN deviations fail the check instead of dropping out of a maximum
-        assert run_cli("bloch-check", "--coeffs", "1e300") == 2
+    def test_bloch_check_of_an_overflowing_model_is_one(self, capsys):
+        # the amplitude 2*pi*c_1/Phi0 overflows: a range error in the input
+        assert run_cli("bloch-check", "--coeffs", "1e300") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "2*pi*k*c_k/Phi0" in captured.err
+
+    def test_bloch_check_of_an_overflowing_series_is_two(self, capsys):
+        # amplitudes of 1.26e308 each are finite, but their sum near
+        # phi = 0.16 is not, and inf - inf is NaN: the NaN deviations fail
+        # the check instead of dropping out of a maximum
+        assert run_cli("bloch-check", "--Phi0", "1", "--coeffs", "2e307,1e307") == 2
         out = capsys.readouterr().out
         assert "current_periodicity = nan" in out and "passed = false" in out
 
@@ -576,6 +585,45 @@ def test_cli_process_matches_main_and_starts_without_numpy_or_scipy(capsys):
     run = ["bloch-check", "--coeffs", "3.2e-22,0,1e-23"]
     probe = f"import sys; from ringflux import cli; print(cli.main({run!r}), {_NUMPY_OR_SCIPY})"
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines()[-1] == "0 []"
+
+
+#: a run of each command, and the modules it must not load since it runs none
+#: of their code; only reading an observation CSV (`{data}`) needs csv
+_FOOTPRINTS = {
+    "fixed-points": (["--beta", "5", "--phi_ext", "0.25"],
+                     ["ringflux.sweep", "ringflux.wide_ring", "ringflux.bloch_cpr",
+                      "ringflux.fit", "csv"]),
+    "sweep": (["--beta", "5", "--phi_fe", "0.3", "--amplitude", "3", "--step", "0.05"],
+              ["ringflux.wide_ring", "ringflux.bloch_cpr", "ringflux.fit", "csv"]),
+    "wide-ring": (["--n", "3", "--L", "1e-10"],
+                  ["ringflux.sweep", "ringflux.bloch_cpr", "ringflux.fit", "csv"]),
+    "bloch-check": (["--coeffs", "3.2e-22,0,1e-23"],
+                    ["ringflux.sweep", "ringflux.wide_ring", "ringflux.fit", "csv"]),
+    "fit": (["--data", "{data}", "--beta", "4.5", "--phi_fe", "0.2", "--restarts", "0"],
+            ["ringflux.wide_ring", "ringflux.bloch_cpr"]),
+}
+
+
+def test_import_ringflux_loads_no_submodule():
+    probe = "import sys, ringflux; print(sorted(m for m in sys.modules if m.startswith('ringflux.')))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=_src_env(), capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "[]"
+
+
+@pytest.mark.parametrize("command", list(_FOOTPRINTS))
+def test_each_command_loads_only_the_modules_it_runs(command, tmp_path):
+    data = tmp_path / "data.csv"
+    data.write_text("phi_ext,observable\n2,0.78\n-2,-0.78\n3,0.8\n-3,-0.8\n")
+    flags, absent = _FOOTPRINTS[command]
+    argv = [command, *(flag.format(data=data) for flag in flags)]
+    probe = (f"import sys; from ringflux import cli; code = cli.main({argv!r}); "
+             f"print(code, sorted(set({absent!r}) & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_src_env(), capture_output=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().splitlines()[-1] == "0 []"

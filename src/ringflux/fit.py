@@ -15,15 +15,19 @@ root of the flux balance at zero drive, r - phi_fe + (beta/(2*pi))*sin(2*pi*r)
 = 0, whatever branch it sits on, and that equation is linear in
 (beta, phi_fe); a 2x2 least-squares solve gives both parameters, and one
 forward evaluation checks that the branches the sweeps reach reproduce the
-data.  When it does (exact data above the trapping threshold), the fit is
-done without a simplex.
+data.  Remnants that all equal one value r make that solve singular but fix
+the curve phi_fe = r + (beta/(2*pi))*sin(2*pi*r), whose point at the
+initial beta is checked the same way.  When the check passes (exact data
+above the trapping threshold, or exact flat data), the fit is done without
+a simplex.
 
 Otherwise the fit minimizes the squared residuals.  The forward map has jump
 discontinuities in parameter space wherever a fold cascade reconfigures, so
 the objective is only piecewise smooth; fitting therefore uses a bounded
 Nelder-Mead simplex (`minimize`) with deterministic random restarts rather
 than a gradient method.  Restarts stop early once the objective reaches the
-machine floor.
+machine floor.  One evaluator scores the estimate, every vertex and the
+result; a point where the model raises NumericsError scores inf.
 
 Whether the data fix both parameters is read from the predictions at the
 result: the Jacobian of every prediction is a multiple of
@@ -178,8 +182,8 @@ class FitBounds:
                 f"need phi_fe_min <= phi_fe_max, got [{self.phi_fe_min}, {self.phi_fe_max}]")
 
     def clip(self, beta: float, phi_fe: float) -> tuple[float, float]:
-        return (min(max(beta, self.beta_min), self.beta_max),
-                min(max(phi_fe, self.phi_fe_min), self.phi_fe_max))
+        return (_clip(beta, self.beta_min, self.beta_max),
+                _clip(phi_fe, self.phi_fe_min, self.phi_fe_max))
 
 
 @dataclass(frozen=True)
@@ -238,27 +242,29 @@ def simulate_observables(p: ReducedParams, protocol: SweepSchedule | Sequence[fl
     return [loops[abs(a)][0 if a > 0.0 else 1] for a in keys]
 
 
-def _predictions(data: list[Observation], x: Sequence[float]) -> list[float]:
-    """simulate_observables for the keys and kind of `data` at (beta, phi_fe) = x."""
+def _evaluate(data: list[Observation], x: Sequence[float]) -> tuple[float, list[float]]:
+    """(objective, predictions) at (beta, phi_fe) = x, the fit's one scoring
+    rule.  The objective is math.fsum of the squared residuals, so neither
+    the order of the data nor the platform changes it, and inf where it
+    overflows or a prediction is NaN.  A point where the model raises
+    NumericsError scores (inf, []), the extreme barrier of direct search
+    (Audet & Dennis, 2006): the simplex walks away from it."""
     p = ReducedParams(beta=float(x[0]), phi_fe=float(x[1]))
-    return simulate_observables(p, [o.phi_ext for o in data], data[0].kind)
-
-
-def _sum_of_squares(predictions: list[float], data: list[Observation]) -> float:
-    """The sum of squared residuals, exactly rounded (math.fsum), so it
-    depends on neither the order of the observations nor the platform; inf
-    wherever a square or the sum overflows, or a prediction is NaN."""
+    try:
+        predictions = simulate_observables(p, [o.phi_ext for o in data], data[0].kind)
+    except NumericsError:
+        return math.inf, []
     residuals = [s - o.observable for s, o in zip(predictions, data)]
     try:
         value = math.fsum(r * r for r in residuals)
     except OverflowError:  # fsum raises where its partial sums overflow
-        return math.inf
-    return value if math.isfinite(value) else math.inf
+        return math.inf, predictions
+    return (value if math.isfinite(value) else math.inf), predictions
 
 
 def _objective(data: list[Observation]):
-    """The objective at (beta, phi_fe): _sum_of_squares of its predictions."""
-    return lambda x: _sum_of_squares(_predictions(data, x), data)
+    """The objective at (beta, phi_fe), from _evaluate."""
+    return lambda x: _evaluate(data, x)[0]
 
 
 def _remnant_estimate(data: list[Observation]) -> tuple[float, float] | None:
@@ -281,24 +287,6 @@ def _remnant_estimate(data: list[Observation]) -> tuple[float, float] | None:
     return beta, (sr + beta * sd) / n + beta * s[0]
 
 
-def _exact_remnant_fit(data: list[Observation], bounds: FitBounds
-                       ) -> tuple[tuple[float, float], float, list[float]] | None:
-    """The closed-form estimate, clipped to the box, with its objective and
-    predictions, when those reproduce the data to OBJECTIVE_FLOOR; else
-    None.  The linear solve ignores which branch each sweep reaches, so only
-    the forward check can accept it."""
-    estimate = _remnant_estimate(data)
-    if estimate is None or not all(map(math.isfinite, estimate)):
-        return None
-    x = bounds.clip(*estimate)
-    try:
-        predictions = _predictions(data, x)
-    except NumericsError:
-        return None
-    value = _sum_of_squares(predictions, data)
-    return (x, value, predictions) if value <= OBJECTIVE_FLOOR else None
-
-
 def _restarts(bounds: FitBounds):
     """Restart points, uniform in the box, from default_rng(_RESTART_SEED):
     the same sequence on every fit.  numpy is imported at the first draw."""
@@ -315,15 +303,18 @@ def fit_parameters(data: list[Observation], initial: ReducedParams,
                    n_restarts: int = 2) -> FitResult:
     """Least-squares fit of (beta, phi_fe) to observed hysteresis data.
 
-    Remnant data are first inverted in closed form (_remnant_estimate); when
-    the estimate, clipped to the bounds, reproduces the data to
-    OBJECTIVE_FLOOR it is the result, with iterations 0 and converged true.
-    Otherwise the estimate is dropped and the fit runs a bound-projected
+    Remnant data are first inverted in closed form (_remnant_estimate, or
+    for remnants all equal to r the point of the curve
+    phi_fe = r + (beta/(2*pi))*sin(2*pi*r) at the initial beta); when the
+    estimate, clipped to the bounds, reproduces the data to OBJECTIVE_FLOOR
+    it is the result, with iterations 0 and converged true.  Otherwise the
+    estimate is dropped and the fit runs a bound-projected
     Nelder-Mead (`minimize`) from the initial guess plus `n_restarts`
     deterministic random restarts inside the bounds, keeping the best
     minimum.  Each simplex runs at most 400 iterations to an
-    objective and position tolerance of 1e-10; convergence additionally
-    requires the returned objective to be finite.  flat_objective is true
+    objective and position tolerance of 1e-10; a vertex where the model
+    raises NumericsError scores inf, and a fit that never reaches a finite
+    objective raises NumericsError.  flat_objective is true
     when the predictions at the result take fewer than two distinct values
     (see FitResult): a closed-form fit reads them from its one forward
     evaluation, and a simplex fit makes one more, at its result.  Every
@@ -346,12 +337,16 @@ def fit_parameters(data: list[Observation], initial: ReducedParams,
             f"initial point ({initial.beta}, {initial.phi_fe}) lies outside the bounds")
 
     if data[0].kind is ObservationKind.REMNANT_FLUX:
-        exact = _exact_remnant_fit(data, bounds)
-        if exact is not None:
-            x, value, predictions = exact
-            return FitResult(params=ReducedParams(beta=x[0], phi_fe=x[1]),
-                             objective_value=value, iterations=0, converged=True,
-                             flat_objective=len(set(predictions)) < 2)
+        r = data[0].observable
+        estimate = ((b0, r + b0 / TWO_PI * math.sin(TWO_PI * r))
+                    if all(o.observable == r for o in data) else _remnant_estimate(data))
+        if estimate is not None and all(map(math.isfinite, estimate)):
+            x = bounds.clip(*estimate)
+            value, predictions = _evaluate(data, x)
+            if value <= OBJECTIVE_FLOOR:
+                return FitResult(params=ReducedParams(beta=x[0], phi_fe=x[1]),
+                                 objective_value=value, iterations=0, converged=True,
+                                 flat_objective=len(set(predictions)) < 2)
 
     # islice(..., 0) never starts the generator: a fit without restarts imports no numpy
     starts = itertools.chain([(initial.beta, initial.phi_fe)],
@@ -360,23 +355,20 @@ def fit_parameters(data: list[Observation], initial: ReducedParams,
     objective = _objective(data)
     best = None
     iterations = 0
-    converged = False
     for x0 in starts:
         res = minimize(objective, x0, box)
         iterations += res.nit
         if best is None or res.fun < best.fun:
             best = res
-            converged = res.success and math.isfinite(res.fun)
         if best.fun <= OBJECTIVE_FLOOR:
             break
 
     if not math.isfinite(best.fun):
         raise NumericsError(f"objective never reached a finite value; last iterate {best.x}")
-    beta, phi_fe = bounds.clip(*best.x)
     return FitResult(
-        params=ReducedParams(beta=beta, phi_fe=phi_fe),
+        params=ReducedParams(beta=best.x[0], phi_fe=best.x[1]),
         objective_value=best.fun,
         iterations=iterations,
-        converged=converged,
-        flat_objective=len(set(_predictions(data, (beta, phi_fe)))) < 2,
+        converged=best.success,
+        flat_objective=len(set(_evaluate(data, best.x)[1])) < 2,
     )

@@ -73,6 +73,16 @@ class TestFreeEnergy:
         with pytest.raises(ValueError, match="no current"):
             FreeEnergyModel(coeffs, PHI0)
 
+    @pytest.mark.parametrize("coeffs, phi0", [
+        ((2e307, 1e307), 1.0),
+        (tuple(1.7e308 / (TWO_PI * k) for k in range(1, 501)), 1e10),
+    ], ids=["amplitudes", "coefficients"])
+    def test_model_whose_series_sum_overflows_rejected(self, coeffs, phi0):
+        # every amplitude and coefficient is finite, but the sum of |a_k| (or
+        # of |c_k|), which bounds the current (or the free energy), is not
+        with pytest.raises(ValueError, match="amplitudes"):
+            FreeEnergyModel(coeffs, phi0)
+
 
 class TestCurrent:
     def test_zero_at_zero_flux(self):
@@ -291,3 +301,6 @@ def test_current_is_the_scaled_relation_and_the_oracle_series(coeffs, phis):
         value = current(model, Phi)
         assert abs(value - i_j * relation.i(Phi / PHI0)) <= 1e-14 * scale
         assert abs(value - float(series_current(coeffs, PHI0, Phi))) <= 1e-13 * scale
+        # oddness and evenness hold exactly, so validate_symmetries does not check them
+        assert current(model, -Phi) == -value
+        assert free_energy(model, -Phi) == free_energy(model, Phi)

@@ -354,13 +354,68 @@ class TestRemnantEstimate:
         minimize = fit.minimize
         monkeypatch.setattr(fit, "minimize", counted)
         if case == "degenerate":
-            # every remnant of (3, 0) is 0: one distinct sin(2*pi*r), a singular solve
-            data = _remnant_data(3.0, 0.0)
+            # 0.15 and 0.35 give the same sin(2*pi*r) to the bit: a singular
+            # solve, but two distinct remnants, so no single curve fits them
+            data = [Observation(a, 0.15 if a > 0.0 else 0.35) for a in AMPS]
             assert fit._remnant_estimate(data) is None
         else:
             data = _noisy(_remnant_data(5.0, 0.3), 11)
         result = fit_parameters(data, ReducedParams(beta=4.5, phi_fe=0.25), self.BOUNDS)
         assert calls and result.iterations > 0
+
+    def test_exact_flat_remnants_fit_without_a_simplex(self, monkeypatch):
+        # every remnant of (3, 0) is 0: the data fix only the curve
+        # phi_fe = r + (beta/(2*pi))*sin(2*pi*r), taken at the initial beta
+        def no_simplex(*args, **kwargs):
+            raise AssertionError("the fit ran a simplex")
+
+        monkeypatch.setattr(fit, "minimize", no_simplex)
+        for truth, initial in (((3.0, 0.0), (3.2, 0.05)), ((2.413, -0.288), (2.6, -0.25))):
+            data = _remnant_data(*truth)
+            r = data[0].observable
+            assert all(o.observable == r for o in data)
+            result = fit_parameters(data, ReducedParams(*initial), self.BOUNDS)
+            assert result.iterations == 0 and result.converged and result.flat_objective
+            assert result.objective_value <= fit.OBJECTIVE_FLOOR
+            assert result.params.beta == initial[0]
+            assert result.params.phi_fe == pytest.approx(
+                r + initial[0] / (2 * math.pi) * math.sin(2 * math.pi * r), abs=1e-15)
+
+
+class TestUnresolvedPoints:
+    """A point where the forward model raises NumericsError scores inf, so
+    the simplex walks away from it instead of aborting the fit."""
+
+    @staticmethod
+    def _data():
+        # just above beta = 1 a box that touches 1 lets the simplex step a
+        # few ulps above it, where the hysteretic window is below rounding
+        values = simulate_observables(ReducedParams(1.000308, 0.067), CURRENT_WAYPOINTS,
+                                      ObservationKind.CURRENT)
+        return [Observation(w, v, ObservationKind.CURRENT)
+                for w, v in zip(CURRENT_WAYPOINTS, values)]
+
+    def test_scores_inf(self):
+        assert fit._evaluate(self._data(), (1.0000000000000002, 0.0)) == (math.inf, [])
+
+    def test_fit_touching_beta_one_finishes(self):
+        result = fit_parameters(self._data(), ReducedParams(1.2, 0.0),
+                                FitBounds(1.0, 1.5, -0.5, 0.5), n_restarts=0)
+        assert math.isfinite(result.objective_value) and result.objective_value < 1e-6
+        assert result.params.beta == 1.0 and result.converged
+        assert result.params.phi_fe == pytest.approx(0.067, abs=1e-4)
+
+    def test_cli_fit_touching_beta_one_is_zero(self, tmp_path, capsys):
+        from ringflux import cli
+
+        data = tmp_path / "obs.csv"
+        data.write_text("phi_ext,observable\n"
+                        + "".join(f"{o.phi_ext!r},{o.observable!r}\n" for o in self._data()))
+        assert cli.main(["fit", "--data", str(data), "--kind", "current", "--beta", "1.2",
+                         "--phi_fe", "0", "--beta_min", "1", "--beta_max", "1.5",
+                         "--restarts", "0"]) == 0
+        captured = capsys.readouterr()
+        assert "converged = true" in captured.out and captured.err == ""
 
 
 class TestFlatObjective:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -50,9 +51,9 @@ MAX_GRID_SIZE = 1_000_000
 @dataclass(frozen=True)
 class FreeEnergyModel:
     """Cosine coefficients c_k [J], k = 1..K, not all zero, plus the flux
-    quantum.  The sums of |c_k| and of the current amplitudes |2*pi*k*c_k/Phi0|
-    must be finite: they bound every value of the series, so no check of a
-    model can overflow to NaN."""
+    quantum, a normal float.  The sums of |c_k| and of the current
+    amplitudes |2*pi*k*c_k/Phi0| must be finite: they bound every value of
+    the series, so no check of a model can overflow to NaN."""
 
     coeffs: tuple[float, ...]
     Phi0: float = FLUX_QUANTUM
@@ -66,6 +67,11 @@ class FreeEnergyModel:
                              f"must be finite, got {self.coeffs} at Phi0 = {self.Phi0}")
         if not any(self.coeffs):
             raise ValueError(f"model has no current: every coefficient is zero in {self.coeffs}")
+        # below it the checks lose their digits, and from about 2.5e-318 the
+        # finite-difference step 2*FD_REL_STEP*Phi0 is 0
+        if self.Phi0 < sys.float_info.min:
+            raise ValueError(f"Phi0 must be a normal float, at least {sys.float_info.min!r}, "
+                             f"got {self.Phi0!r}")
 
 
 def _amplitudes(model: FreeEnergyModel) -> list[float]:

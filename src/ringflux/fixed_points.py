@@ -166,20 +166,23 @@ def _cell_newton(d: float, lam: float, a: float, b: float, fa: float, fb: float,
     Newton from x0; each evaluated point becomes a bracket end.  A step out
     of the bracket bisects it, and a step that rounds to x moves one float
     toward the other end.  Unless g rounds to 0 first, the solve ends on two
-    adjacent floats and returns the one with the smaller |g| (ties: a).
+    adjacent floats and returns the one with the smaller |g| (ties: a).  An
+    end given only its sign (fa = -inf or fb = inf, _branch_root) is never
+    returned when the root lies far from it.
     """
     x = a if x0 < a else b if x0 > b else x0
+    neg = fa < 0.0  # the sign of every lower end
     while True:
-        fx = x - d + lam * (math.sin(TWO_PI * x) if cpr is None else cpr.i(x))
+        fx = x - d + lam * (math.sin(t := TWO_PI * x) if cpr is None else cpr.i(x))
         if fx == 0.0:
             return x, fx
-        if (fx < 0.0) == (fa < 0.0):
+        if (fx < 0.0) == neg:
             a, fa = x, fx
         else:
             b, fb = x, fx
         if math.nextafter(a, b) == b:
             return (a, fa) if abs(fa) <= abs(fb) else (b, fb)
-        s = 1.0 + lam * (TWO_PI * math.cos(TWO_PI * x) if cpr is None else cpr.di(x))
+        s = 1.0 + lam * (TWO_PI * math.cos(t) if cpr is None else cpr.di(x))
         xn = x - fx / s if s != 0.0 else math.nan  # a flat slope bisects
         if xn == x:
             xn = math.nextafter(x, b if x == a else a)
@@ -218,13 +221,25 @@ def _branch_root(d: float, p: ReducedParams, x0: float | None = None) -> float |
     """u, the root k + u of stable branch k on its segment [-e, e] (Branches) at
     its cell drive d = c - k, clipped to the cell's root window, or None, as
     _segment_root decides it from the cell coordinate x0 (by default the
-    midpoint); without folds the segment is the whole window, from its midpoint."""
-    _, _, e, _, lam = _branches(p.beta)
+    midpoint); without folds the segment is the whole window, from its midpoint.
+
+    An end whose sign is certain is not evaluated: a fold end -e (e) where
+    g(-e) = -half - d (g(e) = half - d) lies below (above) 0 by more than
+    `sure`, a window end where |g| >= WINDOW_MARGIN does.  `sure` is far above
+    the rounding of g at the end, about lam*ulp(1), so the end's computed g
+    would have that sign, it is no tangency, and the root lies far from it:
+    every float and raise is that of evaluating both ends.
+    """
+    _, _, e, half, lam = _branches(p.beta)
     lo, hi = d - lam - WINDOW_MARGIN, d + lam + WINDOW_MARGIN
     a, b = (-e if -e > lo else lo), (e if e < hi else hi)
     if not a < b:
         return None
-    fa, fb = a - d + lam * math.sin(TWO_PI * a), b - d + lam * math.sin(TWO_PI * b)
+    sure = 2.0 ** -40 * (1.0 + lam)
+    fa = (-math.inf if (WINDOW_MARGIN if a == lo else half + d) > sure
+          else a - d + lam * math.sin(TWO_PI * a))
+    fb = (math.inf if (WINDOW_MARGIN if b == hi else half - d) > sure
+          else b - d + lam * math.sin(TWO_PI * b))
     return _segment_root(d, lam, a, b, fa, fb, x0 if e < math.inf else None, p.beta)
 
 

@@ -2,8 +2,9 @@
 
 A sweep follows the stable root of the flux balance as the applied flux
 moves through a schedule of waypoints.  It starts on the stable root
-nearest a flux hint, found by solving the three stable branches about the
-hint; no sweep scans every root.  While the occupied stable branch exists the
+nearest a flux hint, found by solving the stable branch at the hint and,
+unless its root is surely the nearest, its two neighbours; no sweep scans
+every root.  While the occupied stable branch exists the
 state tracks it continuously; when the drive crosses a fold the branch
 vanishes and the state jumps to the neighbouring branch in the drive's
 direction ("the flux quantum is admitted").  A branch of the
@@ -132,19 +133,14 @@ class RemnantReport(NamedTuple):
 # Single-branch continuation
 # ---------------------------------------------------------------------------
 
-def _on_branch(p: ReducedParams, k: int, phi_ext: float, x0: float) -> BranchState:
-    """The state on the caller's branch k at phi_ext, from the cell coordinate x0."""
-    phi, u = _branch_point(phi_ext + p.phi_fe, k, p, x0)
-    return BranchState(phi_ext, phi, math.sin(TWO_PI * u), k, u)
-
-
 def continue_branch(state: BranchState, phi_ext_next: float, p: ReducedParams) -> BranchState:
     """The occupied stable root moved along its own branch to the next applied
     flux, which the caller has checked lies within the branch's fold levels
     (every flux without folds); at the state's own drive, the state itself."""
     if phi_ext_next == state.phi_ext:
         return state
-    return _on_branch(p, state.branch_id, phi_ext_next, state.u)
+    phi, u = _branch_point(phi_ext_next + p.phi_fe, state.branch_id, p, state.u)
+    return BranchState(phi_ext_next, phi, math.sin(TWO_PI * u), state.branch_id, u)
 
 
 @functools.lru_cache(maxsize=64)
@@ -188,15 +184,27 @@ def _initial_state(p: ReducedParams, phi_ext: float, phi_hint: float) -> BranchS
     branch 0.  With folds it is on stable branch m - 1, m or m + 1, m =
     round(phi_hint) clamped to the branches that live at the drive (README,
     numerical notes); if none of the three roots is STABLE (the Marginal
-    corners just above beta = 1), the nearest MARGINAL one of them.  Nothing
-    scans every root, so u lies on its own branch's segment, |u| <= e.
+    corners just above beta = 1), the nearest MARGINAL one of them.  Branch m
+    is solved first, and its root is the pick when it is STABLE and nearer
+    the hint than the segments [k - e, k + e] of k = m -/+ 1 reach: rounding
+    is monotone, so no root of theirs can tie it.  Otherwise the other two
+    are solved too.  Nothing scans every root, so u lies on its own branch's
+    segment, |u| <= e.
     """
-    c, half = phi_ext + p.phi_fe, _branches(p.beta).half
+    c = phi_ext + p.phi_fe
+    _, _, e, half, _ = _branches(p.beta)
     if half == math.inf:
-        return _on_branch(p, 0, phi_ext, 0.0)
+        phi, u = _branch_point(c, 0, p, 0.0)
+        return BranchState(phi_ext, phi, math.sin(TWO_PI * u), 0, u)
     m = round(min(max(phi_hint, math.ceil(c - half)), math.floor(c + half)))
+    um = _branch_root(c - m, p)
+    if um is not None and classify_stability(um, p) is Stability.STABLE:
+        phi, below, above = m + um, (m - 1) + e, (m + 1) - e
+        if abs(phi - phi_hint) < min(max(phi_hint - below, 0.0), max(above - phi_hint, 0.0)):
+            return BranchState(phi_ext, phi, math.sin(TWO_PI * um), m, um)
     roots = [(k + u, math.sin(TWO_PI * u), k, u, classify_stability(u, p))
-             for k in (m - 1, m, m + 1) if (u := _branch_root(c - k, p)) is not None]
+             for k in (m - 1, m, m + 1)
+             if (u := um if k == m else _branch_root(c - k, p)) is not None]
     pool = ([r for r in roots if r[4] is Stability.STABLE]
             or [r for r in roots if r[4] is Stability.MARGINAL])
     if not pool:
@@ -225,6 +233,7 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
     for x in w:  # every sub-step's c lies between two waypoints'
         _require_finite("phi_ext + phi_fe", x + p.phi_fe)
     state, half = _initial_state(p, w[0], init_phi_hint), _branches(p.beta).half
+    hysteretic = half < math.inf
     samples = [state]
     events: list[JumpEvent] = []
     waypoint_indices = [0]
@@ -250,10 +259,12 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
                     events.append(JumpEvent(at, before, landing.phi, len(samples) - 1))
             if pe == state.phi_ext:
                 continue  # a jump landed exactly on this drive
-            if j < nsub:
-                state = continue_branch(state, pe, p)
-            else:  # a waypoint, solved from the cell centre as both kernels solve it
-                state = _on_branch(p, state.branch_id, pe, 0.0)
+            k = state.branch_id
+            cell = k if hysteretic else round(c)
+            # a waypoint is solved from the cell centre, as both kernels solve it
+            if (u := _branch_root(c - cell, p, state.u if j < nsub else 0.0)) is None:
+                raise NumericsError(f"branch {cell} does not bracket c={c!r}")
+            state = BranchState(pe, cell + u, math.sin(TWO_PI * u), k, u)
             samples.append(state)
         waypoint_indices.append(len(samples) - 1)
 
@@ -350,8 +361,9 @@ def hysteresis_remnants(p: ReducedParams,
                         amplitudes: Iterable[float]) -> list[tuple[float, float]]:
     """(remnant_down, remnant_up) of the cycle 0 -> +A -> -A -> 0 for each
     amplitude A, without a sweep: the remnants are the fluxes at the two
-    zero-drive waypoints of _walk_fluxes.  The virgin state is at most three
-    branch solves, whatever beta; nothing scans every root.  The result is
+    zero-drive waypoints of _walk_fluxes.  The virgin state is one branch
+    solve, or three where branch m's root is not surely the nearest
+    (_initial_state), whatever beta; nothing scans every root.  The result is
     run_hysteresis(p, A, step)'s for any step, bit for bit (run_schedule).
     """
     amplitudes = tuple(amplitudes)
@@ -366,9 +378,10 @@ def hysteresis_remnants(p: ReducedParams,
 
 def path_fluxes(p: ReducedParams, waypoints: Iterable[float]) -> list[float]:
     """Flux at each waypoint of a drive path from the virgin state at zero
-    drive, without a sweep (_walk_fluxes); the virgin state is at most three
-    branch solves, with no scan of every root.  The result is that of
-    run_schedule over (0, *waypoints) at any step, bit for bit (run_schedule).
+    drive, without a sweep (_walk_fluxes); the virgin state is one branch
+    solve, or three (_initial_state), with no scan of every root.  The
+    result is that of run_schedule over (0, *waypoints) at any step, bit for
+    bit (run_schedule).
     """
     waypoints = tuple(waypoints)
     if not all(math.isfinite(w) for w in waypoints):

@@ -169,6 +169,34 @@ def bracketed_newton(f, df, a, b, fa, fb, x0):
         x = xn
 
 
+def three_branch_start(solve, classify, c, half, phi_hint):
+    """(phi, i, k, u) of a sweep's start at total flux c: the stable root
+    nearest phi_hint (ties: smaller |i|, then smaller phi) among the roots of
+    stable branches m - 1, m and m + 1, m = round(phi_hint) clamped to the
+    branches alive at c (|c - k| <= half), else the nearest "marginal" one,
+    else None.  Without folds (half = inf) the one root of round(c)'s cell,
+    as branch 0.
+
+    The full search, which the package's start cuts short by solving
+    branch m alone where that settles the pick; kept as the reference the
+    shortcut must match bit for bit.  solve(j) is the cell root u of the
+    branch solve in cell j (or None) and classify(u) its class name, both
+    the package's: this checks the search, not the solve.
+    """
+    if half == math.inf:
+        j = round(c)
+        u = solve(j)
+        return j + u, math.sin(TWO_PI * u), 0, u
+    m = round(min(max(phi_hint, math.ceil(c - half)), math.floor(c + half)))
+    roots = [(k + u, math.sin(TWO_PI * u), k, u, classify(u))
+             for k in (m - 1, m, m + 1) if (u := solve(k)) is not None]
+    pool = ([r for r in roots if r[4] == "stable"]
+            or [r for r in roots if r[4] == "marginal"])
+    if not pool:
+        return None
+    return min(pool, key=lambda r: (abs(r[0] - phi_hint), abs(r[1]), r[0]))[:4]
+
+
 def series_current(coeffs, Phi0, Phi):
     """I = -dF/dPhi of the free energy F = sum_k c_k*cos(2*pi*k*Phi/Phi0),
     differentiated by hand and evaluated on numpy arrays: the current's

@@ -66,6 +66,14 @@ class TestFreeEnergy:
         with pytest.raises(ValueError, match="amplitudes"):
             FreeEnergyModel(coeffs, phi0)
 
+    @pytest.mark.parametrize("phi0", [1e-320, 2.2250738585072e-308])
+    def test_subnormal_flux_quantum_rejected(self, phi0):
+        # the finite-difference step 2*FD_REL_STEP*Phi0 underflows to 0 at
+        # 1e-320, and a subnormal Phi0 leaves the checks without their digits
+        with pytest.raises(ValueError, match="Phi0 must be a normal float"):
+            FreeEnergyModel((1e-323,), phi0)
+        assert FreeEnergyModel((1e-323,), 2.2250738585072014e-308).Phi0 > 0.0
+
     @pytest.mark.parametrize("coeffs", [(), (0.0,), (0.0, -0.0, 0.0)])
     def test_model_without_current_rejected(self, coeffs):
         # with no current every relative symmetry deviation reads 0 against

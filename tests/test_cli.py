@@ -469,6 +469,15 @@ class TestExitCodes:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "amplitudes" in captured.err and "2*pi*k*c_k/Phi0" in captured.err
 
+    def test_bloch_check_of_a_subnormal_flux_quantum_is_one(self, capsys):
+        # its finite-difference step 2*FD_REL_STEP*Phi0 is 0: a range error in
+        # the input, not a ZeroDivisionError traceback
+        assert run_cli("bloch-check", "--Phi0", "1e-320", "--coeffs", "1e-323") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Phi0 must be a normal float" in captured.err
+
     @pytest.mark.parametrize("coeffs", [",", "0,0"])
     def test_bloch_check_of_a_model_without_current_is_one(self, coeffs, capsys):
         # no current: every relative deviation would read 0 against a scale

@@ -204,3 +204,48 @@ def test_scan_is_never_empty_and_agrees_with_the_branch_solve(beta, k, level, ul
         if r.stability is Stability.STABLE:
             j = branch_index(r.phi, beta)
             assert r.phi == j + fixed_points._branch_root(c - j, p)
+
+
+@settings(max_examples=300)
+@given(beta=st.one_of(st.floats(min_value=-13.0, max_value=-1.0).map(lambda u: 1.0 + 10.0 ** u),
+                      st.floats(min_value=0.0, max_value=5.0).map(lambda u: 10.0 ** u),
+                      st.floats(min_value=0.05, max_value=1.0)),
+       level=st.sampled_from([-1, 0, 1]), where=st.floats(min_value=-1.0, max_value=1.0),
+       offset=st.floats(min_value=-1e-9, max_value=1e-9), ulps=st.integers(-8, 8),
+       start=st.sampled_from([None, 0.0, -0.5, 0.5]))
+# g at the fold end rounds to 0 one ulp inside the branch: a tangency
+@example(beta=3.7235160352141907, level=1, where=0.0, offset=0.0, ulps=-1, start=None)
+@example(beta=19.743764366755, level=-1, where=0.0, offset=0.0, ulps=1, start=0.0)
+@example(beta=1.0 + 1e-12, level=1, where=0.0, offset=0.0, ulps=-1, start=0.0)
+@example(beta=1e5, level=0, where=0.9999, offset=0.0, ulps=0, start=0.5)
+def test_branch_solve_ends_where_the_solve_of_both_evaluated_ends_ends(
+        beta, level, where, offset, ulps, start):
+    # the branch solve signs a segment end without evaluating it where the
+    # cell drive lies inside the branch far beyond the rounding of g there;
+    # at fold levels moved by a little and by a few ulps, and across the
+    # branch where window ends clip it, it returns the root, None or the
+    # raise of the solve that evaluates both ends first
+    p = ReducedParams(beta=beta)
+    _, _, e, half, lam = fixed_points._branches(beta)
+    if level == 0 or half == math.inf:
+        d = where * min(half, lam + 1.0)
+    else:
+        d = level * half + offset * (1.0 + lam)
+    for _ in range(abs(ulps)):
+        d = math.nextafter(d, math.copysign(math.inf, ulps))
+    a, b = max(-e, d - lam - WINDOW_MARGIN), min(e, d + lam + WINDOW_MARGIN)
+
+    def both_ends():
+        if not a < b:
+            return None
+        fa, fb = (x - d + lam * math.sin(TWO_PI * x) for x in (a, b))
+        x0 = start if e < math.inf else None
+        return fixed_points._segment_root(d, lam, a, b, fa, fb, x0, beta)
+
+    def outcome(solve):
+        try:
+            return repr(solve())
+        except NumericsError as exc:
+            return f"raise {exc}"
+
+    assert outcome(lambda: fixed_points._branch_root(d, p, start)) == outcome(both_ends)

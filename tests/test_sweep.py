@@ -329,7 +329,7 @@ class TestRunHysteresis:
             assert min(abs(b - s.phi) for b in stable) < 1e-6
 
     def test_sweep_scans_no_roots(self, monkeypatch):
-        # the virgin state solves three stable branches, and every jump lands
+        # the virgin state solves at most three stable branches, and every jump lands
         # on the one landing root of its beta, whatever the number of jumps
         calls = _count_root_scans(monkeypatch)
         loop = run_hysteresis(ReducedParams(5.0, 0.1), 3.0, 0.01)
@@ -381,7 +381,7 @@ class TestHysteresisRemnants:
     @pytest.mark.parametrize("beta,phi_fe", [(5.0, 0.3), (8.5, -0.3), (12.0, 0.1),
                                              (1e4, -0.3), (1e6, 0.2), (0.5, 0.3)])
     def test_no_root_scan_per_call(self, monkeypatch, beta, phi_fe):
-        # the virgin state solves three stable branches (one window for
+        # the virgin state solves at most three stable branches (one window for
         # beta <= 1), the walk's branches are closed form and the landing is
         # one segment solve per beta
         calls = _count_root_scans(monkeypatch)
@@ -634,3 +634,52 @@ def _schedule_bits(n=200, seed=11):
 
 def test_run_schedule_bits_are_frozen():
     assert _schedule_bits() == FROZEN_SCHEDULE_BITS
+
+
+# sha256 of _large_beta_bits(), as FROZEN_SCHEDULE_BITS: there g flips sign at
+# rounding level over several floats, so the float a solve ends on depends on
+# its start and on the order of its evaluations
+FROZEN_LARGE_BETA_BITS = "08e91faf27a30a8a7f486abc8c31477e60e08b54d6d17b69406b7a6e6ff9e7d2"
+
+
+def _large_beta_bits(n=300, seed=13):
+    """sha256 over n seeded run_schedule calls with beta log-uniform in
+    [100, 1e5] and |phi_fe| <= 3, as _schedule_bits hashes them.
+
+    Half are loops from the virgin state whose amplitude passes the fold
+    level half by -2 to 8 (a jump per unit of drive beyond it), half random
+    paths of 2-5 waypoints within half + 8 of 0, from hints anywhere on the
+    branch range.  Steps cut the longest leg into 3-40 sub-steps, so a few
+    paths cross more than 64 folds in one sub-step and raise.
+    """
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for _ in range(n):
+        beta = 10.0 ** rng.uniform(2.0, 5.0)
+        p = ReducedParams(beta, rng.uniform(-3.0, 3.0))
+        half = fixed_points._branches(beta).half
+        if rng.random() < 0.5:
+            amp = half + rng.uniform(-2.0, 8.0)
+            waypoints, hint = (0.0, amp, 0.0, -amp, 0.0), 0.0
+        else:
+            waypoints = tuple(rng.uniform(-1.0, 1.0) * half + rng.uniform(-8.0, 8.0)
+                              for _ in range(rng.randint(2, 5)))
+            hint = rng.uniform(-1.0, 1.0) * half
+        span = max(abs(b - a) for a, b in zip(waypoints, waypoints[1:]))
+        step = span / rng.uniform(3.0, 40.0)
+        try:
+            traj = run_schedule(p, SweepSchedule(waypoints, step), init_phi_hint=hint)
+        except NumericsError as exc:
+            h.update(f"raise {exc}\n".encode())
+            continue
+        for s in traj.samples:
+            h.update(f"{s.phi_ext!r} {s.phi!r} {s.i!r} {s.branch_id} {s.u!r}\n".encode())
+        for e in traj.events:
+            h.update(f"{e.phi_ext_at_jump!r} {e.phi_before!r} {e.phi_after!r} "
+                     f"{e.landing_index}\n".encode())
+        h.update(f"{traj.waypoint_indices} {loop_area(traj, p)!r}\n".encode())
+    return h.hexdigest()
+
+
+def test_large_beta_schedule_bits_are_frozen():
+    assert _large_beta_bits() == FROZEN_LARGE_BETA_BITS

@@ -18,10 +18,10 @@ import random
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import branch_index
+from helpers import branch_index, three_branch_start
 from ringflux import fixed_points, sweep
 from ringflux.fixed_points import (WINDOW_MARGIN, NumericsError, Relation, Stability,
-                                   find_fixed_points)
+                                   classify_stability, find_fixed_points)
 from ringflux.ring_model import TWO_PI, ReducedParams
 from ringflux.sweep import (SweepSchedule, hysteresis_remnants, path_fluxes, resolve_jump,
                             run_hysteresis, run_schedule)
@@ -148,7 +148,7 @@ def test_jump_lands_on_the_neighbouring_branch(beta, phi_fe, k, ascending):
 @example(beta=1.0000000000000007, phi_fe=0.0, drive=15.499999999999998, snap=None,
          hint=45.10591822833882, offset=0)
 def test_virgin_state_is_the_scan_pick(beta, phi_fe, drive, snap, hint, offset):
-    # the sweep's start solves three stable branches only, and must pick
+    # the sweep's start solves at most three stable branches, and must pick
     # what a full root scan picks: the nearest STABLE root, else the nearest
     # MARGINAL one on a stable segment [j - e, j + e], ties to smaller |i|
     # and then smaller phi; an integer offset moves both drive and hint far
@@ -239,9 +239,10 @@ def test_branch_solve_ends_on_the_canonical_float(beta, k, level, start):
 def test_continuation_solve_takes_a_handful_of_evaluations():
     # a branch solve started from the previous sample, on its segment in
     # its cell clipped to the root window and with the slope g', counted
-    # outside the two segment ends it always evaluates; restarting as
-    # bisection once Newton had converged cost about 20.  A waypoint's
-    # sample is solved from the cell centre instead, and is skipped
+    # outside the segment ends, which it evaluates only where their sign is
+    # in doubt; restarting as bisection once Newton had converged cost about
+    # 20.  A waypoint's sample is solved from the cell centre instead, and
+    # is skipped
     rng = random.Random(3)
     evals = solves = 0
     for _ in range(4):
@@ -274,3 +275,80 @@ def test_continuation_solve_takes_a_handful_of_evaluations():
             solves += 1
     assert solves > 1000
     assert evals <= 6 * solves
+
+
+def test_a_sub_step_inside_its_branch_evaluates_no_segment_end(monkeypatch):
+    # a segment end whose sign is certain, the cell drive lying inside the
+    # branch far beyond the rounding of g, is not evaluated: a sub-step's
+    # math.sin calls are Newton's, from its start on, and the sample's
+    # current.  Over whole loops that is under 6.5 calls per sample, against
+    # 7.8 when every solve evaluated both ends
+    rng = random.Random(3)
+    angles, real_sin = [], math.sin
+
+    def sin(x):
+        angles.append(x)
+        return real_sin(x)
+
+    calls = samples = checked = 0
+    for _ in range(4):
+        p = ReducedParams(beta=rng.uniform(1.2, 20.0), phi_fe=rng.uniform(-0.5, 0.5))
+        amplitude = rng.uniform(1.0, 5.0)
+        with monkeypatch.context() as m:
+            m.setattr(math, "sin", sin)
+            cycle = run_hysteresis(p, amplitude, 0.01).cycle
+        calls, samples = calls + len(angles), samples + len(cycle.samples)
+        angles.clear()
+        _, _, e, half, lam = fixed_points._branches(p.beta)
+        waypoints = set(cycle.waypoint_indices)
+        for n, (prev, cur) in enumerate(zip(cycle.samples, cycle.samples[1:]), 1):
+            if cur.branch_id != prev.branch_id or cur.phi_ext == prev.phi_ext or n in waypoints:
+                continue
+            d = cur.phi_ext + p.phi_fe - cur.branch_id
+            if not abs(d) < half - 1e-6:
+                continue  # near a fold, where the end is evaluated
+            a, b = max(-e, d - lam - WINDOW_MARGIN), min(e, d + lam + WINDOW_MARGIN)
+            with monkeypatch.context() as m:
+                m.setattr(math, "sin", sin)
+                assert sweep.continue_branch(prev, cur.phi_ext, p) == cur
+            # the first evaluation is Newton's start, clipped to the segment
+            assert angles[0] == TWO_PI * min(max(prev.u, a), b)
+            assert not {TWO_PI * a, TWO_PI * b} & set(angles[1:])
+            angles.clear()
+            checked += 1
+    assert checked > 3000
+    assert calls <= 6.5 * samples
+
+
+@settings(max_examples=300)
+@given(beta=st.one_of(st.floats(min_value=-13.0, max_value=-3.0).map(lambda u: 1.0 + 10.0 ** u),
+                      st.floats(min_value=0.0, max_value=3.0).map(lambda u: 10.0 ** u),
+                      st.floats(min_value=0.05, max_value=1.0)),
+       phi_fe=st.floats(min_value=-3.0, max_value=3.0),
+       drive=st.floats(min_value=-5.0, max_value=5.0),
+       snap=st.sampled_from([None, 0.0, 1e-12, -1e-12, 1e-6, -1e-6]),
+       hint=st.floats(min_value=-6.0, max_value=6.0))
+@example(beta=1.000000000000001, phi_fe=0.0, drive=2.5, snap=None, hint=2.5)
+@example(beta=1.0000000000000007, phi_fe=0.0, drive=15.499999999999998, snap=None,
+         hint=45.10591822833882)
+@example(beta=0.5, phi_fe=0.3, drive=-4.2, snap=None, hint=3.0)
+def test_virgin_state_is_the_three_branch_search(beta, phi_fe, drive, snap, hint):
+    # the start solves the hint's branch m alone when its root is STABLE and
+    # nearer the hint than branches m -/+ 1 can reach, else all three: the
+    # result, its branch and its cell root, or the raise, are the full
+    # three-branch search's (helpers.three_branch_start) bit for bit, at
+    # hints far from the drive, in the Marginal corners just above beta = 1
+    # (drives snapped near half-integers) and without folds
+    p = ReducedParams(beta=beta, phi_fe=phi_fe)
+    if snap is not None:
+        drive = math.floor(drive + phi_fe) + 0.5 + snap - phi_fe
+    c = drive + phi_fe
+    want = three_branch_start(lambda k: fixed_points._branch_root(c - k, p),
+                              lambda u: classify_stability(u, p).value,
+                              c, fixed_points._branches(beta).half, hint)
+    if want is None:
+        with pytest.raises(NumericsError, match="no stable root"):
+            sweep._initial_state(p, drive, hint)
+        return
+    got = sweep._initial_state(p, drive, hint)
+    assert repr((got.phi_ext, got.phi, got.i, got.branch_id, got.u)) == repr((drive, *want))

@@ -26,12 +26,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .fixed_points import Relation
-from .ring_model import FLUX_QUANTUM, TWO_PI
+from .ring_model import FLUX_QUANTUM, TWO_PI, _Frozen, _require_normal, _set_field
 
 #: Largest relative symmetry deviation (SymmetryReport.passed) and
 #: finite-difference gap (finite_difference_current_error) of a sound model:
@@ -48,30 +46,28 @@ FD_GRID_SIZE = 257
 MAX_GRID_SIZE = 1_000_000
 
 
-@dataclass(frozen=True)
-class FreeEnergyModel:
+class FreeEnergyModel(_Frozen):
     """Cosine coefficients c_k [J], k = 1..K, not all zero, plus the flux
     quantum, a normal float.  The sums of |c_k| and of the current
     amplitudes |2*pi*k*c_k/Phi0| must be finite: they bound every value of
     the series, so no check of a model can overflow to NaN."""
 
-    coeffs: tuple[float, ...]
-    Phi0: float = FLUX_QUANTUM
+    __slots__ = __match_args__ = ("coeffs", "Phi0")
 
-    def __post_init__(self) -> None:
-        if not (self.Phi0 > 0.0 and math.isfinite(self.Phi0)):
-            raise ValueError(f"Phi0 must be positive and finite, got {self.Phi0}")
+    def __init__(self, coeffs: tuple[float, ...], Phi0: float = FLUX_QUANTUM) -> None:
+        _set_field(self, "coeffs", coeffs)
+        _set_field(self, "Phi0", Phi0)
+        if not (Phi0 > 0.0 and math.isfinite(Phi0)):
+            raise ValueError(f"Phi0 must be positive and finite, got {Phi0}")
         # summed as _series sums: the partial sums of |w_k| are monotone, so the last bounds all
-        if not all(math.isfinite(sum(map(abs, w))) for w in (self.coeffs, _amplitudes(self))):
+        if not all(math.isfinite(sum(map(abs, w))) for w in (coeffs, _amplitudes(self))):
             raise ValueError("the sums of |c_k| and of the current amplitudes |2*pi*k*c_k/Phi0| "
-                             f"must be finite, got {self.coeffs} at Phi0 = {self.Phi0}")
-        if not any(self.coeffs):
-            raise ValueError(f"model has no current: every coefficient is zero in {self.coeffs}")
-        # below it the checks lose their digits, and from about 2.5e-318 the
-        # finite-difference step 2*FD_REL_STEP*Phi0 is 0
-        if self.Phi0 < sys.float_info.min:
-            raise ValueError(f"Phi0 must be a normal float, at least {sys.float_info.min!r}, "
-                             f"got {self.Phi0!r}")
+                             f"must be finite, got {coeffs} at Phi0 = {Phi0}")
+        if not any(coeffs):
+            raise ValueError(f"model has no current: every coefficient is zero in {coeffs}")
+        # a subnormal Phi0 leaves the checks without their digits, and from
+        # about 2.5e-318 the finite-difference step 2*FD_REL_STEP*Phi0 is 0
+        _require_normal("Phi0", Phi0)
 
 
 def _amplitudes(model: FreeEnergyModel) -> list[float]:

@@ -144,17 +144,20 @@ def _given(config: argparse.Namespace, *keys: str) -> dict:
 
 
 def _reduced(config: argparse.Namespace) -> ring_model.ReducedParams:
-    """Reduced parameters from either beta or the SI pair (L, I_J)."""
+    """Reduced parameters from either beta or the SI pair (L, I_J); a Phi0
+    that is divided by must be a normal float, as RingParams requires."""
     phi0 = config.Phi0 if config.Phi0 is not None else ring_model.FLUX_QUANTUM
     if config.beta is not None:
         beta = config.beta
     elif config.L is not None and config.I_J is not None:
+        ring_model._require_normal("Phi0", phi0)
         beta = ring_model.TWO_PI * config.L * config.I_J / phi0
     else:
         raise UsageError("missing parameters: give beta, or both L and I_J")
     if config.phi_fe is not None:
         phi_fe = config.phi_fe
     elif config.Phi_Fe is not None:
+        ring_model._require_normal("Phi0", phi0)
         phi_fe = config.Phi_Fe / phi0
     else:
         phi_fe = 0.0
@@ -265,9 +268,10 @@ def _cmd_sweep(config: argparse.Namespace) -> int:
         raise UsageError("missing parameters: amplitude and step")
     from . import sweep
     p = _reduced(config)
+    ring = _ring(config, p)  # checked before any row is written
     loop = sweep.run_hysteresis(p, config.amplitude, config.step)
     emit_csv(loop, config.out, p=p)
-    report = sweep.remnant_report(loop, _ring(config, p))
+    report = sweep.remnant_report(loop, ring)
     _summary(("remnant_phi_down", report.phi_down), ("remnant_phi_up", report.phi_up),
              ("n_down", report.n_down), ("n_up", report.n_up),
              ("B_remnant_down", report.B_remnant_down), ("B_remnant_up", report.B_remnant_up),

@@ -44,11 +44,10 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .fixed_points import NumericsError
-from .ring_model import TWO_PI, ReducedParams, RingParams, unreduce
+from .ring_model import TWO_PI, ReducedParams, RingParams, _Frozen, _set_field, unreduce
 from .sweep import SweepSchedule, hysteresis_remnants, path_fluxes
 
 #: Objective value treated as "exactly solved"; further restarts are skipped.
@@ -147,47 +146,47 @@ class ObservationKind(enum.Enum):
     CURRENT = "current"
 
 
-@dataclass(frozen=True)
-class Observation:
+class Observation(_Frozen):
     """One measured point: drive key, observed value (reduced units), kind."""
 
-    phi_ext: float
-    observable: float
-    kind: ObservationKind = ObservationKind.REMNANT_FLUX
+    __slots__ = __match_args__ = ("phi_ext", "observable", "kind")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.phi_ext) and math.isfinite(self.observable)):
+    def __init__(self, phi_ext: float, observable: float,
+                 kind: ObservationKind = ObservationKind.REMNANT_FLUX) -> None:
+        if not (math.isfinite(phi_ext) and math.isfinite(observable)):
             raise ValueError(
-                f"observation values must be finite, got ({self.phi_ext}, {self.observable})")
+                f"observation values must be finite, got ({phi_ext}, {observable})")
+        _set_field(self, "phi_ext", phi_ext)
+        _set_field(self, "observable", observable)
+        _set_field(self, "kind", kind)
 
 
-@dataclass(frozen=True)
-class FitBounds:
+class FitBounds(_Frozen):
     """Search box for (beta, phi_fe)."""
 
-    beta_min: float = 0.1
-    beta_max: float = 20.0
-    phi_fe_min: float = -0.5
-    phi_fe_max: float = 0.5
+    __slots__ = __match_args__ = ("beta_min", "beta_max", "phi_fe_min", "phi_fe_max")
 
-    def __post_init__(self) -> None:
-        box = (self.beta_min, self.beta_max, self.phi_fe_min, self.phi_fe_max)
+    def __init__(self, beta_min: float = 0.1, beta_max: float = 20.0, phi_fe_min: float = -0.5,
+                 phi_fe_max: float = 0.5) -> None:
+        box = (beta_min, beta_max, phi_fe_min, phi_fe_max)
         if not all(math.isfinite(v) for v in box):
             raise ValueError(f"fit bounds must be finite, got {box}")
-        if not (0.0 < self.beta_min <= self.beta_max):
+        if not (0.0 < beta_min <= beta_max):
+            raise ValueError(f"need 0 < beta_min <= beta_max, got [{beta_min}, {beta_max}]")
+        if not (phi_fe_min <= phi_fe_max):
             raise ValueError(
-                f"need 0 < beta_min <= beta_max, got [{self.beta_min}, {self.beta_max}]")
-        if not (self.phi_fe_min <= self.phi_fe_max):
-            raise ValueError(
-                f"need phi_fe_min <= phi_fe_max, got [{self.phi_fe_min}, {self.phi_fe_max}]")
+                f"need phi_fe_min <= phi_fe_max, got [{phi_fe_min}, {phi_fe_max}]")
+        _set_field(self, "beta_min", beta_min)
+        _set_field(self, "beta_max", beta_max)
+        _set_field(self, "phi_fe_min", phi_fe_min)
+        _set_field(self, "phi_fe_max", phi_fe_max)
 
     def clip(self, beta: float, phi_fe: float) -> tuple[float, float]:
         return (_clip(beta, self.beta_min, self.beta_max),
                 _clip(phi_fe, self.phi_fe_min, self.phi_fe_max))
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """Best parameters found, with convergence diagnostics.
     `objective_value` is the sum of squared residuals there, exactly rounded
     (math.fsum of the squares).  `iterations` sums the simplex iterations of

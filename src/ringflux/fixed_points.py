@@ -28,7 +28,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .ring_model import TWO_PI, ReducedParams, _require_finite
@@ -45,12 +44,13 @@ MARGINAL_TOL = 1e-9
 
 #: Most segments, hence most roots, that find_fixed_points takes in one root
 #: window: the sinusoid's window holds about 4*lambda = 2*beta/pi, so beta up
-#: to about 7.9e6.  A root costs about 180 bytes; the cap equals the sample
-#: count MAX_SUBSTEPS allows a sweep.
+#: to about 7.9e6.  A root costs about 128 bytes (by tracemalloc over the
+#: 6,367 roots at beta 1e4, drive 0.3); the cap equals the sample count
+#: MAX_SUBSTEPS allows a sweep.
 MAX_ROOTS = 5_000_000
 
 #: Largest total sub-step count a sweep schedule may ask for.  Every sub-step
-#: is kept as a sample (192 bytes each, by tracemalloc over a 40,004-sample
+#: is kept as a sample (192 bytes each, by tracemalloc over a 40,003-sample
 #: loop), so this bounds a sweep's memory near 0.96 GB.  It sits here rather
 #: than in `sweep` (which re-exports it) so that `wide-ring`, which caps its
 #: rows with it, starts without loading the sweep.
@@ -67,8 +67,7 @@ class Stability(enum.Enum):
     MARGINAL = "marginal"
 
 
-@dataclass(frozen=True)
-class FixedPoint:
+class FixedPoint(NamedTuple):
     """One solution (phi, i) of the flux balance with its stability class."""
 
     phi: float

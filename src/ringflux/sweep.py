@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .fixed_points import (
@@ -36,37 +35,37 @@ from .fixed_points import (
     _branches,
     classify_stability,
 )
-from .ring_model import TWO_PI, ReducedParams, RingParams, _require_finite
+from .ring_model import TWO_PI, ReducedParams, RingParams, _Frozen, _require_finite, _set_field
 
 _MAX_JUMPS_PER_STEP = 64
 
 
-@dataclass(frozen=True)
-class SweepSchedule:
+class SweepSchedule(_Frozen):
     """Ordered applied-flux waypoints and the maximal sub-step between them.
 
     A schedule of more than MAX_SUBSTEPS sub-steps in total is rejected.
     """
 
-    waypoints: tuple[float, ...]
-    step: float
+    __slots__ = __match_args__ = ("waypoints", "step")
 
-    def __post_init__(self) -> None:
-        if len(self.waypoints) < 1:
+    def __init__(self, waypoints: tuple[float, ...], step: float) -> None:
+        if len(waypoints) < 1:
             raise ValueError("schedule needs at least one waypoint")
-        if not all(math.isfinite(w) for w in self.waypoints):
-            raise ValueError(f"waypoints must be finite, got {self.waypoints}")
-        if not (self.step > 0.0 and math.isfinite(self.step)):
-            raise ValueError(f"step must be positive and finite, got {self.step}")
+        if not all(math.isfinite(w) for w in waypoints):
+            raise ValueError(f"waypoints must be finite, got {waypoints}")
+        if not (step > 0.0 and math.isfinite(step)):
+            raise ValueError(f"step must be positive and finite, got {step}")
         substeps = 0
-        for a, b in zip(self.waypoints, self.waypoints[1:]):
+        for a, b in zip(waypoints, waypoints[1:]):
             if a == b:
                 raise ValueError(f"consecutive waypoints must differ, got repeated {a}")
             # capped before ceil, which overflows on an infinite ratio
-            substeps += math.ceil(min(abs(b - a) / self.step, MAX_SUBSTEPS + 1))
+            substeps += math.ceil(min(abs(b - a) / step, MAX_SUBSTEPS + 1))
         if substeps > MAX_SUBSTEPS:
             raise ValueError(
-                f"schedule needs more than {MAX_SUBSTEPS} sub-steps at step {self.step}")
+                f"schedule needs more than {MAX_SUBSTEPS} sub-steps at step {step}")
+        _set_field(self, "waypoints", waypoints)
+        _set_field(self, "step", step)
 
 
 class BranchState(NamedTuple):
@@ -82,8 +81,7 @@ class BranchState(NamedTuple):
     u: float
 
 
-@dataclass(frozen=True)
-class JumpEvent:
+class JumpEvent(NamedTuple):
     """One branch loss: drive value, departing and landing flux."""
 
     phi_ext_at_jump: float
@@ -92,8 +90,7 @@ class JumpEvent:
     landing_index: int
 
 
-@dataclass(frozen=True)
-class SweepTrajectory:
+class SweepTrajectory(NamedTuple):
     """Time-ordered stable samples with the jump events between them.
 
     waypoint_indices[k] is the sample index at schedule waypoint k.
@@ -104,8 +101,7 @@ class SweepTrajectory:
     waypoint_indices: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class HysteresisLoop:
+class HysteresisLoop(NamedTuple):
     """Full drive cycle 0 -> +amp -> -amp -> 0 and its summary numbers.
 
     `cycle` holds every sample in time order; its waypoint_indices mark the

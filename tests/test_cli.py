@@ -3,8 +3,10 @@ and the real CLI process."""
 
 import csv
 import hashlib
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import ringflux
 from ringflux import bloch_cpr, cli, sweep
 from ringflux.fixed_points import NumericsError
 from ringflux.ring_model import FLUX_QUANTUM
@@ -478,6 +481,30 @@ class TestExitCodes:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert "Phi0 must be a normal float" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ("wide-ring", "--n", "3", "--L", "1e-10", "--Phi0", "1e-320"),
+        ("fixed-points", "--beta", "5", "--phi_ext", "0.3", "--Phi_Fe", "1e-320",
+         "--Phi0", "1e-320"),
+        ("fixed-points", "--L", "1e-10", "--I_J", "1e-5", "--phi_ext", "0.3", "--Phi0", "1e-320"),
+        ("sweep", "--beta", "5", "--amplitude", "1", "--step", "0.1", "--Phi0", "1e-320"),
+    ], ids=["wide-ring", "Phi_Fe", "L-I_J", "sweep"])
+    def test_subnormal_flux_quantum_is_one(self, argv, capsys):
+        # b_remnant = n*Phi0/area_A kept 5 digits and Phi_Fe/Phi0 read 1.0:
+        # a range error in the input, refused before any row is written
+        assert run_cli(*argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Phi0 must be a normal float" in captured.err
+
+    def test_flux_quantum_of_zero_is_one(self, capsys):
+        # L*I_J/Phi0 raised ZeroDivisionError with a traceback
+        assert run_cli("fixed-points", "--L", "1e-10", "--I_J", "1e-5", "--phi_ext", "0.3",
+                       "--Phi0", "0") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "error: Phi0 must be a positive finite number" in captured.err
+
     @pytest.mark.parametrize("coeffs", [",", "0,0"])
     def test_bloch_check_of_a_model_without_current_is_one(self, coeffs, capsys):
         # no current: every relative deviation would read 0 against a scale
@@ -599,21 +626,27 @@ def test_cli_process_matches_main_and_starts_without_numpy_or_scipy(capsys):
     assert proc.stdout.decode().splitlines()[-1] == "0 []"
 
 
+#: modules no command loads: the records are NamedTuples and slotted
+#: classes, and `dataclasses` would pull in `inspect` (and `ast`, `dis`, ...)
+_NEVER = ["dataclasses", "inspect"]
+
 #: a run of each command, and the modules it must not load since it runs none
 #: of their code; only reading an observation CSV (`{data}`) needs csv
 _FOOTPRINTS = {
     "fixed-points": (["--beta", "5", "--phi_ext", "0.25"],
                      ["ringflux.sweep", "ringflux.wide_ring", "ringflux.bloch_cpr",
-                      "ringflux.fit", "csv"]),
+                      "ringflux.fit", "csv", *_NEVER]),
     "sweep": (["--beta", "5", "--phi_fe", "0.3", "--amplitude", "3", "--step", "0.05"],
-              ["ringflux.wide_ring", "ringflux.bloch_cpr", "ringflux.fit", "csv"]),
+              ["ringflux.wide_ring", "ringflux.bloch_cpr", "ringflux.fit", "csv", *_NEVER]),
     "wide-ring": (["--n", "3", "--L", "1e-10"],
-                  ["ringflux.sweep", "ringflux.bloch_cpr", "ringflux.fit", "csv"]),
+                  ["ringflux.sweep", "ringflux.bloch_cpr", "ringflux.fit", "csv", *_NEVER]),
     "bloch-check": (["--coeffs", "3.2e-22,0,1e-23"],
-                    ["ringflux.sweep", "ringflux.wide_ring", "ringflux.fit", "csv"]),
+                    ["ringflux.sweep", "ringflux.wide_ring", "ringflux.fit", "csv", *_NEVER]),
     "fit": (["--data", "{data}", "--beta", "4.5", "--phi_fe", "0.2", "--restarts", "0"],
-            ["ringflux.wide_ring", "ringflux.bloch_cpr"]),
+            ["ringflux.wide_ring", "ringflux.bloch_cpr", *_NEVER]),
 }
+
+_MODULES = ["ringflux." + m.name for m in pkgutil.iter_modules(ringflux.__path__)]
 
 
 def test_import_ringflux_loads_no_submodule():
@@ -622,6 +655,22 @@ def test_import_ringflux_loads_no_submodule():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.decode().strip() == "[]"
+    # nor does any of its modules load dataclasses or inspect
+    probe = (f"import importlib, sys; [importlib.import_module(m) for m in {_MODULES!r}]; "
+             f"print(sorted(set({_NEVER!r}) & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", probe], env=_src_env(), capture_output=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().strip() == "[]"
+
+
+def test_no_class_is_a_dataclass():
+    # unlike the guards above, this does not depend on what site loads on a host
+    classes = {name: value for module in _MODULES
+               for name, value in vars(importlib.import_module(module)).items()
+               if isinstance(value, type) and value.__module__ == module}
+    assert {"FixedPoint", "SweepSchedule", "FitResult", "FreeEnergyModel"} <= set(classes)
+    assert [name for name, c in classes.items() if hasattr(c, "__dataclass_fields__")] == []
 
 
 @pytest.mark.parametrize("command", list(_FOOTPRINTS))

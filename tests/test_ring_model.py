@@ -52,6 +52,19 @@ class TestReduce:
         with pytest.raises(ValueError):
             RingParams(**bad)
 
+    @pytest.mark.parametrize("phi0", [1e-320, 2.2250738585072e-308])
+    def test_subnormal_flux_quantum_rejected(self, phi0):
+        # b_remnant = n*Phi0/area_A and Phi_Fe/Phi0 lose their digits below
+        # the least normal float: RingParams and FreeEnergyModel share one check
+        message = "Phi0 must be a normal float, at least 2.2250738585072014e-308"
+        with pytest.raises(ValueError, match=message):
+            RingParams(L=1e-10, I_J=1e-5, Phi0=phi0)
+        with pytest.raises(ValueError, match=message):
+            FreeEnergyModel((1e-323,), phi0)
+        with pytest.raises(ValueError, match=message):
+            unreduce(ReducedParams(5.0), 1e-5, phi0)
+        assert RingParams(L=1e-10, I_J=1e-5, Phi0=2.2250738585072014e-308).Phi0 > 0.0
+
     def test_beta_lambda_locked(self):
         p = ReducedParams(beta=5.0)
         assert p.beta == TWO_PI * p.lam

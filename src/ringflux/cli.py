@@ -144,20 +144,17 @@ def _given(config: argparse.Namespace, *keys: str) -> dict:
 
 
 def _reduced(config: argparse.Namespace) -> ring_model.ReducedParams:
-    """Reduced parameters from either beta or the SI pair (L, I_J); a Phi0
-    that is divided by must be a normal float, as RingParams requires."""
+    """Reduced parameters from either beta or the SI pair (L, I_J)."""
     phi0 = config.Phi0 if config.Phi0 is not None else ring_model.FLUX_QUANTUM
     if config.beta is not None:
         beta = config.beta
     elif config.L is not None and config.I_J is not None:
-        ring_model._require_normal("Phi0", phi0)
         beta = ring_model.TWO_PI * config.L * config.I_J / phi0
     else:
         raise UsageError("missing parameters: give beta, or both L and I_J")
     if config.phi_fe is not None:
         phi_fe = config.phi_fe
     elif config.Phi_Fe is not None:
-        ring_model._require_normal("Phi0", phi0)
         phi_fe = config.Phi_Fe / phi0
     else:
         phi_fe = 0.0
@@ -377,6 +374,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if unread:
             raise UsageError(f"{args.command} does not read {', '.join(unread)}")
         config = parse_config(args)
+        if config.Phi0 is not None:  # every command reads it, divided by or not
+            ring_model._require_normal("Phi0", config.Phi0)
         code = _COMMANDS[args.command](config)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code

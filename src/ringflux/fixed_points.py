@@ -156,31 +156,43 @@ def _branches(beta: float) -> Branches:
 # Root finding
 # ---------------------------------------------------------------------------
 
-def _cell_newton(d: float, lam: float, a: float, b: float, fa: float, fb: float, x0: float,
-                 cpr: Relation | None = None) -> tuple[float, float]:
-    """(u, g(u)) at the root of g(u) = u - d + lam*i(u) in the sign bracket
-    a < b, fa*fb < 0: the cell residual at drive d, with i and i' the
-    sinusoid's or `cpr`'s, both evaluated in the loop.
+def _segment_root(d: float, lam: float, a: float, b: float, fa: float, fb: float, x0: float | None,
+                  beta: float, rising: bool = True, cpr: Relation | None = None) -> float | None:
+    """u, the root of the cell residual g(u) = u - d + lam*i(u) at drive d on its
+    monotone segment [a, b], fa = g(a) and fb = g(b), or None: the one rule and
+    the one Newton loop of every solve, with i and i' the sinusoid's or `cpr`'s.
+    A rising segment (g' > 0) owns the tangencies at its ends: an end with g
+    within DEFAULT_ROOT_TOL of 0 on the side away from the segment, 0 <= fa
+    or fb <= 0, is the root, which rounding may leave unbracketed (absolute:
+    the root of a drive inside the band lies about sqrt(band) from the end;
+    a window end has |g| of WINDOW_MARGIN or more).
 
-    Newton from x0; each evaluated point becomes a bracket end.  A step out
-    of the bracket bisects it, and a step that rounds to x moves one float
-    toward the other end.  Unless g rounds to 0 first, the solve ends on two
-    adjacent floats and returns the one with the smaller |g| (ties: a).  An
-    end given only its sign (fa = -inf or fb = inf, _branch_root) is never
-    returned when the root lies far from it.
-    """
-    x = a if x0 < a else b if x0 > b else x0
+    Else a strict sign change is solved by Newton from x0 (None: the
+    midpoint), clipped to the segment; each evaluated point becomes a bracket
+    end.  A step out of the bracket bisects it, and a step that rounds to x
+    moves one float toward the other end.  Unless g rounds to 0 first, the
+    solve ends on two adjacent floats and takes the one with the smaller |g|
+    (ties: a), accepted or raising.  An end given only its sign (fa = -inf or
+    fb = inf, _branch_root) is never taken when the root lies far from it."""
+    if rising and 0.0 <= fa <= DEFAULT_ROOT_TOL:
+        return a
+    if rising and -DEFAULT_ROOT_TOL <= fb <= 0.0:
+        return b
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):
+        return None
+    x = 0.5 * (a + b) if x0 is None else x0
+    x = a if x < a else b if x > b else x
     neg = fa < 0.0  # the sign of every lower end
     while True:
         fx = x - d + lam * (math.sin(t := TWO_PI * x) if cpr is None else cpr.i(x))
         if fx == 0.0:
-            return x, fx
+            return x
         if (fx < 0.0) == neg:
             a, fa = x, fx
         else:
             b, fb = x, fx
         if math.nextafter(a, b) == b:
-            return (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+            break
         s = 1.0 + lam * (TWO_PI * math.cos(t) if cpr is None else cpr.di(x))
         xn = x - fx / s if s != 0.0 else math.nan  # a flat slope bisects
         if xn == x:
@@ -188,26 +200,7 @@ def _cell_newton(d: float, lam: float, a: float, b: float, fa: float, fb: float,
         elif not a < xn < b:
             xn = 0.5 * (a + b)
         x = xn
-
-
-def _segment_root(d: float, lam: float, a: float, b: float, fa: float, fb: float, x0: float | None,
-                  beta: float, rising: bool = True, cpr: Relation | None = None) -> float | None:
-    """u, the root of the cell residual g at drive d on its monotone segment
-    [a, b], fa = g(a) and fb = g(b), or None: the one rule of every solve.
-    A rising segment (g' > 0) owns the tangencies at its ends: an end with g
-    within DEFAULT_ROOT_TOL of 0 on the side away from the segment, 0 <= fa
-    or fb <= 0, is the root, which rounding may leave unbracketed (absolute:
-    the root of a drive inside the band lies about sqrt(band) from the end;
-    a window end has |g| of WINDOW_MARGIN or more).  Else _cell_newton
-    solves a strict sign change from x0 (None: the midpoint), and the root
-    is accepted or raises."""
-    if rising and 0.0 <= fa <= DEFAULT_ROOT_TOL:
-        return a
-    if rising and -DEFAULT_ROOT_TOL <= fb <= 0.0:
-        return b
-    if not (fa < 0.0 < fb or fb < 0.0 < fa):
-        return None
-    u, r = _cell_newton(d, lam, a, b, fa, fb, 0.5 * (a + b) if x0 is None else x0, cpr)
+    u, r = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
     # |r| <= DEFAULT_ROOT_TOL, else the rounding of g at |g'| <= 1 + beta (large
     # beta): |u| < 2 in its cell, but d and lam*sin round at about lam*ulp(1)
     if abs(r) > DEFAULT_ROOT_TOL and abs(r) > 2.0 * (1.0 + beta) * math.ulp(1.0):
@@ -216,11 +209,13 @@ def _segment_root(d: float, lam: float, a: float, b: float, fa: float, fb: float
     return u
 
 
-def _branch_root(d: float, p: ReducedParams, x0: float | None = None) -> float | None:
-    """u, the root k + u of stable branch k on its segment [-e, e] (Branches) at
-    its cell drive d = c - k, clipped to the cell's root window, or None, as
+def _branch_root(d: float, br: Branches, beta: float, x0: float | None = None) -> float | None:
+    """u, the root k + u of stable branch k on its segment [-e, e] at its cell
+    drive d = c - k, clipped to the cell's root window, or None, as
     _segment_root decides it from the cell coordinate x0 (by default the
-    midpoint); without folds the segment is the whole window, from its midpoint.
+    midpoint); without folds the segment is the whole window, from its
+    midpoint.  br is _branches(beta), which the caller fetches once for all
+    its solves.
 
     An end whose sign is certain is not evaluated: a fold end -e (e) where
     g(-e) = -half - d (g(e) = half - d) lies below (above) 0 by more than
@@ -229,7 +224,7 @@ def _branch_root(d: float, p: ReducedParams, x0: float | None = None) -> float |
     would have that sign, it is no tangency, and the root lies far from it:
     every float and raise is that of evaluating both ends.
     """
-    _, _, e, half, lam = _branches(p.beta)
+    _, _, e, half, lam = br
     lo, hi = d - lam - WINDOW_MARGIN, d + lam + WINDOW_MARGIN
     a, b = (-e if -e > lo else lo), (e if e < hi else hi)
     if not a < b:
@@ -239,7 +234,7 @@ def _branch_root(d: float, p: ReducedParams, x0: float | None = None) -> float |
           else a - d + lam * math.sin(TWO_PI * a))
     fb = (math.inf if (WINDOW_MARGIN if b == hi else half - d) > sure
           else b - d + lam * math.sin(TWO_PI * b))
-    return _segment_root(d, lam, a, b, fa, fb, x0 if e < math.inf else None, p.beta)
+    return _segment_root(d, lam, a, b, fa, fb, x0 if e < math.inf else None, beta)
 
 
 def _branch_point(c: float, k: int, p: ReducedParams, x0: float | None) -> tuple[float, float]:
@@ -248,7 +243,7 @@ def _branch_point(c: float, k: int, p: ReducedParams, x0: float | None) -> tuple
     folds the one root, in round(c)'s cell j from the window midpoint, which a
     sweep reports as branch 0.  NumericsError when no root is bracketed."""
     j = k if p.beta > 1.0 else round(c)
-    if (u := _branch_root(c - j, p, x0)) is None:
+    if (u := _branch_root(c - j, _branches(p.beta), p.beta, x0)) is None:
         raise NumericsError(f"branch {j} does not bracket c={c!r}")
     return j + u, u
 

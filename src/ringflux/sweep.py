@@ -147,8 +147,8 @@ def _landing(beta: float) -> float:
     exact cell drive -s*(1/2 - w) whatever k and phi_fe: one solve serves every
     jump.  Its slope g' is about 3*(beta - 1): Marginal below beta - 1 of
     about 3e-10, which NumericsError names as the window below rounding."""
-    p = ReducedParams(beta)
-    u = _branch_root(-(0.5 - _branches(beta).w), p)
+    p, br = ReducedParams(beta), _branches(beta)
+    u = _branch_root(-(0.5 - br.w), br, beta)
     if u is None or classify_stability(u, p) is not Stability.STABLE:
         raise NumericsError(f"no stable root survives a fold: hysteretic window below rounding at "
                             f"beta={beta!r} (its slope 3*(beta - 1) is under MARGINAL_TOL)")
@@ -187,20 +187,20 @@ def _initial_state(p: ReducedParams, phi_ext: float, phi_hint: float) -> BranchS
     are solved too.  Nothing scans every root, so u lies on its own branch's
     segment, |u| <= e.
     """
-    c = phi_ext + p.phi_fe
-    _, _, e, half, _ = _branches(p.beta)
+    c, beta = phi_ext + p.phi_fe, p.beta
+    _, _, e, half, _ = br = _branches(beta)
     if half == math.inf:
         phi, u = _branch_point(c, 0, p, 0.0)
         return BranchState(phi_ext, phi, math.sin(TWO_PI * u), 0, u)
     m = round(min(max(phi_hint, math.ceil(c - half)), math.floor(c + half)))
-    um = _branch_root(c - m, p)
+    um = _branch_root(c - m, br, beta)
     if um is not None and classify_stability(um, p) is Stability.STABLE:
         phi, below, above = m + um, (m - 1) + e, (m + 1) - e
         if abs(phi - phi_hint) < min(max(phi_hint - below, 0.0), max(above - phi_hint, 0.0)):
             return BranchState(phi_ext, phi, math.sin(TWO_PI * um), m, um)
     roots = [(k + u, math.sin(TWO_PI * u), k, u, classify_stability(u, p))
              for k in (m - 1, m, m + 1)
-             if (u := um if k == m else _branch_root(c - k, p)) is not None]
+             if (u := um if k == m else _branch_root(c - k, br, beta)) is not None]
     pool = ([r for r in roots if r[4] is Stability.STABLE]
             or [r for r in roots if r[4] is Stability.MARGINAL])
     if not pool:
@@ -218,29 +218,35 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
     lives while a sub-step's total flux c has |c - k| <= half (Branches);
     past that, _walk names the branch where c lands and resolve_jump crosses
     each fold on the way (at most _MAX_JUMPS_PER_STEP).  Every sub-step and
-    every jump landing is a sample, a stable fixed point.  A sub-step solves
-    from the previous sample and a waypoint from the cell centre, so a
-    waypoint's flux is the kernels' (hysteresis_remnants, path_fluxes) bit
-    for bit, unless a jump landed exactly on its drive.
+    every jump landing is a sample, a stable fixed point.  A sub-step is
+    continue_branch's branch solve from the previous sample, bit for bit,
+    and a waypoint solves from the cell centre, so a waypoint's flux is the
+    kernels' (hysteresis_remnants, path_fluxes) bit for bit, unless a jump
+    landed exactly on its drive.
     """
     if not math.isfinite(init_phi_hint):
         raise ValueError(f"init_phi_hint must be finite, got {init_phi_hint}")
     w = schedule.waypoints
     for x in w:  # every sub-step's c lies between two waypoints'
         _require_finite("phi_ext + phi_fe", x + p.phi_fe)
-    state, half = _initial_state(p, w[0], init_phi_hint), _branches(p.beta).half
+    state = _initial_state(p, w[0], init_phi_hint)
+    beta, phi_fe, br = p.beta, p.phi_fe, _branches(p.beta)
+    half = br.half
     hysteretic = half < math.inf
     samples = [state]
     events: list[JumpEvent] = []
     waypoint_indices = [0]
+    # the last sample's drive, branch and cell root
+    last, k, u = state.phi_ext, state.branch_id, state.u
+    new = tuple.__new__  # a sample without BranchState's Python-level __new__
 
     for w0, w1 in zip(w, w[1:]):
         nsub = max(1, math.ceil(abs(w1 - w0) / schedule.step))
         delta = (w1 - w0) / nsub
         for j in range(1, nsub + 1):
             pe = w1 if j == nsub else w0 + j * delta
-            c, k = pe + p.phi_fe, state.branch_id
-            if not abs(c - k) <= half and pe != state.phi_ext:
+            c = pe + phi_fe
+            if not abs(c - k) <= half and pe != last:
                 s = 1 if c > k else -1
                 folds = abs(_walk(k, c, s, half) - k)
                 if folds > _MAX_JUMPS_PER_STEP:
@@ -248,20 +254,18 @@ def run_schedule(p: ReducedParams, schedule: SweepSchedule,
                         f"more than {_MAX_JUMPS_PER_STEP} folds inside one sub-step; "
                         f"step {schedule.step} is too coarse")
                 for _ in range(folds):
-                    at, before, landing = resolve_jump(p, state.branch_id, s > 0)
-                    state = BranchState(at, landing.phi, landing.i, state.branch_id + s,
-                                        s * _landing(p.beta))
-                    samples.append(state)
-                    events.append(JumpEvent(at, before, landing.phi, len(samples) - 1))
-            if pe == state.phi_ext:
+                    last, before, landing = resolve_jump(p, k, s > 0)
+                    k, u = k + s, s * _landing(beta)
+                    samples.append(new(BranchState, (last, landing.phi, landing.i, k, u)))
+                    events.append(JumpEvent(last, before, landing.phi, len(samples) - 1))
+            if pe == last:
                 continue  # a jump landed exactly on this drive
-            k = state.branch_id
             cell = k if hysteretic else round(c)
             # a waypoint is solved from the cell centre, as both kernels solve it
-            if (u := _branch_root(c - cell, p, state.u if j < nsub else 0.0)) is None:
+            if (u := _branch_root(c - cell, br, beta, u if j < nsub else 0.0)) is None:
                 raise NumericsError(f"branch {cell} does not bracket c={c!r}")
-            state = BranchState(pe, cell + u, math.sin(TWO_PI * u), k, u)
-            samples.append(state)
+            last = pe
+            samples.append(new(BranchState, (pe, cell + u, math.sin(TWO_PI * u), k, u)))
         waypoint_indices.append(len(samples) - 1)
 
     return SweepTrajectory(tuple(samples), tuple(events), tuple(waypoint_indices))

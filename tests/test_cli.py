@@ -505,6 +505,20 @@ class TestExitCodes:
         assert captured.out == "" and captured.err.count("\n") == 1
         assert "error: Phi0 must be a positive finite number" in captured.err
 
+    @pytest.mark.parametrize("phi0", ["-1", "0", "1e-320"])
+    @pytest.mark.parametrize("command", ["fixed-points", "fit"])
+    def test_unused_flux_quantum_is_still_checked(self, command, phi0, tmp_path, capsys):
+        # given beta (and phi_fe), neither command divides by Phi0, which
+        # went unchecked: the run exited 0
+        data = tmp_path / "obs.csv"
+        data.write_text("phi_ext,observable\n2,0.1\n-2,0.9\n")
+        argv = (("fixed-points", "--beta", "5", "--phi_fe", "0.1", "--phi_ext", "0.3")
+                if command == "fixed-points" else ("fit", "--data", str(data), "--beta", "6"))
+        assert run_cli(*argv, "--Phi0", phi0) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Phi0 must be ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("coeffs", [",", "0,0"])
     def test_bloch_check_of_a_model_without_current_is_one(self, coeffs, capsys):
         # no current: every relative deviation would read 0 against a scale

@@ -683,3 +683,37 @@ def _large_beta_bits(n=300, seed=13):
 
 def test_large_beta_schedule_bits_are_frozen():
     assert _large_beta_bits() == FROZEN_LARGE_BETA_BITS
+
+
+# sha256 of _fine_step_bits(), as FROZEN_SCHEDULE_BITS: at fine steps a
+# sub-step starts nearest its root, and most of a sweep's samples are there
+FROZEN_FINE_STEP_BITS = "2a011b2db9504b02022ca4e553e477838be2a182dd007040f366da8c8613d1c3"
+
+
+def _fine_step_bits(n=16, seed=17):
+    """sha256 over n seeded run_hysteresis loops, as _schedule_bits hashes
+    them: beta in [1.2, 20], amplitude in [1, 5], step in [0.001, 0.002] and
+    |phi_fe| <= 0.5 (0 for every fourth draw), like perfbench's fine loops.
+    """
+    rng = random.Random(seed)
+    h = hashlib.sha256()
+    for j in range(n):
+        beta, amp = rng.uniform(1.2, 20.0), rng.uniform(1.0, 5.0)
+        step, phi_fe = rng.uniform(0.001, 0.002), rng.uniform(-0.5, 0.5)
+        p = ReducedParams(beta, 0.0 if j % 4 == 0 else phi_fe)
+        try:
+            traj = run_hysteresis(p, amp, step).cycle
+        except NumericsError as exc:
+            h.update(f"raise {exc}\n".encode())
+            continue
+        for s in traj.samples:
+            h.update(f"{s.phi_ext!r} {s.phi!r} {s.i!r} {s.branch_id} {s.u!r}\n".encode())
+        for e in traj.events:
+            h.update(f"{e.phi_ext_at_jump!r} {e.phi_before!r} {e.phi_after!r} "
+                     f"{e.landing_index}\n".encode())
+        h.update(f"{traj.waypoint_indices} {loop_area(traj, p)!r}\n".encode())
+    return h.hexdigest()
+
+
+def test_fine_step_bits_are_frozen():
+    assert _fine_step_bits() == FROZEN_FINE_STEP_BITS

@@ -218,8 +218,8 @@ def test_branch_solve_ends_on_the_canonical_float(beta, k, level, start):
     c_lo, c_hi = k - (0.5 + w), k + (0.5 + w)
     c = c_lo + level * (c_hi - c_lo)
     a, b = -0.5 + phi_a, 0.5 - phi_a
-    g = _branch_residual(p, c - k)
-    got = [fixed_points._branch_root(c - k, p, x0)  # phi_fe = 0: the drive is c
+    g, br = _branch_residual(p, c - k), fixed_points._branches(p.beta)
+    got = [fixed_points._branch_root(c - k, br, p.beta, x0)  # phi_fe = 0: the drive is c
            for x0 in (0.5 * (a + b), a, b, 0.0, a + start * (b - a))]
     for x in got:
         # an end of an adjacent-float sign-change bracket, the one with the
@@ -270,7 +270,7 @@ def test_continuation_solve_takes_a_handful_of_evaluations():
 
             rel = Relation(counted_sin, lambda x: TWO_PI * math.cos(TWO_PI * x),
                            lambda lam: [-0.5 + phi_a, 0.5 - phi_a])
-            x, _ = fixed_points._cell_newton(d, p.lam, a, b, fa, fb, prev.u, rel)
+            x = fixed_points._segment_root(d, p.lam, a, b, fa, fb, prev.u, p.beta, cpr=rel)
             assert (k + x, x) == (cur.phi, cur.u)
             solves += 1
     assert solves > 1000
@@ -282,7 +282,9 @@ def test_a_sub_step_inside_its_branch_evaluates_no_segment_end(monkeypatch):
     # branch far beyond the rounding of g, is not evaluated: a sub-step's
     # math.sin calls are Newton's, from its start on, and the sample's
     # current.  Over whole loops that is under 6.5 calls per sample, against
-    # 7.8 when every solve evaluated both ends
+    # 7.8 when every solve evaluated both ends, and at least the one call of
+    # each sample's current, which a solver binding math.sin ahead of the
+    # patch would not count
     rng = random.Random(3)
     angles, real_sin = [], math.sin
 
@@ -317,7 +319,37 @@ def test_a_sub_step_inside_its_branch_evaluates_no_segment_end(monkeypatch):
             angles.clear()
             checked += 1
     assert checked > 3000
-    assert calls <= 6.5 * samples
+    assert samples <= calls <= 6.5 * samples
+
+
+@given(beta=st.one_of(st.floats(min_value=-13.0, max_value=-3.0).map(lambda u: 1.0 + 10.0 ** u),
+                      st.floats(min_value=0.2, max_value=1.0),
+                      st.floats(min_value=0.0, max_value=5.0).map(lambda u: 10.0 ** u)),
+       phi_fe=st.floats(min_value=-3.0, max_value=3.0), k=st.integers(-20, 20),
+       level=st.sampled_from([-1, 0, 1]),
+       offsets=st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=1, max_size=3),
+       step=st.floats(min_value=-3.0, max_value=math.log10(0.5)).map(lambda u: 10.0 ** u))
+@example(beta=5.0, phi_fe=0.3, k=0, level=1, offsets=[1.0, -1.0], step=0.001)
+@example(beta=1e5, phi_fe=0.0, k=3, level=-1, offsets=[-1.5, 1.5], step=0.01)
+def test_every_sub_step_is_the_public_single_step(beta, phi_fe, k, level, offsets, step):
+    # a sample that is neither a waypoint nor a jump landing is
+    # continue_branch from the sample before it, bit for bit: the sweep's
+    # loop and the public single step make one solve.  From branch k, one
+    # unit inside its fold level k + level*half (at k without folds), the
+    # drives run across it, where the branch solve evaluates its segment ends
+    p = ReducedParams(beta=beta, phi_fe=phi_fe)
+    half = fixed_points._branches(beta).half
+    centre = k + level * half if half < math.inf else k
+    waypoints = tuple(centre + x - phi_fe for x in (-level, *offsets))
+    assume(all(a != b for a, b in zip(waypoints, waypoints[1:])))
+    try:
+        traj = run_schedule(p, SweepSchedule(waypoints, step), init_phi_hint=k)
+    except NumericsError:
+        return  # no stable start, or a landing below rounding
+    skip = {*traj.waypoint_indices, *(e.landing_index for e in traj.events)}
+    for n, (prev, cur) in enumerate(zip(traj.samples, traj.samples[1:]), 1):
+        if n not in skip:
+            assert repr(sweep.continue_branch(prev, cur.phi_ext, p)) == repr(cur)
 
 
 @settings(max_examples=300)
@@ -343,9 +375,10 @@ def test_virgin_state_is_the_three_branch_search(beta, phi_fe, drive, snap, hint
     if snap is not None:
         drive = math.floor(drive + phi_fe) + 0.5 + snap - phi_fe
     c = drive + phi_fe
-    want = three_branch_start(lambda k: fixed_points._branch_root(c - k, p),
+    br = fixed_points._branches(p.beta)
+    want = three_branch_start(lambda k: fixed_points._branch_root(c - k, br, p.beta),
                               lambda u: classify_stability(u, p).value,
-                              c, fixed_points._branches(beta).half, hint)
+                              c, br.half, hint)
     if want is None:
         with pytest.raises(NumericsError, match="no stable root"):
             sweep._initial_state(p, drive, hint)
